@@ -9,17 +9,15 @@ failed when it fails, instead of just returning False.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .binet import solve_weights
 from .errors import DegenerateSpectrumError, SingularSystemError
-from .numerics import STANDARD, check_precision, complex_number, csqrt, real_number, working_precision
+from .numerics import STANDARD, arithmetic, to_complex
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _to_fraction, generate
 from .roots import RootSet, dominant_root, solve_roots
 
 TOL_CONV = 1e-8
 TOL_IDENTITY = 1e-10
-TOL_RECOVER = 1e-6
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,7 @@ def ratio_convergence(
     largest k whose ratio was usable.
     """
     _check_seeds(spec, seeds)
-    check_precision(precision)
+    ctx = arithmetic(precision).ctx
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if all(v == 0 for v in seeds):
@@ -81,7 +79,7 @@ def ratio_convergence(
     target, unique = dominant_root(rootset)
     abs_error = None
     if estimate is not None:
-        abs_error = float(abs(complex_number(estimate, precision) - target))
+        abs_error = float(abs(to_complex(ctx, estimate) - target))
 
     hypothesis_met = True
     reason = None
@@ -146,24 +144,23 @@ def golden_identity_check(
 
     residuals = []
     skipped = []
-    with working_precision(rootset.precision):
-        coeffs = [complex_number(c, rootset.precision) for c in spec.coeffs]
-        for idx, z in enumerate(rootset.roots):
-            value = z**n - sum(c * z**j for j, c in enumerate(coeffs))
-            residuals.append(("defining[%d]" % idx, float(abs(value))))
-        if n == 2:
-            beta, alpha = spec.coeffs
-            if beta == 0:
-                skipped.append(
-                    "reciprocal identity skipped: constant coefficient is 0, "
-                    "so 1/r = (r - a_1)/a_0 divides by zero"
-                )
-            else:
-                bc = complex_number(beta, rootset.precision)
-                ac = complex_number(alpha, rootset.precision)
-                for idx, z in enumerate(rootset.roots):
-                    value = 1 / z - (z - ac) / bc
-                    residuals.append(("reciprocal[%d]" % idx, float(abs(value))))
+    ctx = arithmetic(rootset.precision).ctx
+    coeffs = [to_complex(ctx, c) for c in spec.coeffs]
+    for idx, z in enumerate(rootset.roots):
+        value = z**n - sum(c * z**j for j, c in enumerate(coeffs))
+        residuals.append(("defining[%d]" % idx, float(abs(value))))
+    if n == 2:
+        beta, alpha = spec.coeffs
+        if beta == 0:
+            skipped.append(
+                "reciprocal identity skipped: constant coefficient is 0, "
+                "so 1/r = (r - a_1)/a_0 divides by zero"
+            )
+        else:
+            bc, ac = to_complex(ctx, beta), to_complex(ctx, alpha)
+            for idx, z in enumerate(rootset.roots):
+                value = 1 / z - (z - ac) / bc
+                residuals.append(("reciprocal[%d]" % idx, float(abs(value))))
     passed = all(v <= tolerance for _, v in residuals)
     return IdentityReport(tuple(residuals), tuple(skipped), tolerance, passed)
 
@@ -176,13 +173,12 @@ def recover_cubic_conjugates(alpha, gamma, ratio_limit, precision: str = STANDAR
     their sum is alpha - L and their product is gamma / L (the three
     roots multiply to gamma).  beta is not needed.
     """
-    check_precision(precision)
+    ctx = arithmetic(precision).ctx
     if ratio_limit == 0:
         raise ValueError("ratio limit must be nonzero (it divides gamma)")
-    with working_precision(precision):
-        a = real_number(_to_fraction(alpha, ValueError), precision)
-        g = real_number(_to_fraction(gamma, ValueError), precision)
-        lim = complex_number(ratio_limit, precision)
-        d = a - lim
-        s = csqrt(d * d - 4 * g / lim)
-        return ((d + s) / 2, (d - s) / 2)
+    a = to_complex(ctx, _to_fraction(alpha, ValueError))
+    g = to_complex(ctx, _to_fraction(gamma, ValueError))
+    lim = to_complex(ctx, ratio_limit)
+    d = a - lim
+    s = ctx.sqrt(d * d - 4 * g / lim)
+    return ((d + s) / 2, (d - s) / 2)

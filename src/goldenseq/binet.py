@@ -16,20 +16,11 @@ instead of silently trusting it (on most inputs it disagrees from k = 0,
 so the generic weights path stays authoritative).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DegenerateSpectrumError, SeedMismatchError, UnitRootError
-from .numerics import (
-    EXTENDED,
-    STANDARD,
-    check_precision,
-    complex_number,
-    csqrt,
-    is_mp,
-    solve_linear_system,
-    working_precision,
-)
+from .numerics import EXTENDED, STANDARD, arithmetic, solve_linear_system, to_complex
 from .recurrence import (
     RecurrenceSpec,
     SeedVector,
@@ -37,24 +28,15 @@ from .recurrence import (
     generate,
     make_seeds,
     make_spec,
-    term_at,
 )
 from .reports import FormulaCheck
 from .roots import RootSet, cubic_roots, quadratic_roots
-
-try:
-    import mpmath
-except ImportError:  # pragma: no cover
-    mpmath = None
 
 # Tolerances are relative to the scale of the data they gate.
 TOL_W = 1e-9  # |w_{n+1}| must stay below TOL_W * max(1, max |seed term|)
 TOL_IM = 1e-9  # imaginary part allowed when rounding to an integer
 TOL_BINET = 1e-6  # relative agreement demanded from closed forms
 TOL_SEP = 1e-8  # pairwise root separation, scaled by (1 + max |root|)
-K_MAX_CHECKED = 40
-
-_MAX_CONDITION = {STANDARD: 1e12, EXTENDED: 1e30}
 
 
 @dataclass(frozen=True)
@@ -102,19 +84,16 @@ def solve_weights(
     spec: RecurrenceSpec,
     seeds: SeedVector,
     rootset: RootSet,
-    precision: str | None = None,
 ) -> BinetWeights:
     """Solve the (n+1)x(n+1) weight system for the generic closed form.
 
-    Raises DegenerateSpectrumError for (near-)repeated roots and
+    The weights are in the precision of the root set.  Raises DegenerateSpectrumError for (near-)repeated roots and
     SingularSystemError when the linear system is unsolvable, which is
     exactly what happens when 1 is a characteristic root: the constant
     column collides with a root column.
     """
     _check_seeds(spec, seeds)
-    if precision is None:
-        precision = rootset.precision
-    check_precision(precision)
+    ctx, _, max_condition = arithmetic(rootset.precision)
     if rootset.degree != spec.degree:
         raise SeedMismatchError(
             "root set has degree %d but the recurrence has degree %d"
@@ -124,29 +103,31 @@ def solve_weights(
 
     n = spec.degree
     terms = generate(spec, seeds, n + 1)
-    with working_precision(precision):
-        one = complex_number(1, precision)
-        rows = []
-        powers = [one for _ in range(n)]
-        for r in range(n + 1):
-            rows.append(list(powers) + [one])
-            powers = [p * z for p, z in zip(powers, rootset.roots)]
-        rhs = [complex_number(t, precision) for t in terms]
-        solution = solve_linear_system(rows, rhs, _MAX_CONDITION[precision])
+    one = ctx.mpc(1)
+    rows = []
+    powers = [one for _ in range(n)]
+    for r in range(n + 1):
+        rows.append(list(powers) + [one])
+        powers = [p * z for p, z in zip(powers, rootset.roots)]
+    rhs = [to_complex(ctx, t) for t in terms]
+    solution = solve_linear_system(rows, rhs, max_condition)
 
-        scale = max(1.0, max(float(abs(v)) for v in rhs))
-        probe = float(abs(solution[-1]))
+    scale = max(1.0, max(float(abs(v)) for v in rhs))
+    probe = float(abs(solution[-1]))
     if probe > TOL_W * scale:
         raise DegenerateSpectrumError(
             "constant probe weight %.3e exceeds %.1e * %.3g; the seed data "
             "is inconsistent with a pure power-sum closed form"
             % (probe, TOL_W, scale)
         )
-    return BinetWeights(tuple(solution), n, precision)
+    return BinetWeights(tuple(solution), n, rootset.precision)
 
 
 def binet_eval(weights: BinetWeights, rootset: RootSet, k: int):
-    """Evaluate sum of w_j root_j^k (+ constant probe) at integer k >= 0."""
+    """Evaluate sum of w_j root_j^k (+ constant probe) at integer k >= 0.
+
+    The weights and roots are numbers of their precision's context, so
+    the sum runs in that precision."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if rootset.degree != weights.degree:
@@ -154,10 +135,9 @@ def binet_eval(weights: BinetWeights, rootset: RootSet, k: int):
             "weights were solved for degree %d, root set has degree %d"
             % (weights.degree, rootset.degree)
         )
-    with working_precision(weights.precision):
-        total = weights.weights[-1]
-        for w, z in zip(weights.weights[:-1], rootset.roots):
-            total = total + w * z**k
+    total = weights.weights[-1]
+    for w, z in zip(weights.weights[:-1], rootset.roots):
+        total = total + w * z**k
     return total
 
 
@@ -166,7 +146,8 @@ def nearest_integer(value, tol_im: float = TOL_IM) -> int:
 
     Raises ValueError when the imaginary part is larger than tol_im
     relative to the magnitude of the value: rounding such a value would
-    hide a real inconsistency.
+    hide a real inconsistency.  Rounds in the extended context, which
+    takes a float exactly and keeps every digit of an extended value.
     """
     scale = max(1.0, float(abs(value)))
     if abs(float(value.imag)) > tol_im * scale:
@@ -174,10 +155,27 @@ def nearest_integer(value, tol_im: float = TOL_IM) -> int:
             "imaginary part %.3e too large to round to an integer"
             % float(value.imag)
         )
-    real = value.real
-    if is_mp(real):
-        return int(mpmath.nint(real))
-    return int(round(real))
+    return int(arithmetic(EXTENDED).ctx.nint(value.real))
+
+
+def compare_with_terms(evaluate, terms, precision: str) -> FormulaCheck:
+    """Check evaluate(k) against the exact terms[k] for every k.
+
+    The error at k is |value - x_k| / max(1, |x_k|), computed in the
+    precision's context; the first k whose error exceeds TOL_BINET is
+    the mismatch.  The note is left for the caller to write.
+    """
+    ctx = arithmetic(precision).ctx
+    first_bad = None
+    max_err = 0.0
+    for k, exact in enumerate(terms):
+        value = evaluate(k)
+        ref = to_complex(ctx, exact)
+        err = float(abs(value - ref)) / max(1.0, float(abs(ref)))
+        max_err = max(max_err, err)
+        if err > TOL_BINET and first_bad is None:
+            first_bad = k
+    return FormulaCheck(first_bad is None, first_bad, max_err, TOL_BINET)
 
 
 def _exact(value) -> Fraction:
@@ -202,12 +200,10 @@ def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD
         )
     rootset = quadratic_roots(a, b, precision)
     phi, varphi = rootset.roots
-    with working_precision(precision):
-        sigma = csqrt(complex_number(disc, precision))
-        x0 = complex_number(seeds[0], precision)
-        x1 = complex_number(seeds[1], precision)
-        ac = complex_number(a, precision)
-        return ((phi - ac) * x0 + x1) / sigma * (phi**k - varphi**k) + varphi**k * x0
+    ctx = arithmetic(precision).ctx
+    sigma = ctx.sqrt(to_complex(ctx, disc))
+    x0, x1, ac = (to_complex(ctx, v) for v in (seeds[0], seeds[1], a))
+    return ((phi - ac) * x0 + x1) / sigma * (phi**k - varphi**k) + varphi**k * x0
 
 
 def binet_cubic_closed(alpha, beta, gamma, seeds, k: int, precision: str = STANDARD):
@@ -227,33 +223,28 @@ def binet_cubic_closed(alpha, beta, gamma, seeds, k: int, precision: str = STAND
     check_separation(rootset)
     _check_unit_root(rootset)
     phi, varphi, psi = rootset.roots
-    with working_precision(precision):
-        x0 = complex_number(seeds[0], precision)
-        x1 = complex_number(seeds[1], precision)
-        x2 = complex_number(seeds[2], precision)
-        ac = complex_number(a, precision)
-        bc = complex_number(b, precision)
-        gc = complex_number(g, precision)
+    ctx = arithmetic(precision).ctx
+    x0, x1, x2, ac, bc, gc = (to_complex(ctx, v) for v in (*seeds, a, b, g))
 
-        pref = (
-            (ac - varphi - psi - 1) * x2
-            + (bc + varphi * psi + varphi + psi) * x1
-            + (gc - varphi * psi) * x0
-        ) / ((phi - varphi) * (varphi - psi) * (phi - psi))
-        comb = (
-            (psi - varphi) / (phi - 1) * phi**k
-            - (psi - phi) / (varphi - 1) * varphi**k
-            + (varphi - phi) / (psi - 1) * psi**k
-        )
-        tail = (
-            (x2 - (varphi + 1) * x1 + varphi * x0)
-            / ((psi - 1) * (psi - varphi))
-            * psi**k
-            - (x2 - (psi + 1) * x1 + psi * x0)
-            / ((varphi - 1) * (psi - varphi))
-            * varphi**k
-        )
-        return pref * comb + tail
+    pref = (
+        (ac - varphi - psi - 1) * x2
+        + (bc + varphi * psi + varphi + psi) * x1
+        + (gc - varphi * psi) * x0
+    ) / ((phi - varphi) * (varphi - psi) * (phi - psi))
+    comb = (
+        (psi - varphi) / (phi - 1) * phi**k
+        - (psi - phi) / (varphi - 1) * varphi**k
+        + (varphi - phi) / (psi - 1) * psi**k
+    )
+    tail = (
+        (x2 - (varphi + 1) * x1 + varphi * x0)
+        / ((psi - 1) * (psi - varphi))
+        * psi**k
+        - (x2 - (psi + 1) * x1 + psi * x0)
+        / ((varphi - 1) * (psi - varphi))
+        * varphi**k
+    )
+    return pref * comb + tail
 
 
 def check_cubic_closed_form(
@@ -277,27 +268,17 @@ def check_cubic_closed_form(
     seed_vec = seeds if isinstance(seeds, SeedVector) else make_seeds(seeds)
     _check_seeds(spec, seed_vec)
 
-    first_bad = None
-    max_err = 0.0
-    for k in range(k_max + 1):
-        value = binet_cubic_closed(a, b, g, seed_vec, k, precision)
-        exact = term_at(spec, seed_vec, k)
-        ref = complex_number(exact, precision)
-        err = float(abs(value - ref)) / max(1.0, float(abs(ref)))
-        max_err = max(max_err, err)
-        if err > TOL_BINET and first_bad is None:
-            first_bad = k
-    if first_bad is None:
+    check = compare_with_terms(
+        lambda k: binet_cubic_closed(a, b, g, seed_vec, k, precision),
+        generate(spec, seed_vec, k_max + 1),
+        precision,
+    )
+    if check.matches:
         note = "closed form matches the recurrence for k <= %d" % k_max
     else:
         note = (
             "formula mismatch: first divergence at k = %d (relative error "
-            "%.3e); falling back to the generic weights path" % (first_bad, max_err)
+            "%.3e); falling back to the generic weights path"
+            % (check.first_mismatch, check.max_error)
         )
-    return FormulaCheck(
-        matches=first_bad is None,
-        first_mismatch=first_bad,
-        max_error=max_err,
-        tolerance=TOL_BINET,
-        note=note,
-    )
+    return replace(check, note=note)

@@ -19,18 +19,17 @@ import sys
 
 import mpmath
 
+from . import __version__
 from .analysis import ratio_convergence
 from .binet import binet_eval, nearest_integer, solve_weights
 from .errors import RootConvergenceError, SingularSystemError
 from .genfunc import build_genfunc, series_coefficients
-from .numerics import PRECISIONS, STANDARD, is_mp
+from .numerics import PRECISIONS, STANDARD
 from .presets import BUILTIN_PRESETS, load_presets, parse_rational_list
 from .recurrence import _check_seeds, generate, make_seeds, make_spec, term_at
 from .roots import solve_roots
 from .trapezoid import build_closed_form, build_expansion, row_sum
 from .verify import has_failures, verify_all
-
-__version__ = "0.1.0"
 
 _MP_DIGITS = 30  # shown for extended-precision values
 
@@ -43,9 +42,9 @@ class CLIError(Exception):
 
 
 def _fmt_real(x) -> str:
-    if is_mp(x):
-        return mpmath.nstr(x, _MP_DIGITS)
-    return repr(float(x))
+    if isinstance(x, float):
+        return repr(x)
+    return mpmath.nstr(x, _MP_DIGITS)
 
 
 def _fmt_complex(z) -> str:
@@ -57,9 +56,9 @@ def _fmt_complex(z) -> str:
 
 
 def _json_real(x):
-    if is_mp(x):
-        return mpmath.nstr(x, _MP_DIGITS)
-    return float(x)
+    if isinstance(x, float):
+        return x
+    return mpmath.nstr(x, _MP_DIGITS)
 
 
 def _json_complex(z):

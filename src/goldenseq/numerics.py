@@ -2,18 +2,22 @@
 
 The exact modules (recurrence, genfunc, trapezoid) never import this.
 Root finding, Binet weights, and convergence diagnostics work in one of
-two precisions:
+two precisions, each an mpmath context with the same interface (mpf,
+mpc, sqrt, cbrt, expj, pi, ...):
 
-* "standard": Python float/complex (53-bit significand);
-* "extended": mpmath at 40 significant digits (well above 113 bits).
+* "standard": mpmath.fp, i.e. Python float/complex (53-bit significand);
+* "extended": a private mpmath.MPContext at 40 significant digits
+  (136 bits).  Its values carry their context, so arithmetic on them
+  stays at 40 digits whatever the global mpmath.mp precision is, and
+  the global precision is never touched.  They are not mpmath.mpf /
+  mpmath.mpc instances; in mixed arithmetic the left operand's context
+  sets the precision.
 
-Helpers here are written generically so the same arithmetic code runs on
-either representation.
+`arithmetic` is the one place a precision name turns into arithmetic.
 """
 
-import cmath
-from contextlib import contextmanager
 from fractions import Fraction
+from typing import NamedTuple
 
 import mpmath
 
@@ -23,70 +27,47 @@ PRECISIONS = (STANDARD, EXTENDED)
 
 EXTENDED_DPS = 40
 
-# Unit roundoff per precision, used for residual noise floors.
-_EPS = {STANDARD: 2.220446049250313e-16, EXTENDED: mpmath.mpf(10) ** (-EXTENDED_DPS + 1)}
+_EXTENDED_CTX = mpmath.MPContext()
+_EXTENDED_CTX.dps = EXTENDED_DPS
 
 
-def check_precision(precision: str):
-    if precision not in PRECISIONS:
-        raise ValueError(f"precision must be one of {PRECISIONS}, got {precision!r}")
+class Arithmetic(NamedTuple):
+    """What a precision name stands for."""
+
+    ctx: object  # mpmath.fp or the private extended context
+    eps: float  # unit roundoff, used for residual noise floors
+    max_condition: float  # pivot ratio past which a linear system is singular
 
 
-@contextmanager
-def working_precision(precision: str):
-    """Context manager installing the mpmath working precision when needed."""
-    check_precision(precision)
-    if precision == EXTENDED:
-        with mpmath.workdps(EXTENDED_DPS):
-            yield
-    else:
-        yield
+_ARITHMETIC = {
+    STANDARD: Arithmetic(mpmath.fp, 2.220446049250313e-16, 1e12),
+    EXTENDED: Arithmetic(_EXTENDED_CTX, 10.0 ** (-EXTENDED_DPS + 1), 1e30),
+}
 
 
-def epsilon(precision: str):
-    return _EPS[precision]
+def arithmetic(precision: str) -> Arithmetic:
+    try:
+        return _ARITHMETIC[precision]
+    except KeyError:
+        raise ValueError(f"precision must be one of {PRECISIONS}, got {precision!r}") from None
 
 
-def real_number(value, precision: str = STANDARD):
-    """Exact rational (or int) to a real number of the chosen precision."""
-    if precision == EXTENDED:
-        if isinstance(value, Fraction):
-            return mpmath.mpf(value.numerator) / value.denominator
-        return mpmath.mpf(value)
-    return float(value)
+def to_complex(ctx, value):
+    """An int, Fraction, float or number of ctx as a complex number of ctx.
 
-
-def complex_number(value, precision: str = STANDARD):
-    if precision == EXTENDED:
-        return mpmath.mpc(real_number(value, precision))
-    return complex(float(value))
-
-
-def is_mp(z) -> bool:
-    return isinstance(z, (mpmath.mpf, mpmath.mpc))
-
-
-def csqrt(z):
-    """Principal square root, complex-capable, either representation."""
-    if is_mp(z):
-        return mpmath.sqrt(z)
-    return cmath.sqrt(z)
-
-
-def ccbrt(z):
-    """Principal cube root (complex for negative reals, unlike math.cbrt)."""
-    if is_mp(z):
-        return mpmath.cbrt(z)
-    z = complex(z)
-    if z == 0:
-        return 0j
-    return z ** (1.0 / 3.0)
+    mpmath.fp takes a Fraction through float(), which rounds it once.  An
+    mp context's mpf() refuses Fraction, so there it is numerator over
+    denominator, one rounding too while the numerator fits 136 bits.
+    """
+    if isinstance(value, Fraction) and ctx is not mpmath.fp:
+        value = ctx.mpf(value.numerator) / value.denominator
+    return ctx.mpc(value)
 
 
 def solve_linear_system(matrix, rhs, max_condition: float):
     """Gaussian elimination with partial pivoting over complex scalars.
 
-    Generic over builtin complex and mpmath numbers. Returns the solution
+    Generic over the numbers of either context. Returns the solution
     list. The ratio of the largest to the smallest pivot magnitude serves
     as a cheap condition estimate; past max_condition the system is
     treated as singular.

@@ -9,23 +9,9 @@ convergence code relies on.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-import mpmath
 
 from .errors import RootConvergenceError
-from .numerics import (
-    EXTENDED,
-    STANDARD,
-    ccbrt,
-    check_precision,
-    complex_number,
-    csqrt,
-    epsilon,
-    is_mp,
-    real_number,
-    working_precision,
-)
+from .numerics import STANDARD, arithmetic, to_complex
 from .recurrence import RecurrenceSpec, _to_fraction, make_spec
 
 TOL_ROOT_BASE = 1e-10
@@ -42,8 +28,11 @@ BACKSLASH_FIRST = "backslash-first"
 class RootSet:
     """All n roots plus the bookkeeping every consumer needs.
 
-    roots hold builtin complex values in standard precision and
-    mpmath.mpc in extended mode; residuals are |p(root)| as plain floats.
+    roots are complex numbers of the precision's mpmath context: builtin
+    complex in standard precision, 40-digit mpc of the private extended
+    context in extended mode (not mpmath.mpc instances, so arithmetic
+    on them keeps 40 digits whatever the global mpmath precision);
+    residuals are |p(root)| as plain floats.
     """
 
     roots: tuple
@@ -70,23 +59,6 @@ class SymmetricRelationsReport:
         return max(self.residuals)
 
 
-def _omega(precision: str):
-    """Primitive cube root of unity (-1 + i*sqrt(3))/2."""
-    if precision == EXTENDED:
-        return mpmath.mpc(mpmath.mpf(-1) / 2, mpmath.sqrt(mpmath.mpf(3)) / 2)
-    return complex(-0.5, math.sqrt(3) / 2)
-
-
-def _as_cnum(value, precision: str):
-    if precision == EXTENDED:
-        if isinstance(value, Fraction):
-            return mpmath.mpc(mpmath.mpf(value.numerator) / value.denominator)
-        return mpmath.mpc(value)
-    if isinstance(value, Fraction):
-        return complex(float(value))
-    return complex(value)
-
-
 def pseudo_sign_combine(x, s1, s2, orientation: str, precision: str = STANDARD):
     """Combine three values with the slash/backslash pseudo-signs.
 
@@ -99,22 +71,21 @@ def pseudo_sign_combine(x, s1, s2, orientation: str, precision: str = STANDARD):
 
     Combining any value with itself twice gives 0 (1 + omega + conj = 0).
     """
-    check_precision(precision)
-    with working_precision(precision):
-        w = _omega(precision)
-        wbar = w.conjugate()
-        x, s1, s2 = (_as_cnum(v, precision) for v in (x, s1, s2))
-        if orientation == SLASH_FIRST:
-            return x + w * s1 + wbar * s2
-        if orientation == BACKSLASH_FIRST:
-            return x + wbar * s1 + w * s2
+    ctx = arithmetic(precision).ctx
+    w = ctx.mpc(-0.5, ctx.sqrt(3) / 2)  # omega = (-1 + i*sqrt(3))/2
+    wbar = w.conjugate()
+    x, s1, s2 = (to_complex(ctx, v) for v in (x, s1, s2))
+    if orientation == SLASH_FIRST:
+        return x + w * s1 + wbar * s2
+    if orientation == BACKSLASH_FIRST:
+        return x + wbar * s1 + w * s2
     raise ValueError(f"orientation must be {SLASH_FIRST!r} or {BACKSLASH_FIRST!r}")
 
 
-def _monic_poly(spec: RecurrenceSpec, precision: str):
+def _monic_poly(spec: RecurrenceSpec, ctx):
     """Dense coefficients of p(x) = x^n - a_{n-1}x^{n-1} - ... - a0."""
-    coeffs = [-complex_number(a, precision) for a in spec.coeffs]
-    coeffs.append(complex_number(1, precision))
+    coeffs = [-to_complex(ctx, a) for a in spec.coeffs]
+    coeffs.append(ctx.mpc(1))
     return coeffs
 
 
@@ -125,8 +96,8 @@ def _poly_eval(coeffs, z):
     return acc
 
 
-def _residuals(spec: RecurrenceSpec, roots, precision: str):
-    poly = _monic_poly(spec, precision)
+def _residuals(spec: RecurrenceSpec, roots, ctx):
+    poly = _monic_poly(spec, ctx)
     return tuple(float(abs(_poly_eval(poly, z))) for z in roots)
 
 
@@ -148,7 +119,7 @@ def _finish(spec: RecurrenceSpec, roots, precision: str) -> RootSet:
     idx, unique = _dominance(roots)
     return RootSet(
         roots=tuple(roots),
-        residuals=_residuals(spec, roots, precision),
+        residuals=_residuals(spec, roots, arithmetic(precision).ctx),
         dominant_index=idx,
         dominance_unique=unique,
         precision=precision,
@@ -165,16 +136,15 @@ def quadratic_roots(alpha, beta, precision: str = STANDARD) -> RootSet:
     """Roots of x^2 = alpha*x + beta: (alpha + sigma)/2 first, then
     (alpha - sigma)/2, where sigma = sqrt(alpha^2 + 4*beta) (imaginary
     when the discriminant is negative)."""
-    check_precision(precision)
+    ctx = arithmetic(precision).ctx
     alpha = _to_fraction(alpha, ValueError)
     beta = _to_fraction(beta, ValueError)
     disc = alpha * alpha + 4 * beta  # exact
-    with working_precision(precision):
-        a = complex_number(alpha, precision)
-        sigma = csqrt(complex_number(disc, precision))
-        phi = (a + sigma) / 2
-        varphi = (a - sigma) / 2
-        return _finish(make_spec([beta, alpha]), [phi, varphi], precision)
+    a = to_complex(ctx, alpha)
+    sigma = ctx.sqrt(to_complex(ctx, disc))
+    phi = (a + sigma) / 2
+    varphi = (a - sigma) / 2
+    return _finish(make_spec([beta, alpha]), [phi, varphi], precision)
 
 
 def cubic_roots(alpha, beta, gamma, precision: str = STANDARD) -> RootSet:
@@ -191,40 +161,35 @@ def cubic_roots(alpha, beta, gamma, precision: str = STANDARD) -> RootSet:
     in that order. Repeated-root inputs (A^2 = 4B^3) are fine; no branch
     divides by zero.
     """
-    check_precision(precision)
+    ctx = arithmetic(precision).ctx
     alpha = _to_fraction(alpha, ValueError)
     beta = _to_fraction(beta, ValueError)
     gamma = _to_fraction(gamma, ValueError)
     big_a = 2 * alpha**3 + 9 * alpha * beta + 27 * gamma  # exact
     big_b = alpha**2 + 3 * beta  # exact
     disc = big_a * big_a - 4 * big_b**3  # exact
-    with working_precision(precision):
-        a_num = real_number(big_a, precision)
-        b_num = real_number(big_b, precision)
-        if disc >= 0:
-            r = csqrt(real_number(disc, precision))
-            if big_a < 0:
-                # (A + r) cancels; rationalize through (A+r)(A-r) = 4B^3
-                s1_cubed = 2 * real_number(big_b**3, precision) / (a_num - r)
-            else:
-                s1_cubed = (a_num + r) / 2
-        else:
-            r = csqrt(complex_number(disc, precision))
-            s1_cubed = (a_num + r) / 2
-        sigma1 = ccbrt(s1_cubed)
-        if abs(sigma1) == 0:
-            # forces B = 0; sigma2 falls back to its own closed form,
-            # which is 0 only in the genuine triple-root case A = B = 0
-            sigma2 = ccbrt((a_num - r) / 2)
-        elif big_b == 0:
-            sigma2 = complex_number(0, precision)
-        else:
-            sigma2 = b_num / sigma1
-        a_c = complex_number(alpha, precision)
-        phi = (a_c + sigma1 + sigma2) / 3
-        varphi = pseudo_sign_combine(a_c, sigma1, sigma2, BACKSLASH_FIRST, precision) / 3
-        psi = pseudo_sign_combine(a_c, sigma1, sigma2, SLASH_FIRST, precision) / 3
-        return _finish(make_spec([gamma, beta, alpha]), [phi, varphi, psi], precision)
+    a_num = to_complex(ctx, big_a)
+    b_num = to_complex(ctx, big_b)
+    r = ctx.sqrt(to_complex(ctx, disc))
+    if disc >= 0 and big_a < 0:
+        # (A + r) cancels; rationalize through (A+r)(A-r) = 4B^3
+        s1_cubed = 2 * to_complex(ctx, big_b**3) / (a_num - r)
+    else:
+        s1_cubed = (a_num + r) / 2
+    sigma1 = ctx.cbrt(s1_cubed)
+    if abs(sigma1) == 0:
+        # forces B = 0; sigma2 falls back to its own closed form,
+        # which is 0 only in the genuine triple-root case A = B = 0
+        sigma2 = ctx.cbrt((a_num - r) / 2)
+    elif big_b == 0:
+        sigma2 = ctx.mpc(0)
+    else:
+        sigma2 = b_num / sigma1
+    a_c = to_complex(ctx, alpha)
+    phi = (a_c + sigma1 + sigma2) / 3
+    varphi = pseudo_sign_combine(a_c, sigma1, sigma2, BACKSLASH_FIRST, precision) / 3
+    psi = pseudo_sign_combine(a_c, sigma1, sigma2, SLASH_FIRST, precision) / 3
+    return _finish(make_spec([gamma, beta, alpha]), [phi, varphi, psi], precision)
 
 
 def general_roots(spec: RecurrenceSpec, precision: str = STANDARD,
@@ -237,109 +202,89 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD,
     and multiple roots stall). Raises RootConvergenceError, carrying the
     best iterate and its residuals, if neither happens within max_iter.
     """
-    check_precision(precision)
+    ctx, eps, _ = arithmetic(precision)
     n = spec.degree
-    with working_precision(precision):
-        if n == 1:
-            root = complex_number(spec.coeffs[0], precision)
-            return _finish(spec, [root], precision)
+    if n == 1:
+        return _finish(spec, [to_complex(ctx, spec.coeffs[0])], precision)
 
-        poly = _monic_poly(spec, precision)
-        deriv = [poly[j] * j for j in range(1, n + 1)]
-        eps = epsilon(precision)
+    poly = _monic_poly(spec, ctx)
+    deriv = [poly[j] * j for j in range(1, n + 1)]
+    radius = 1 + max(float(abs(a)) for a in spec.coeffs)
+    # angular offset keeps starting points off the real axis and off
+    # any symmetry axis of the root constellation
+    z = [radius * ctx.expj(2 * ctx.pi * (j + 0.5) / n + 0.4) for j in range(n)]
 
-        if precision == EXTENDED:
-            def cis(t):
-                return mpmath.mpc(mpmath.cos(t), mpmath.sin(t))
-            two_pi = 2 * mpmath.pi
-        else:
-            def cis(t):
-                return complex(math.cos(t), math.sin(t))
-            two_pi = 2 * math.pi
-
-        radius = 1 + max(float(abs(a)) for a in spec.coeffs)
-        # angular offset keeps starting points off the real axis and off
-        # any symmetry axis of the root constellation
-        z = [radius * cis(two_pi * (j + 0.5) / n + 0.4) for j in range(n)]
-
-        converged = False
-        for _ in range(max_iter):
-            worst_step = 0.0
-            for i in range(n):
-                pv = _poly_eval(poly, z[i])
-                if abs(pv) == 0:
-                    continue
-                dv = _poly_eval(deriv, z[i])
-                if abs(dv) == 0:
-                    z[i] = z[i] + 1e-6 * (1 + abs(z[i]))
-                    worst_step = math.inf
-                    continue
-                newton = pv / dv
-                repel = 0
-                for j in range(n):
-                    if j == i:
-                        continue
-                    diff = z[i] - z[j]
-                    if abs(diff) == 0:
-                        diff = 1e-12 * (1 + abs(z[i]))
-                    repel += 1 / diff
-                denom = 1 - newton * repel
-                step = newton if abs(denom) == 0 else newton / denom
-                z[i] = z[i] - step
-                rel = float(abs(step)) / (1 + float(abs(z[i])))
-                if rel > worst_step:
-                    worst_step = rel
-            if worst_step <= STEP_TOL:
-                converged = True
-                break
-            # noise-floor acceptance: |p(z)| can't drop below roundoff of
-            # its own evaluation, so clustered roots never meet STEP_TOL
-            at_floor = True
-            for zi in z:
-                mag = sum(abs(c) * abs(zi) ** j for j, c in enumerate(poly))
-                if abs(_poly_eval(poly, zi)) > 8 * eps * mag:
-                    at_floor = False
-                    break
-            if at_floor:
-                converged = True
-                break
-
-        residuals = _residuals(spec, z, precision)
-        if not converged:
-            raise RootConvergenceError(
-                f"root iteration did not converge within {max_iter} sweeps",
-                best_roots=z,
-                residuals=residuals,
-                iterations=max_iter,
-            )
-        # the polynomial is real, so imaginary parts below the iteration's
-        # own noise floor are dust, not structure; drop them
+    converged = False
+    for _ in range(max_iter):
+        worst_step = 0.0
         for i in range(n):
-            if z[i].imag != 0 and abs(z[i].imag) <= 8 * eps * (1 + abs(z[i])):
-                if precision == EXTENDED:
-                    z[i] = mpmath.mpc(z[i].real, 0)
-                else:
-                    z[i] = complex(z[i].real, 0.0)
-        z.sort(key=lambda w: (-float(abs(w)), -float(w.real), -float(w.imag)))
-        result = _finish(spec, z, precision)
-        gate = tol_root(result)
-        if max(result.residuals) > gate:
-            raise RootConvergenceError(
-                f"root residuals exceed tolerance {gate:.3e}",
-                best_roots=result.roots,
-                residuals=result.residuals,
-                iterations=max_iter,
-            )
-        return result
+            pv = _poly_eval(poly, z[i])
+            if abs(pv) == 0:
+                continue
+            dv = _poly_eval(deriv, z[i])
+            if abs(dv) == 0:
+                z[i] = z[i] + 1e-6 * (1 + abs(z[i]))
+                worst_step = math.inf
+                continue
+            newton = pv / dv
+            repel = 0
+            for j in range(n):
+                if j == i:
+                    continue
+                diff = z[i] - z[j]
+                if abs(diff) == 0:
+                    diff = 1e-12 * (1 + abs(z[i]))
+                repel += 1 / diff
+            denom = 1 - newton * repel
+            step = newton if abs(denom) == 0 else newton / denom
+            z[i] = z[i] - step
+            rel = float(abs(step)) / (1 + float(abs(z[i])))
+            if rel > worst_step:
+                worst_step = rel
+        if worst_step <= STEP_TOL:
+            converged = True
+            break
+        # noise-floor acceptance: |p(z)| can't drop below roundoff of
+        # its own evaluation, so clustered roots never meet STEP_TOL
+        at_floor = True
+        for zi in z:
+            mag = sum(abs(c) * abs(zi) ** j for j, c in enumerate(poly))
+            if abs(_poly_eval(poly, zi)) > 8 * eps * mag:
+                at_floor = False
+                break
+        if at_floor:
+            converged = True
+            break
+
+    residuals = _residuals(spec, z, ctx)
+    if not converged:
+        raise RootConvergenceError(
+            f"root iteration did not converge within {max_iter} sweeps",
+            best_roots=z,
+            residuals=residuals,
+            iterations=max_iter,
+        )
+    # the polynomial is real, so imaginary parts below the iteration's
+    # own noise floor are dust, not structure; drop them
+    for i in range(n):
+        if z[i].imag != 0 and abs(z[i].imag) <= 8 * eps * (1 + abs(z[i])):
+            z[i] = ctx.mpc(z[i].real, 0)
+    z.sort(key=lambda w: (-float(abs(w)), -float(w.real), -float(w.imag)))
+    result = _finish(spec, z, precision)
+    gate = tol_root(result)
+    if max(result.residuals) > gate:
+        raise RootConvergenceError(
+            f"root residuals exceed tolerance {gate:.3e}",
+            best_roots=result.roots,
+            residuals=result.residuals,
+            iterations=max_iter,
+        )
+    return result
 
 
 def solve_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     """Closed forms for degree <= 3, iteration beyond."""
     c = spec.coeffs
-    if spec.degree == 1:
-        check_precision(precision)
-        with working_precision(precision):
-            return _finish(spec, [complex_number(c[0], precision)], precision)
     if spec.degree == 2:
         return quadratic_roots(c[1], c[0], precision)
     if spec.degree == 3:
@@ -360,15 +305,14 @@ def verify_symmetric_relations(rootset: RootSet, spec: RecurrenceSpec,
     if rootset.degree != spec.degree:
         raise ValueError("rootset and spec have different degrees")
     n = spec.degree
-    with working_precision(rootset.precision):
-        elementary = [complex_number(1, rootset.precision)]
-        for root in rootset.roots:
-            elementary.append(elementary[-1] * 0)
-            for k in range(len(elementary) - 1, 0, -1):
-                elementary[k] = elementary[k] + root * elementary[k - 1]
-        residuals = []
-        for k in range(1, n + 1):
-            expected = complex_number(spec.coeffs[n - k] * (-1) ** (k - 1), rootset.precision)
-            residuals.append(float(abs(elementary[k] - expected)))
-    residuals = tuple(residuals)
+    ctx = arithmetic(rootset.precision).ctx
+    elementary = [ctx.mpc(1)]
+    for root in rootset.roots:
+        elementary.append(elementary[-1] * 0)
+        for k in range(len(elementary) - 1, 0, -1):
+            elementary[k] = elementary[k] + root * elementary[k - 1]
+    residuals = tuple(
+        float(abs(elementary[k] - to_complex(ctx, spec.coeffs[n - k] * (-1) ** (k - 1))))
+        for k in range(1, n + 1)
+    )
     return SymmetricRelationsReport(residuals, tolerance, max(residuals) <= tolerance)

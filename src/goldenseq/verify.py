@@ -12,12 +12,11 @@ from fractions import Fraction
 
 from .analysis import golden_identity_check, ratio_convergence, recover_cubic_conjugates
 from .binet import (
-    TOL_BINET,
     TOL_W,
     binet_eval,
     binet_quadratic_closed,
     check_cubic_closed_form,
-    nearest_integer,
+    compare_with_terms,
     solve_weights,
 )
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     UnitRootError,
 )
 from .genfunc import build_genfunc, series_coefficients
-from .numerics import STANDARD, check_precision, complex_number
+from .numerics import STANDARD, arithmetic
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, generate, term_at
 from .reports import VerificationCheck
 from .roots import solve_roots, verify_symmetric_relations
@@ -54,7 +53,7 @@ def verify_all(
     Statuses: "pass", "fail", "skipped" (with the reason in detail).
     """
     _check_seeds(spec, seeds)
-    check_precision(precision)
+    arithmetic(precision)  # rejects an unknown precision up front
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if rows < 2:
@@ -117,7 +116,7 @@ def verify_all(
                 )
 
     # --- Binet weights and round trip -------------------------------
-    weights = None
+    terms = generate(spec, seeds, k_max + 1)
     if rootset is None:
         add("binet_constant_weight", "skipped", detail=root_note)
         add("recurrence_binet_roundtrip", "skipped", detail=root_note)
@@ -128,7 +127,6 @@ def verify_all(
             add("binet_constant_weight", "skipped", detail=str(exc))
             add("recurrence_binet_roundtrip", "skipped", detail=str(exc))
         else:
-            terms = generate(spec, seeds, k_max + 1)
             scale = max(1.0, max(float(abs(t)) for t in terms[: spec.degree + 1]))
             probe = float(abs(weights.weights[-1]))
             add(
@@ -137,47 +135,37 @@ def verify_all(
                 probe,
                 "constant probe weight w_{n+1} must vanish",
             )
-            worst = 0.0
-            first_bad = None
-            for k in range(k_max + 1):
-                value = binet_eval(weights, rootset, k)
-                ref = complex_number(terms[k], precision)
-                err = float(abs(value - ref)) / max(1.0, float(abs(ref)))
-                worst = max(worst, err)
-                if err > TOL_BINET and first_bad is None:
-                    first_bad = k
+            trip = compare_with_terms(
+                lambda k: binet_eval(weights, rootset, k), terms, precision
+            )
             add(
                 "recurrence_binet_roundtrip",
-                "pass" if first_bad is None else "fail",
-                worst,
+                "pass" if trip.matches else "fail",
+                trip.max_error,
                 "exact terms vs. root-power evaluation for k <= %d" % k_max
-                if first_bad is None
-                else "first divergence at k = %d" % first_bad,
+                if trip.matches
+                else "first divergence at k = %d" % trip.first_mismatch,
             )
 
     # --- closed Binet forms -----------------------------------------
     if spec.degree == 2:
         beta, alpha = spec.coeffs
         try:
-            worst = 0.0
-            first_bad = None
-            for k in range(min(k_max, 30) + 1):
-                value = binet_quadratic_closed(alpha, beta, seeds, k, precision)
-                ref = complex_number(term_at(spec, seeds, k), precision)
-                err = float(abs(value - ref)) / max(1.0, float(abs(ref)))
-                worst = max(worst, err)
-                if err > TOL_BINET and first_bad is None:
-                    first_bad = k
+            closed = compare_with_terms(
+                lambda k: binet_quadratic_closed(alpha, beta, seeds, k, precision),
+                terms[: min(k_max, 30) + 1],
+                precision,
+            )
         except DegenerateSpectrumError as exc:
             add("binet_quadratic_closed_matches", "skipped", detail=str(exc))
         else:
             add(
                 "binet_quadratic_closed_matches",
-                "pass" if first_bad is None else "fail",
-                worst,
+                "pass" if closed.matches else "fail",
+                closed.max_error,
                 ""
-                if first_bad is None
-                else "first divergence at k = %d" % first_bad,
+                if closed.matches
+                else "first divergence at k = %d" % closed.first_mismatch,
             )
     if spec.degree == 3:
         gamma, beta, alpha = spec.coeffs
@@ -198,12 +186,11 @@ def verify_all(
     # --- generating function ----------------------------------------
     gf = build_genfunc(spec, seeds)
     series = series_coefficients(gf, k_max + 1)
-    direct = generate(spec, seeds, k_max + 1)
-    bad = next((k for k, (a, b) in enumerate(zip(series, direct)) if a != b), None)
+    bad = next((k for k, (a, b) in enumerate(zip(series, terms)) if a != b), None)
     add(
         "genfunc_series_roundtrip",
         "pass" if bad is None else "fail",
-        0.0 if bad is None else float(abs(series[bad] - direct[bad])),
+        0.0 if bad is None else float(abs(series[bad] - terms[bad])),
         "series of %s vs. the recurrence (exact)" % gf.display()
         if bad is None
         else "first divergence at k = %d" % bad,

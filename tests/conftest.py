@@ -4,14 +4,27 @@ Each acceptance test wraps its body in the `criterion` context manager,
 which records the outcome and enforces the runtime budget.  A terminal
 summary hook then prints one PASS/FAIL line per criterion so the final
 test log shows the acceptance status at a glance.
+
+Every test also checks that the global mpmath precision is the same
+after it as before: the package must never change it as a side effect.
 """
 
 import contextlib
 import time
 
+import mpmath
 import pytest
 
 _criterion_results: dict = {}
+
+
+@pytest.fixture(autouse=True)
+def global_mpmath_precision_unchanged():
+    before = mpmath.mp.prec
+    yield
+    assert mpmath.mp.prec == before, (
+        "global mpmath precision changed from %d to %d bits" % (before, mpmath.mp.prec)
+    )
 
 
 @pytest.fixture

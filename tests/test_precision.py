@@ -1,0 +1,88 @@
+"""Extended precision is self-contained: exact rounding far out, and
+results that do not depend on the global mpmath precision."""
+
+import contextlib
+import io
+import random
+
+import mpmath
+import pytest
+
+import goldenseq as gs
+from goldenseq.cli import main
+
+BUILTINS = ("fibonacci", "lucas", "pell", "tribonacci")
+
+
+def _preset(name):
+    preset = gs.BUILTIN_PRESETS[name]
+    return gs.make_spec(preset.coeffs), gs.make_seeds(preset.seeds)
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_extended_binet_rounding_is_exact_through_k_90(name):
+    spec, seeds = _preset(name)
+    rootset = gs.solve_roots(spec, gs.EXTENDED)
+    weights = gs.solve_weights(spec, seeds, rootset)
+    terms = gs.generate(spec, seeds, 91)
+    for k, term in enumerate(terms):
+        assert gs.nearest_integer(gs.binet_eval(weights, rootset, k)) == term, (name, k)
+
+
+def test_nearest_integer_agrees_with_round_on_floats():
+    rng = random.Random(2016)
+    values = [0.5, 1.5, 2.5, -0.5, -1.5, -2.5, 2.0**52 + 1, -(2.0**60), 0.49999999999999994]
+    values += [rng.uniform(-1e6, 1e6) for _ in range(2000)]
+    values += [rng.randint(-(10**6), 10**6) + 0.5 for _ in range(500)]
+    values += [rng.uniform(-1, 1) * 2.0 ** rng.randint(0, 80) for _ in range(500)]
+    for x in values:
+        assert gs.nearest_integer(complex(x, 0.0)) == round(x), x
+
+
+def test_unknown_precision_is_rejected():
+    spec, seeds = _preset("fibonacci")
+    with pytest.raises(ValueError, match="precision must be one of"):
+        gs.solve_roots(spec, "quad")
+    with pytest.raises(ValueError, match="precision must be one of"):
+        gs.verify_all(spec, seeds, precision="quad")
+
+
+def _library_results(name):
+    spec, seeds = _preset(name)
+    rootset = gs.solve_roots(spec, gs.EXTENDED)
+    weights = gs.solve_weights(spec, seeds, rootset)
+    values = [gs.binet_eval(weights, rootset, k) for k in (0, 40, 100, 150)]
+    return (
+        rootset,
+        weights,
+        values,
+        [gs.nearest_integer(v) for v in values],
+        gs.ratio_convergence(spec, seeds, 60, gs.EXTENDED),
+        gs.golden_identity_check(spec, rootset),
+        gs.verify_all(spec, seeds, precision=gs.EXTENDED),
+    )
+
+
+def _cli_outputs(name):
+    outputs = []
+    for argv in (
+        ["roots", "--format", "json"],
+        ["roots"],
+        ["binet", "--k", "100"],
+        ["binet", "--k", "100", "--format", "csv"],
+        ["converge"],
+        ["verify", "--format", "json"],
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv + ["--preset", name, "--precision", "extended"])
+        outputs.append((code, out.getvalue()))
+    return outputs
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_extended_results_ignore_global_precision(name):
+    reference = _library_results(name), _cli_outputs(name)
+    for dps in (5, 60):
+        with mpmath.workdps(dps):
+            assert (_library_results(name), _cli_outputs(name)) == reference, dps
