@@ -2,11 +2,15 @@
 
 Degrees 2 and 3 get the radical closed forms, including the slash and
 backslash pseudo-sign combinations that label the cubic roots; every
-degree gets a simultaneous-iteration solver. Both paths land in a RootSet
-carrying residuals and dominance metadata, which downstream Binet and
-convergence code relies on.
+degree gets a simultaneous-iteration solver. The iteration starts from a
+circle at the Cauchy radius in standard precision; extended precision
+starts from the standard-precision roots and only refines them. Both
+paths land in a RootSet carrying residuals and dominance metadata, which
+downstream Binet and convergence code relies on; imaginary parts below
+the precision's noise floor are dropped on every path.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -116,10 +120,17 @@ def _dominance(roots):
 
 
 def _finish(spec: RecurrenceSpec, roots, precision: str) -> RootSet:
+    ctx, eps, _ = arithmetic(precision)
+    # the polynomial is real, so imaginary parts below the precision's
+    # own noise floor are dust, not structure; drop them
+    roots = [
+        ctx.mpc(z.real, 0) if z.imag != 0 and abs(z.imag) <= 8 * eps * (1 + abs(z)) else z
+        for z in roots
+    ]
     idx, unique = _dominance(roots)
     return RootSet(
         roots=tuple(roots),
-        residuals=_residuals(spec, roots, arithmetic(precision).ctx),
+        residuals=_residuals(spec, roots, ctx),
         dominant_index=idx,
         dominance_unique=unique,
         precision=precision,
@@ -172,8 +183,10 @@ def cubic_roots(alpha, beta, gamma, precision: str = STANDARD) -> RootSet:
     b_num = to_complex(ctx, big_b)
     r = ctx.sqrt(to_complex(ctx, disc))
     if disc >= 0 and big_a < 0:
-        # (A + r) cancels; rationalize through (A+r)(A-r) = 4B^3
-        s1_cubed = 2 * to_complex(ctx, big_b**3) / (a_num - r)
+        # (A + r) cancels; rationalize through (A+r)(A-r) = 4B^3.  The
+        # quotient is real; keeping only its real part stops a float
+        # -0.0 imaginary part from sending cbrt to the conjugate branch
+        s1_cubed = ctx.mpc((2 * to_complex(ctx, big_b**3) / (a_num - r)).real)
     else:
         s1_cubed = (a_num + r) / 2
     sigma1 = ctx.cbrt(s1_cubed)
@@ -196,11 +209,15 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD,
                   max_iter: int = MAX_ITER) -> RootSet:
     """All roots by simultaneous (Aberth-style) iteration.
 
-    Starts from a perturbed circle at the Cauchy radius and stops when
-    every correction step drops below 1e-14 * (1 + |root|), or when every
-    residual reaches the evaluation noise floor (which is where clustered
-    and multiple roots stall). Raises RootConvergenceError, carrying the
-    best iterate and its residuals, if neither happens within max_iter.
+    Standard precision starts from a perturbed circle at the Cauchy
+    radius. Extended precision starts from the standard-precision roots
+    (the best iterate when that solve gives up), each turned by 1e-9 rad,
+    and falls back to the circle when one of them is not finite. The
+    iteration stops when every correction step drops below
+    1e-14 * (1 + |root|), or when every residual reaches the evaluation
+    noise floor (which is where clustered and multiple roots stall).
+    Raises RootConvergenceError, carrying the best iterate and its
+    residuals, if neither happens within max_iter.
     """
     ctx, eps, _ = arithmetic(precision)
     n = spec.degree
@@ -209,10 +226,22 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD,
 
     poly = _monic_poly(spec, ctx)
     deriv = [poly[j] * j for j in range(1, n + 1)]
-    radius = 1 + max(float(abs(a)) for a in spec.coeffs)
-    # angular offset keeps starting points off the real axis and off
-    # any symmetry axis of the root constellation
-    z = [radius * ctx.expj(2 * ctx.pi * (j + 0.5) / n + 0.4) for j in range(n)]
+    z = None
+    if precision != STANDARD:
+        try:
+            seed = general_roots(spec, STANDARD, max_iter).roots
+        except RootConvergenceError as exc:
+            seed = exc.best_roots
+        if all(cmath.isfinite(w) for w in seed):
+            # the turn moves real roots off the real axis and breaks
+            # conjugate pairs, as the circle's offset does below
+            turn = ctx.expj(1e-9)
+            z = [to_complex(ctx, w) * turn for w in seed]
+    if z is None:
+        radius = 1 + max(float(abs(a)) for a in spec.coeffs)
+        # angular offset keeps starting points off the real axis and off
+        # any symmetry axis of the root constellation
+        z = [radius * ctx.expj(2 * ctx.pi * (j + 0.5) / n + 0.4) for j in range(n)]
 
     converged = False
     for _ in range(max_iter):
@@ -264,11 +293,6 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD,
             residuals=residuals,
             iterations=max_iter,
         )
-    # the polynomial is real, so imaginary parts below the iteration's
-    # own noise floor are dust, not structure; drop them
-    for i in range(n):
-        if z[i].imag != 0 and abs(z[i].imag) <= 8 * eps * (1 + abs(z[i])):
-            z[i] = ctx.mpc(z[i].real, 0)
     z.sort(key=lambda w: (-float(abs(w)), -float(w.real), -float(w.imag)))
     result = _finish(spec, z, precision)
     gate = tol_root(result)

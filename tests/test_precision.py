@@ -12,11 +12,23 @@ import goldenseq as gs
 from goldenseq.cli import main
 
 BUILTINS = ("fibonacci", "lucas", "pell", "tribonacci")
+# degree 4, so its roots come from the iteration rather than a closed form
+QUARTIC = {"tetranacci": ("1,1,1,1", "0,0,0,1")}
 
 
 def _preset(name):
+    if name in QUARTIC:
+        coeffs, seeds = QUARTIC[name]
+        return gs.make_spec(coeffs.split(",")), gs.make_seeds(seeds.split(","))
     preset = gs.BUILTIN_PRESETS[name]
     return gs.make_spec(preset.coeffs), gs.make_seeds(preset.seeds)
+
+
+def _cli_spec(name):
+    if name in QUARTIC:
+        coeffs, seeds = QUARTIC[name]
+        return [f"--coeffs={coeffs}", f"--seeds={seeds}"]
+    return ["--preset", name]
 
 
 @pytest.mark.parametrize("name", BUILTINS)
@@ -75,12 +87,12 @@ def _cli_outputs(name):
     ):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(argv + ["--preset", name, "--precision", "extended"])
+            code = main(argv + _cli_spec(name) + ["--precision", "extended"])
         outputs.append((code, out.getvalue()))
     return outputs
 
 
-@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("name", BUILTINS + tuple(QUARTIC))
 def test_extended_results_ignore_global_precision(name):
     reference = _library_results(name), _cli_outputs(name)
     for dps in (5, 60):

@@ -2,6 +2,7 @@
 
 import cmath
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
@@ -175,3 +176,83 @@ def test_dominant_root_helper():
     root, unique = gs.dominant_root(gs.quadratic_roots(1, 1))
     assert root == pytest.approx(GOLDEN, abs=1e-12)
     assert unique
+
+
+def test_cubic_labels_agree_across_precisions():
+    # x^3 = x - 1 takes the rationalised branch (A < 0, A^2 >= 4B^3)
+    spec = gs.make_spec([-1, 1, 0])
+    standard = gs.solve_roots(spec)
+    extended = gs.solve_roots(spec, gs.EXTENDED)
+    for a, b in zip(standard.roots, extended.roots):
+        assert abs(a - complex(b)) < 1e-12
+    assert standard.dominant_index == extended.dominant_index
+
+
+@pytest.mark.parametrize("precision", [gs.STANDARD, gs.EXTENDED])
+def test_closed_form_real_root_carries_no_dust(precision):
+    rs = gs.solve_roots(gs.make_spec([-1, 1, 0]), precision)
+    real = [z for z in rs.roots if abs(z.imag) < 1e-3]
+    assert len(real) == 1
+    assert real[0].imag == 0
+    assert real[0].real == pytest.approx(-1.324717957244746, abs=1e-12)
+
+
+def _reference_roots(coeffs, dps=60):
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    monic = [ctx.mpf(1)] + [-ctx.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+    return ctx, ctx.polyroots(monic, maxsteps=200, extraprec=200)
+
+
+def test_extended_iteration_matches_reference_roots():
+    rng = random.Random(2016)
+    for trial in range(16):
+        degree = rng.randint(4, 12)
+        if trial % 2:
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(degree)]
+        else:
+            coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(degree)]
+        rs = gs.solve_roots(gs.make_spec(coeffs), gs.EXTENDED)
+        assert max(rs.residuals) <= tol_root(rs), coeffs
+        ctx, reference = _reference_roots(coeffs)
+        for i, r in enumerate(reference):
+            if any(abs(r - w) <= 1e-3 for j, w in enumerate(reference) if j != i):
+                continue
+            got = min(rs.roots, key=lambda z: abs(ctx.mpc(z.real, z.imag) - r))
+            err = abs(ctx.mpc(got.real, got.imag) - r)
+            assert err <= 1e-30 * max(abs(r), 1), (coeffs, i, err)
+
+
+def test_extended_separates_near_real_complex_pair():
+    # (x^2 - 2x + 1 + 1e-24)(x^2 - 4): the pair 1 +- 1e-12 i is far
+    # below what standard precision can tell apart from a double root;
+    # its 1e-12 separation costs about 12 of the 40 digits
+    delta = Fraction(1, 10**24)
+    rs = gs.solve_roots(gs.make_spec([4 + 4 * delta, -8, 3 - delta, 2]), gs.EXTENDED)
+    assert max(rs.residuals) <= tol_root(rs)
+    pair = sorted((z for z in rs.roots if abs(z - 1) < 1e-6), key=lambda z: z.imag)
+    assert len(pair) == 2
+    for z, sign in zip(pair, (-1, 1)):
+        assert abs(z.real - 1) < 1e-24
+        assert abs(z.imag - sign * mpmath.mpf("1e-12")) < 1e-24
+
+
+@pytest.mark.parametrize("coeffs", [
+    [Fraction(1, 10**400), 0, 0, 1],  # a0 rounds to 0 in standard precision
+    [1] * 16,
+])
+def test_extended_iteration_converges_on_hard_starts(coeffs):
+    rs = gs.solve_roots(gs.make_spec(coeffs), gs.EXTENDED)
+    assert rs.degree == len(coeffs)
+    assert max(rs.residuals) <= tol_root(rs)
+    assert rs.dominance_unique
+
+
+def test_extended_ignores_overflowed_standard_roots():
+    # standard precision overflows to nan on a 1e80 coefficient; the
+    # extended solve must not start from (and return) those nans
+    try:
+        rs = gs.solve_roots(gs.make_spec([10**80, 0, 0, 1]), gs.EXTENDED)
+    except gs.RootConvergenceError:
+        return
+    assert all(mpmath.isfinite(complex(z)) for z in rs.roots)
