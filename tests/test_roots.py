@@ -197,14 +197,9 @@ def test_closed_form_real_root_carries_no_dust(precision):
     assert real[0].real == pytest.approx(-1.324717957244746, abs=1e-12)
 
 
-def _reference_roots(coeffs, dps=60):
-    ctx = mpmath.MPContext()
-    ctx.dps = dps
-    monic = [ctx.mpf(1)] + [-ctx.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
-    return ctx, ctx.polyroots(monic, maxsteps=200, extraprec=200)
-
-
 def test_extended_iteration_matches_reference_roots():
+    ctx = mpmath.MPContext()  # private, so the reference leaves mpmath.mp alone
+    ctx.dps = 60
     rng = random.Random(2016)
     for trial in range(16):
         degree = rng.randint(4, 12)
@@ -214,7 +209,8 @@ def test_extended_iteration_matches_reference_roots():
             coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(degree)]
         rs = gs.solve_roots(gs.make_spec(coeffs), gs.EXTENDED)
         assert max(rs.residuals) <= tol_root(rs), coeffs
-        ctx, reference = _reference_roots(coeffs)
+        monic = [ctx.mpf(1)] + [-ctx.mpf(c.numerator) / c.denominator for c in reversed(coeffs)]
+        reference = ctx.polyroots(monic, maxsteps=200, extraprec=200)
         for i, r in enumerate(reference):
             if any(abs(r - w) <= 1e-3 for j, w in enumerate(reference) if j != i):
                 continue
