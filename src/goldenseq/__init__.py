@@ -13,22 +13,6 @@ read coefficient-up (a0 first).  From one spec the package derives:
 * ratio-convergence diagnostics and a cross-verification battery.
 """
 
-from .analysis import (
-    ConvergenceReport,
-    IdentityReport,
-    golden_identity_check,
-    ratio_convergence,
-    recover_cubic_conjugates,
-)
-from .binet import (
-    BinetWeights,
-    binet_cubic_closed,
-    binet_eval,
-    binet_quadratic_closed,
-    check_cubic_closed_form,
-    nearest_integer,
-    solve_weights,
-)
 from .errors import (
     DegenerateSpectrumError,
     InvalidSpecError,
@@ -58,17 +42,6 @@ from .recurrence import (
     term_at,
 )
 from .reports import FormulaCheck, VerificationCheck
-from .roots import (
-    RootSet,
-    SymmetricRelationsReport,
-    cubic_roots,
-    dominant_root,
-    general_roots,
-    pseudo_sign_combine,
-    quadratic_roots,
-    solve_roots,
-    verify_symmetric_relations,
-)
 from .trapezoid import (
     Trapezoid,
     build_closed_form,
@@ -81,7 +54,57 @@ from .trapezoid import (
     row_length,
     row_sum,
 )
-from .verify import has_failures, verify_all
+
+# The floating modules load mpmath, so they are imported on first use
+# (PEP 562): a process that only touches the exact layers never loads it.
+_FLOATING = {
+    "analysis": (
+        "ConvergenceReport",
+        "IdentityReport",
+        "golden_identity_check",
+        "ratio_convergence",
+        "recover_cubic_conjugates",
+    ),
+    "binet": (
+        "BinetWeights",
+        "binet_cubic_closed",
+        "binet_eval",
+        "binet_quadratic_closed",
+        "check_cubic_closed_form",
+        "nearest_integer",
+        "solve_weights",
+    ),
+    "roots": (
+        "RootSet",
+        "SymmetricRelationsReport",
+        "cubic_roots",
+        "dominant_root",
+        "general_roots",
+        "pseudo_sign_combine",
+        "quadratic_roots",
+        "solve_roots",
+        "verify_symmetric_relations",
+    ),
+    "verify": ("has_failures", "verify_all"),
+}
+_FLOATING_HOME = {name: module for module, names in _FLOATING.items() for name in names}
+
+
+def __getattr__(name):
+    import importlib
+
+    if name in _FLOATING:
+        return importlib.import_module("." + name, __name__)
+    if name not in _FLOATING_HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + _FLOATING_HOME[name], __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_FLOATING) | set(_FLOATING_HOME))
+
 
 __version__ = "0.1.0"
 

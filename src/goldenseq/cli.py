@@ -9,27 +9,23 @@ rationals are emitted as strings in JSON so arbitrarily large terms
 survive the trip through parsers that would otherwise round them.
 Floating values are JSON numbers in standard precision and decimal
 strings in extended precision (they do not fit a double).
+
+The floating commands (roots, binet, converge, verify) import their
+modules, and with them mpmath, when they run; the exact commands never
+load either.
 """
 
 import argparse
-import csv
 import io
-import json
 import sys
 
-import mpmath
-
 from . import __version__
-from .analysis import ratio_convergence
-from .binet import binet_eval, nearest_integer, solve_weights
 from .errors import RootConvergenceError, SingularSystemError
 from .genfunc import build_genfunc, series_coefficients
 from .numerics import PRECISIONS, STANDARD
 from .presets import BUILTIN_PRESETS, load_presets, parse_rational_list
 from .recurrence import _check_seeds, generate, make_seeds, make_spec, term_at
-from .roots import solve_roots
 from .trapezoid import build_closed_form, build_expansion, row_sum
-from .verify import has_failures, verify_all
 
 _MP_DIGITS = 30  # shown for extended-precision values
 
@@ -44,7 +40,7 @@ class CLIError(Exception):
 def _fmt_real(x) -> str:
     if isinstance(x, float):
         return repr(x)
-    return mpmath.nstr(x, _MP_DIGITS)
+    return x.context.nstr(x, _MP_DIGITS)
 
 
 def _fmt_complex(z) -> str:
@@ -58,7 +54,7 @@ def _fmt_complex(z) -> str:
 def _json_real(x):
     if isinstance(x, float):
         return x
-    return mpmath.nstr(x, _MP_DIGITS)
+    return x.context.nstr(x, _MP_DIGITS)
 
 
 def _json_complex(z):
@@ -66,6 +62,8 @@ def _json_complex(z):
 
 
 def _print_csv(rows) -> None:
+    import csv
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     for row in rows:
@@ -74,6 +72,8 @@ def _print_csv(rows) -> None:
 
 
 def _print_json(payload) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
@@ -152,6 +152,8 @@ def cmd_term(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    from .roots import solve_roots
+
     spec, _ = _resolve(args, need_seeds=False)
     rootset = solve_roots(spec, args.precision)
     if args.format == "json":
@@ -180,6 +182,9 @@ def cmd_roots(args) -> int:
 
 
 def cmd_binet(args) -> int:
+    from .binet import binet_eval, nearest_integer, solve_weights
+    from .roots import solve_roots
+
     spec, seeds = _resolve(args)
     rootset = solve_roots(spec, args.precision)
     weights = solve_weights(spec, seeds, rootset)
@@ -305,6 +310,8 @@ def cmd_rowsum(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    from .analysis import ratio_convergence
+
     spec, seeds = _resolve(args)
     report = ratio_convergence(spec, seeds, args.k, args.precision)
     if args.format == "json":
@@ -344,6 +351,8 @@ def cmd_converge(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import has_failures, verify_all
+
     spec, seeds = _resolve(args)
     if args.k < 1:
         raise CLIError("--k must be >= 1")

@@ -14,21 +14,20 @@ mpc, sqrt, cbrt, expj, pi, ...):
   sets the precision.
 
 `arithmetic` is the one place a precision name turns into arithmetic.
+Importing this module does not import mpmath: the first `arithmetic`
+call imports it and builds both contexts, once per process, so the
+exact layers and the CLI's exact subcommands never load it.
 """
 
 from fractions import Fraction
+from functools import cache
 from typing import NamedTuple
-
-import mpmath
 
 STANDARD = "standard"
 EXTENDED = "extended"
 PRECISIONS = (STANDARD, EXTENDED)
 
 EXTENDED_DPS = 40
-
-_EXTENDED_CTX = mpmath.MPContext()
-_EXTENDED_CTX.dps = EXTENDED_DPS
 
 
 class Arithmetic(NamedTuple):
@@ -39,15 +38,21 @@ class Arithmetic(NamedTuple):
     max_condition: float  # pivot ratio past which a linear system is singular
 
 
-_ARITHMETIC = {
-    STANDARD: Arithmetic(mpmath.fp, 2.220446049250313e-16, 1e12),
-    EXTENDED: Arithmetic(_EXTENDED_CTX, 10.0 ** (-EXTENDED_DPS + 1), 1e30),
-}
+@cache
+def _arithmetics() -> dict:
+    import mpmath
+
+    extended = mpmath.MPContext()
+    extended.dps = EXTENDED_DPS
+    return {
+        STANDARD: Arithmetic(mpmath.fp, 2.220446049250313e-16, 1e12),
+        EXTENDED: Arithmetic(extended, 10.0 ** (-EXTENDED_DPS + 1), 1e30),
+    }
 
 
 def arithmetic(precision: str) -> Arithmetic:
     try:
-        return _ARITHMETIC[precision]
+        return _arithmetics()[precision]
     except KeyError:
         raise ValueError(f"precision must be one of {PRECISIONS}, got {precision!r}") from None
 
@@ -59,7 +64,7 @@ def to_complex(ctx, value):
     mp context's mpf() refuses Fraction, so there it is numerator over
     denominator, one rounding too while the numerator fits 136 bits.
     """
-    if isinstance(value, Fraction) and ctx is not mpmath.fp:
+    if isinstance(value, Fraction) and ctx is not arithmetic(STANDARD).ctx:
         value = ctx.mpf(value.numerator) / value.denominator
     return ctx.mpc(value)
 

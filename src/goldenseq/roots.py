@@ -217,7 +217,8 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD,
     1e-14 * (1 + |root|), or when every residual reaches the evaluation
     noise floor (which is where clustered and multiple roots stall).
     Raises RootConvergenceError, carrying the best iterate and its
-    residuals, if neither happens within max_iter.
+    residuals, if neither happens within max_iter, or if a residual of
+    the result exceeds tol_root or is not finite (the iteration overflowed).
     """
     ctx, eps, _ = arithmetic(precision)
     n = spec.degree
@@ -296,7 +297,8 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD,
     z.sort(key=lambda w: (-float(abs(w)), -float(w.real), -float(w.imag)))
     result = _finish(spec, z, precision)
     gate = tol_root(result)
-    if max(result.residuals) > gate:
+    # not `max(...) > gate`: that is False when a residual is nan
+    if not all(r <= gate for r in result.residuals):
         raise RootConvergenceError(
             f"root residuals exceed tolerance {gate:.3e}",
             best_roots=result.roots,

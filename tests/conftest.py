@@ -7,13 +7,23 @@ test log shows the acceptance status at a glance.
 
 Every test also checks that the global mpmath precision is the same
 after it as before: the package must never change it as a side effect.
+
+`fresh_python` runs a script in a new interpreter with src/ on its path,
+for tests that need a process where neither mpmath nor goldenseq has
+been imported yet (this one has imported both).
 """
 
 import contextlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import mpmath
 import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 _criterion_results: dict = {}
 
@@ -25,6 +35,20 @@ def global_mpmath_precision_unchanged():
     assert mpmath.mp.prec == before, (
         "global mpmath precision changed from %d to %d bits" % (before, mpmath.mp.prec)
     )
+
+
+@pytest.fixture
+def fresh_python():
+    def run(script, *args):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run
 
 
 @pytest.fixture

@@ -332,6 +332,17 @@ def test_domain_errors_exit_2(capsys, argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("precision", ("standard", "extended"))
+@pytest.mark.parametrize("command", (["roots"], ["binet", "--seeds=0,0,0,1", "--k", "5"]))
+def test_overflowed_roots_exit_2(capsys, command, precision):
+    # the root iteration overflows on this spec; nothing may be printed
+    coeffs = "--coeffs=%d,0,0,1" % 10**80
+    code, out, err = run(capsys, command[0], coeffs, *command[1:], "--precision", precision)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
 def test_unknown_preset_lists_known_names(capsys):
     code, _, err = run(capsys, "seq", "--preset", "nope")
     assert code == 2

@@ -3,6 +3,7 @@ results that do not depend on the global mpmath precision."""
 
 import contextlib
 import io
+import json
 import random
 
 import mpmath
@@ -75,19 +76,26 @@ def _library_results(name):
     )
 
 
+def _cli_argvs(name):
+    return [
+        argv + _cli_spec(name) + ["--precision", "extended"]
+        for argv in (
+            ["roots", "--format", "json"],
+            ["roots"],
+            ["binet", "--k", "100"],
+            ["binet", "--k", "100", "--format", "csv"],
+            ["converge"],
+            ["verify", "--format", "json"],
+        )
+    ]
+
+
 def _cli_outputs(name):
     outputs = []
-    for argv in (
-        ["roots", "--format", "json"],
-        ["roots"],
-        ["binet", "--k", "100"],
-        ["binet", "--k", "100", "--format", "csv"],
-        ["converge"],
-        ["verify", "--format", "json"],
-    ):
+    for argv in _cli_argvs(name):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main(argv + _cli_spec(name) + ["--precision", "extended"])
+            code = main(argv)
         outputs.append((code, out.getvalue()))
     return outputs
 
@@ -98,3 +106,29 @@ def test_extended_results_ignore_global_precision(name):
     for dps in (5, 60):
         with mpmath.workdps(dps):
             assert (_library_results(name), _cli_outputs(name)) == reference, dps
+
+
+# Runs main() on each argv of the JSON list argv[2] inside
+# mpmath.workdps(argv[1]) in a fresh interpreter, so the extended context
+# is built there, on the first floating call; prints [code, stdout] pairs.
+FIRST_USE_UNDER_WORKDPS = """
+import contextlib, io, json, sys
+import mpmath
+from goldenseq.cli import main
+outputs = []
+with mpmath.workdps(int(sys.argv[1])):
+    for argv in json.loads(sys.argv[2]):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            outputs.append([main(argv), out.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
+@pytest.mark.parametrize("dps", (5, 60))
+def test_extended_context_built_under_workdps_prints_the_same(fresh_python, dps):
+    names = BUILTINS + tuple(QUARTIC)
+    argvs = [argv for name in names for argv in _cli_argvs(name)]
+    fresh = fresh_python(FIRST_USE_UNDER_WORKDPS, str(dps), json.dumps(argvs))
+    reference = [list(output) for name in names for output in _cli_outputs(name)]
+    assert json.loads(fresh) == reference

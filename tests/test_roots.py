@@ -252,3 +252,14 @@ def test_extended_ignores_overflowed_standard_roots():
     except gs.RootConvergenceError:
         return
     assert all(mpmath.isfinite(complex(z)) for z in rs.roots)
+
+
+@pytest.mark.parametrize("precision", gs.PRECISIONS)
+def test_overflowed_roots_are_refused(precision):
+    # standard iteration overflows to nan roots with nan residuals on a
+    # 1e80 coefficient; a nan residual must not pass the tol_root gate
+    spec = gs.make_spec([10**80, 0, 0, 1])
+    with pytest.raises(gs.RootConvergenceError):
+        gs.general_roots(spec, precision)
+    with pytest.raises(gs.RootConvergenceError):
+        gs.solve_roots(spec, precision)
