@@ -17,7 +17,6 @@ so the generic weights path stays authoritative).
 """
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .errors import DegenerateSpectrumError, SeedMismatchError, UnitRootError
 from .numerics import EXTENDED, STANDARD, arithmetic, solve_linear_system, to_complex
@@ -25,6 +24,7 @@ from .recurrence import (
     RecurrenceSpec,
     SeedVector,
     _check_seeds,
+    _to_fraction,
     generate,
     make_seeds,
     make_spec,
@@ -178,10 +178,6 @@ def compare_with_terms(evaluate, terms, precision: str) -> FormulaCheck:
     return FormulaCheck(first_bad is None, first_bad, max_err, TOL_BINET)
 
 
-def _exact(value) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
-
-
 def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD):
     """Degree-2 closed form: ((phi - a) x0 + x1)/sigma * (phi^k - varphi^k) + varphi^k x0.
 
@@ -192,7 +188,7 @@ def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD
         raise ValueError("k must be >= 0")
     if len(seeds) != 2:
         raise SeedMismatchError("quadratic closed form needs exactly 2 seeds")
-    a, b = _exact(alpha), _exact(beta)
+    a, b = (_to_fraction(v, ValueError) for v in (alpha, beta))
     disc = a * a + 4 * b
     if disc == 0:
         raise DegenerateSpectrumError(
@@ -218,7 +214,7 @@ def binet_cubic_closed(alpha, beta, gamma, seeds, k: int, precision: str = STAND
         raise ValueError("k must be >= 0")
     if len(seeds) != 3:
         raise SeedMismatchError("cubic closed form needs exactly 3 seeds")
-    a, b, g = _exact(alpha), _exact(beta), _exact(gamma)
+    a, b, g = (_to_fraction(v, ValueError) for v in (alpha, beta, gamma))
     rootset = cubic_roots(a, b, g, precision)
     check_separation(rootset)
     _check_unit_root(rootset)
@@ -263,7 +259,7 @@ def check_cubic_closed_form(
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    a, b, g = _exact(alpha), _exact(beta), _exact(gamma)
+    a, b, g = (_to_fraction(v, ValueError) for v in (alpha, beta, gamma))
     spec = make_spec([g, b, a])
     seed_vec = seeds if isinstance(seeds, SeedVector) else make_seeds(seeds)
     _check_seeds(spec, seed_vec)

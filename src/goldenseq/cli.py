@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 verification found failures, 2 usage or domain
 errors (bad rationals, mismatched seeds, unknown presets, parse errors,
-numeric breakdowns).
+numeric breakdowns, values outside the float range).
 
 Output formats: text (human-readable), csv, json.  Exact integers and
 rationals are emitted as strings in JSON so arbitrarily large terms
@@ -10,17 +10,22 @@ survive the trip through parsers that would otherwise round them.
 Floating values are JSON numbers in standard precision and decimal
 strings in extended precision (they do not fit a double).
 
-The floating commands (roots, binet, converge, verify) import their
-modules, and with them mpmath, when they run; the exact commands never
-load either.
+Each command is a function of its parsed arguments that returns an
+Output: the JSON value, the CSV rows and the text lines of one result.
+It prints nothing; main renders the view that --format names, and only
+the json and csv renderers import their modules, when they run.  The
+floating commands (roots, binet, converge, verify) import their modules,
+and with them mpmath, when they run; the exact commands never load
+either.
 """
 
 import argparse
 import io
 import sys
+from typing import NamedTuple
 
 from . import __version__
-from .errors import RootConvergenceError, SingularSystemError
+from .errors import RootConvergenceError
 from .genfunc import build_genfunc, series_coefficients
 from .numerics import PRECISIONS, STANDARD
 from .presets import BUILTIN_PRESETS, load_presets, parse_rational_list
@@ -34,47 +39,61 @@ class CLIError(Exception):
     """Usage-level problem; prints to stderr and exits 2."""
 
 
+class Output(NamedTuple):
+    """One command's result in every format, and its exit status."""
+
+    json: object  # the value json.dumps prints
+    csv: list  # rows
+    text: list  # lines
+    code: int = 0
+
+
 # ----------------------------------------------------------------- helpers
 
 
-def _fmt_real(x) -> str:
+def _real(x) -> str:
+    """A floating value as text: repr of a double, 30 digits otherwise."""
     if isinstance(x, float):
         return repr(x)
     return x.context.nstr(x, _MP_DIGITS)
 
 
-def _fmt_complex(z) -> str:
+def _complex(z) -> str:
     re, im = z.real, z.imag
     if im == 0:
-        return _fmt_real(re)
+        return _real(re)
     sign = "-" if im < 0 else "+"
-    return "%s %s %si" % (_fmt_real(re), sign, _fmt_real(abs(im)))
+    return "%s %s %si" % (_real(re), sign, _real(abs(im)))
 
 
 def _json_real(x):
-    if isinstance(x, float):
-        return x
-    return x.context.nstr(x, _MP_DIGITS)
+    return x if isinstance(x, float) else _real(x)
 
 
 def _json_complex(z):
     return {"re": _json_real(z.real), "im": _json_real(z.imag)}
 
 
-def _print_csv(rows) -> None:
-    import csv
+def _render(out: Output, fmt: str) -> None:
+    if fmt == "json":
+        import json
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(buffer.getvalue())
+        print(json.dumps(out.json, indent=2))
+    elif fmt == "csv":
+        import csv
+
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(out.csv)
+        sys.stdout.write(buffer.getvalue())
+    else:
+        for line in out.text:
+            print(line)
 
 
-def _print_json(payload) -> None:
-    import json
-
-    print(json.dumps(payload, indent=2))
+def _at_least(value, low, flag):
+    if value < low:
+        raise CLIError("%s must be >= %d" % (flag, low))
+    return value
 
 
 def _parse_list(text, what):
@@ -107,321 +126,223 @@ def _resolve(args, need_seeds=True):
     return spec, seeds
 
 
-def _echo(spec, seeds):
+def _echo(spec, seeds, **fields):
+    """The JSON payload: the inputs as strings, then the command's fields."""
     payload = {"coeffs": [str(c) for c in spec.coeffs]}
     if seeds is not None:
         payload["seeds"] = [str(s) for s in seeds]
+    payload.update(fields)
     return payload
 
 
 # ----------------------------------------------------------------- commands
 
 
-def cmd_seq(args) -> int:
+def cmd_seq(args) -> Output:
     spec, seeds = _resolve(args)
-    if args.count < 0:
-        raise CLIError("--count must be >= 0")
-    terms = generate(spec, seeds, args.count)
-    if args.format == "json":
-        payload = _echo(spec, seeds)
-        payload["terms"] = [str(t) for t in terms]
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv([[str(t) for t in terms]])
-    else:
-        for t in terms:
-            print(t)
-    return 0
+    terms = [str(t) for t in generate(spec, seeds, _at_least(args.count, 0, "--count"))]
+    return Output(_echo(spec, seeds, terms=terms), [terms], terms)
 
 
-def cmd_term(args) -> int:
+def cmd_term(args) -> Output:
     spec, seeds = _resolve(args)
-    if args.k < 0:
-        raise CLIError("--k must be >= 0")
-    value = term_at(spec, seeds, args.k)
-    if args.format == "json":
-        payload = _echo(spec, seeds)
-        payload["k"] = args.k
-        payload["term"] = str(value)
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv([[args.k, str(value)]])
-    else:
-        print(value)
-    return 0
+    value = str(term_at(spec, seeds, _at_least(args.k, 0, "--k")))
+    return Output(_echo(spec, seeds, k=args.k, term=value), [[args.k, value]], [value])
 
 
-def cmd_roots(args) -> int:
+def cmd_roots(args) -> Output:
     from .roots import solve_roots
 
     spec, _ = _resolve(args, need_seeds=False)
     rootset = solve_roots(spec, args.precision)
-    if args.format == "json":
-        payload = {"coeffs": [str(c) for c in spec.coeffs]}
-        payload["precision"] = rootset.precision
-        payload["roots"] = [_json_complex(z) for z in rootset.roots]
-        payload["residuals"] = [float(r) for r in rootset.residuals]
-        payload["dominant_index"] = rootset.dominant_index
-        payload["dominance_unique"] = rootset.dominance_unique
-        _print_json(payload)
-    elif args.format == "csv":
-        rows = [
-            [_json_real(z.real), _json_real(z.imag), res]
-            for z, res in zip(rootset.roots, rootset.residuals)
-        ]
-        _print_csv(rows)
-    else:
-        for idx, (z, res) in enumerate(zip(rootset.roots, rootset.residuals)):
-            mark = "  <- dominant" if idx == rootset.dominant_index else ""
-            print("root[%d] = %s  (residual %.3e)%s" % (idx, _fmt_complex(z), res, mark))
-        print(
-            "dominance: %s"
-            % ("unique" if rootset.dominance_unique else "tied largest modulus")
-        )
-    return 0
+    payload = _echo(
+        spec,
+        None,
+        precision=rootset.precision,
+        roots=[_json_complex(z) for z in rootset.roots],
+        residuals=[float(r) for r in rootset.residuals],
+        dominant_index=rootset.dominant_index,
+        dominance_unique=rootset.dominance_unique,
+    )
+    rows, lines = [], []
+    for idx, (z, res) in enumerate(zip(rootset.roots, rootset.residuals)):
+        rows.append([_json_real(z.real), _json_real(z.imag), res])
+        mark = "  <- dominant" if idx == rootset.dominant_index else ""
+        lines.append("root[%d] = %s  (residual %.3e)%s" % (idx, _complex(z), res, mark))
+    lines.append(
+        "dominance: %s" % ("unique" if rootset.dominance_unique else "tied largest modulus")
+    )
+    return Output(payload, rows, lines)
 
 
-def cmd_binet(args) -> int:
+def cmd_binet(args) -> Output:
     from .binet import binet_eval, nearest_integer, solve_weights
     from .roots import solve_roots
 
     spec, seeds = _resolve(args)
     rootset = solve_roots(spec, args.precision)
     weights = solve_weights(spec, seeds, rootset)
-    integral = all(c.denominator == 1 for c in spec.coeffs) and all(
-        s.denominator == 1 for s in seeds
+    *body, constant = weights.weights
+    payload = _echo(
+        spec,
+        seeds,
+        precision=args.precision,
+        weights=[_json_complex(w) for w in body],
+        constant=_json_complex(constant),
     )
-    value = rounded = None
+    rows = [["w%d" % i, _json_real(w.real), _json_real(w.imag)] for i, w in enumerate(body)]
+    rows.append(["constant", _json_real(constant.real), _json_real(constant.imag)])
+    lines = ["w[%d] = %s" % (i, _complex(w)) for i, w in enumerate(body)]
+    lines.append("constant probe = %s" % _complex(constant))
     if args.k is not None:
-        if args.k < 0:
-            raise CLIError("--k must be >= 0")
-        value = binet_eval(weights, rootset, args.k)
-        if integral:
-            try:
-                rounded = nearest_integer(value)
-            except ValueError:
-                rounded = None
-    if args.format == "json":
-        payload = _echo(spec, seeds)
-        payload["precision"] = args.precision
-        payload["weights"] = [_json_complex(w) for w in weights.weights[:-1]]
-        payload["constant"] = _json_complex(weights.weights[-1])
-        if args.k is not None:
-            payload["k"] = args.k
-            payload["value"] = _json_complex(value)
-            if rounded is not None:
-                payload["rounded"] = str(rounded)
-        _print_json(payload)
-    elif args.format == "csv":
-        rows = [
-            ["w%d" % i, _json_real(w.real), _json_real(w.imag)]
-            for i, w in enumerate(weights.weights[:-1])
-        ]
-        rows.append(
-            [
-                "constant",
-                _json_real(weights.weights[-1].real),
-                _json_real(weights.weights[-1].imag),
-            ]
-        )
-        if args.k is not None:
-            rows.append(["value", _json_real(value.real), _json_real(value.imag)])
-        _print_csv(rows)
-    else:
-        for i, w in enumerate(weights.weights[:-1]):
-            print("w[%d] = %s" % (i, _fmt_complex(w)))
-        print("constant probe = %s" % _fmt_complex(weights.weights[-1]))
-        if args.k is not None:
-            print("value(k=%d) = %s" % (args.k, _fmt_complex(value)))
-            if rounded is not None:
-                print("rounded = %d" % rounded)
-    return 0
+        value = binet_eval(weights, rootset, _at_least(args.k, 0, "--k"))
+        payload.update(k=args.k, value=_json_complex(value))
+        rows.append(["value", _json_real(value.real), _json_real(value.imag)])
+        lines.append("value(k=%d) = %s" % (args.k, _complex(value)))
+        integral = all(v.denominator == 1 for v in (*spec.coeffs, *seeds))
+        try:
+            rounded = nearest_integer(value) if integral else None
+        except ValueError:
+            rounded = None
+        if rounded is not None:
+            payload["rounded"] = str(rounded)
+            lines.append("rounded = %d" % rounded)
+    return Output(payload, rows, lines)
 
 
-def cmd_genfunc(args) -> int:
+def cmd_genfunc(args) -> Output:
     spec, seeds = _resolve(args)
-    if args.count < 0:
-        raise CLIError("--count must be >= 0")
+    count = _at_least(args.count, 0, "--count")
     gf = build_genfunc(spec, seeds)
-    series = series_coefficients(gf, args.count)
-    if args.format == "json":
-        payload = _echo(spec, seeds)
-        payload["numerator"] = [str(c) for c in gf.numerator]
-        payload["denominator_tail"] = [str(c) for c in gf.denominator_tail]
-        payload["display"] = gf.display()
-        payload["series"] = [str(c) for c in series]
-        _print_json(payload)
-    elif args.format == "csv":
-        rows = [
-            [str(c) for c in gf.numerator],
-            [str(c) for c in gf.denominator_tail],
-        ]
-        if series:
-            rows.append([str(c) for c in series])
-        _print_csv(rows)
-    else:
-        print("f(z) = %s" % gf.display())
-        if series:
-            print("series: %s" % ", ".join(str(c) for c in series))
-    return 0
+    numerator = [str(c) for c in gf.numerator]
+    tail = [str(c) for c in gf.denominator_tail]
+    series = [str(c) for c in series_coefficients(gf, count)]
+    display = gf.display()
+    payload = _echo(
+        spec, seeds, numerator=numerator, denominator_tail=tail, display=display, series=series
+    )
+    rows, lines = [numerator, tail], ["f(z) = %s" % display]
+    if series:
+        rows.append(series)
+        lines.append("series: %s" % ", ".join(series))
+    return Output(payload, rows, lines)
 
 
-def cmd_trapezoid(args) -> int:
+def cmd_trapezoid(args) -> Output:
     spec, seeds = _resolve(args)
-    if args.rows < 1:
-        raise CLIError("--rows must be >= 1")
+    count = _at_least(args.rows, 1, "--rows")
     if args.method == "closed":
         if spec.degree not in (2, 3):
             raise CLIError(
                 "closed-form entries exist only for degrees 2 and 3; "
                 "use --method expansion"
             )
-        trapezoid = build_closed_form(spec, seeds, args.rows)
+        trapezoid = build_closed_form(spec, seeds, count)
     else:
-        trapezoid = build_expansion(spec, seeds, args.rows)
-    if args.format == "json":
-        payload = _echo(spec, seeds)
-        payload["method"] = trapezoid.method
-        payload["rows"] = [[str(v) for v in row] for row in trapezoid.rows]
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv([[str(v) for v in row] for row in trapezoid.rows])
-    else:
-        for row in trapezoid.rows:
-            print(" ".join(str(v) for v in row))
-    return 0
+        trapezoid = build_expansion(spec, seeds, count)
+    rows = [[str(v) for v in row] for row in trapezoid.rows]
+    payload = _echo(spec, seeds, method=trapezoid.method, rows=rows)
+    return Output(payload, rows, [" ".join(row) for row in rows])
 
 
-def cmd_rowsum(args) -> int:
+def cmd_rowsum(args) -> Output:
     spec, seeds = _resolve(args)
-    if args.rows < 1:
-        raise CLIError("--rows must be >= 1")
-    sums = [row_sum(i, spec, seeds) for i in range(args.rows)]
-    if args.format == "json":
-        payload = _echo(spec, seeds)
-        payload["sums"] = [str(s) for s in sums]
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv([[str(s) for s in sums]])
-    else:
-        for i, s in enumerate(sums):
-            print("row %d: %s" % (i, s))
-    return 0
+    sums = [str(row_sum(i, spec, seeds)) for i in range(_at_least(args.rows, 1, "--rows"))]
+    lines = ["row %d: %s" % (i, s) for i, s in enumerate(sums)]
+    return Output(_echo(spec, seeds, sums=sums), [sums], lines)
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args) -> Output:
     from .analysis import ratio_convergence
 
     spec, seeds = _resolve(args)
     report = ratio_convergence(spec, seeds, args.k, args.precision)
-    if args.format == "json":
-        payload = _echo(spec, seeds)
-        payload["k_max"] = args.k
-        payload["ratios"] = list(report.ratios)
-        payload["final_estimate"] = report.final_estimate
-        payload["target"] = _json_complex(report.target)
-        payload["abs_error"] = report.abs_error
-        payload["converged"] = report.converged
-        payload["k_used"] = report.k_used
-        payload["hypothesis_met"] = report.hypothesis_met
-        payload["reason"] = report.reason
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv(
-            [
-                [
-                    report.final_estimate,
-                    _json_real(report.target.real),
-                    _json_real(report.target.imag),
-                    report.abs_error,
-                    report.converged,
-                    report.k_used,
-                ]
-            ]
-        )
-    else:
-        print("estimate  = %s" % report.final_estimate)
-        print("target    = %s" % _fmt_complex(report.target))
-        print("abs error = %s" % report.abs_error)
-        print("converged = %s" % ("yes" if report.converged else "no"))
-        print("k used    = %s" % report.k_used)
-        if report.reason:
-            print("reason    = %s" % report.reason)
-    return 0
+    target = report.target
+    payload = _echo(
+        spec,
+        seeds,
+        k_max=args.k,
+        ratios=list(report.ratios),
+        final_estimate=report.final_estimate,
+        target=_json_complex(target),
+        abs_error=report.abs_error,
+        converged=report.converged,
+        k_used=report.k_used,
+        hypothesis_met=report.hypothesis_met,
+        reason=report.reason,
+    )
+    row = [
+        report.final_estimate,
+        _json_real(target.real),
+        _json_real(target.imag),
+        report.abs_error,
+        report.converged,
+        report.k_used,
+    ]
+    lines = [
+        "estimate  = %s" % report.final_estimate,
+        "target    = %s" % _complex(target),
+        "abs error = %s" % report.abs_error,
+        "converged = %s" % ("yes" if report.converged else "no"),
+        "k used    = %s" % report.k_used,
+    ]
+    if report.reason:
+        lines.append("reason    = %s" % report.reason)
+    return Output(payload, [row], lines)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     from .verify import has_failures, verify_all
 
     spec, seeds = _resolve(args)
-    if args.k < 1:
-        raise CLIError("--k must be >= 1")
-    if args.rows < 2:
-        raise CLIError("--rows must be >= 2")
-    checks = verify_all(spec, seeds, k_max=args.k, rows=args.rows, precision=args.precision)
-    if args.format == "json":
-        _print_json(
-            [
-                {
-                    "check": c.check,
-                    "status": c.status,
-                    "residual": c.residual,
-                    "detail": c.detail,
-                }
-                for c in checks
-            ]
-        )
-    elif args.format == "csv":
-        _print_csv([[c.check, c.status, c.residual] for c in checks])
-    else:
-        for c in checks:
-            residual = "" if c.residual is None else "  residual=%.3e" % c.residual
-            detail = "  %s" % c.detail if c.detail else ""
-            print("%-7s %s%s%s" % (c.status, c.check, residual, detail))
-    return 1 if has_failures(checks) else 0
+    k_max = _at_least(args.k, 1, "--k")
+    rows = _at_least(args.rows, 2, "--rows")
+    checks = verify_all(spec, seeds, k_max=k_max, rows=rows, precision=args.precision)
+    payload = [
+        {"check": c.check, "status": c.status, "residual": c.residual, "detail": c.detail}
+        for c in checks
+    ]
+    lines = []
+    for c in checks:
+        residual = "" if c.residual is None else "  residual=%.3e" % c.residual
+        detail = "  %s" % c.detail if c.detail else ""
+        lines.append("%-7s %s%s%s" % (c.status, c.check, residual, detail))
+    return Output(
+        payload,
+        [[c.check, c.status, c.residual] for c in checks],
+        lines,
+        1 if has_failures(checks) else 0,
+    )
 
 
-def cmd_presets(args) -> int:
+def cmd_presets(args) -> Output:
     catalog = load_presets(args.presets_file)
-    if args.format == "json":
-        _print_json(
-            [
-                {
-                    "name": p.name,
-                    "coeffs": [str(c) for c in p.coeffs],
-                    "seeds": [str(s) for s in p.seeds],
-                    "description": p.description,
-                    "builtin": p.name in BUILTIN_PRESETS,
-                }
-                for p in catalog.values()
-            ]
+    payload, rows, lines = [], [], []
+    for p in catalog.values():
+        coeffs = [str(c) for c in p.coeffs]
+        seeds = [str(s) for s in p.seeds]
+        builtin = p.name in BUILTIN_PRESETS
+        payload.append(
+            {
+                "name": p.name,
+                "coeffs": coeffs,
+                "seeds": seeds,
+                "description": p.description,
+                "builtin": builtin,
+            }
         )
-    elif args.format == "csv":
-        _print_csv(
-            [
-                [
-                    p.name,
-                    ",".join(str(c) for c in p.coeffs),
-                    ",".join(str(s) for s in p.seeds),
-                    p.description,
-                ]
-                for p in catalog.values()
-            ]
-        )
-    else:
-        for p in catalog.values():
-            origin = "builtin" if p.name in BUILTIN_PRESETS else "file"
-            print(
-                "%-12s coeffs = %s;  seeds = %s  [%s] %s"
-                % (
-                    p.name,
-                    ", ".join(str(c) for c in p.coeffs),
-                    ", ".join(str(s) for s in p.seeds),
-                    origin,
-                    p.description,
-                )
+        rows.append([p.name, ",".join(coeffs), ",".join(seeds), p.description])
+        lines.append(
+            "%-12s coeffs = %s;  seeds = %s  [%s] %s"
+            % (
+                p.name,
+                ", ".join(coeffs),
+                ", ".join(seeds),
+                "builtin" if builtin else "file",
+                p.description,
             )
-    return 0
+        )
+    return Output(payload, rows, lines)
 
 
 # ----------------------------------------------------------------- wiring
@@ -525,13 +446,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
-    except CLIError as exc:
+        out = args.handler(args)
+    except (CLIError, ValueError, ArithmeticError, RootConvergenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (ValueError, SingularSystemError, RootConvergenceError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+    _render(out, args.format)
+    return out.code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -60,33 +60,29 @@ def parse_rational_list(text: str) -> tuple:
     return tuple(parse_rational(p) for p in parts)
 
 
-def _frac(v) -> Fraction:
-    return Fraction(v)
-
-
 BUILTIN_PRESETS = {
     "fibonacci": Preset(
         "fibonacci",
-        (_frac(1), _frac(1)),
-        (_frac(0), _frac(1)),
+        (Fraction(1), Fraction(1)),
+        (Fraction(0), Fraction(1)),
         "x_{k+2} = x_{k+1} + x_k with seeds 0, 1",
     ),
     "lucas": Preset(
         "lucas",
-        (_frac(1), _frac(1)),
-        (_frac(2), _frac(1)),
+        (Fraction(1), Fraction(1)),
+        (Fraction(2), Fraction(1)),
         "Fibonacci recurrence with seeds 2, 1",
     ),
     "pell": Preset(
         "pell",
-        (_frac(1), _frac(2)),
-        (_frac(0), _frac(1)),
+        (Fraction(1), Fraction(2)),
+        (Fraction(0), Fraction(1)),
         "x_{k+2} = 2 x_{k+1} + x_k with seeds 0, 1 (silver-number family)",
     ),
     "tribonacci": Preset(
         "tribonacci",
-        (_frac(1), _frac(1), _frac(1)),
-        (_frac(0), _frac(1), _frac(1)),
+        (Fraction(1), Fraction(1), Fraction(1)),
+        (Fraction(0), Fraction(1), Fraction(1)),
         "x_{k+3} = x_{k+2} + x_{k+1} + x_k with seeds 0, 1, 1",
     ),
 }

@@ -136,6 +136,20 @@ def test_cubic_closed_form_repeated_root_refused():
         gs.binet_cubic_closed(3, -3, 1, gs.make_seeds([0, 1, 2]), 4)
 
 
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        lambda: gs.binet_quadratic_closed(1.5, 1, gs.make_seeds([0, 1]), 5),
+        lambda: gs.binet_cubic_closed(0.5, 1, 1, gs.make_seeds([0, 1, 1]), 5),
+        lambda: check_cubic_closed_form(0.5, 1, 1, [0, 1, 1]),
+    ],
+    ids=("quadratic", "cubic", "cubic_check"),
+)
+def test_closed_forms_reject_float_coefficients(closed_form):
+    with pytest.raises(ValueError, match="exact rational required"):
+        closed_form()
+
+
 def test_extended_precision_probe_is_tiny():
     spec, seeds, rs = _setup([1, 1, 1], [0, 1, 1], precision=gs.EXTENDED)
     w = gs.solve_weights(spec, seeds, rs)

@@ -343,6 +343,27 @@ def test_overflowed_roots_exit_2(capsys, command, precision):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("roots", "--coeffs=%d,1" % 10**400, "--seeds", "0,1"),
+        ("binet", "--coeffs=%d,1" % 10**400, "--seeds", "0,1"),
+        ("verify", "--coeffs=%d,1" % 10**400, "--seeds", "0,1"),
+        ("verify", "--coeffs=%d,1" % 10**700, "--seeds", "0,1", "--precision", "extended"),
+        ("converge", "--coeffs=%d,1" % 10**700, "--seeds", "0,1", "--precision", "extended"),
+    ],
+    ids=lambda argv: "%s %s" % (argv[0], "extended" if "extended" in argv else "standard"),
+)
+def test_values_outside_the_float_range_exit_2(capsys, argv):
+    # float(Fraction) overflows on these specs; that is a domain error,
+    # not verify's "a check failed"
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_unknown_preset_lists_known_names(capsys):
     code, _, err = run(capsys, "seq", "--preset", "nope")
     assert code == 2

@@ -2,8 +2,10 @@
 
 Importing goldenseq or goldenseq.cli, and running an exact subcommand,
 must not import mpmath or the root-finding module; the floating commands
-load both on first use and print what they printed before.  Each check
-runs in a fresh interpreter, because this process has imported both.
+load both on first use and print what they printed before.  Text output
+never loads the json or csv module: only their renderers import them.
+Each check runs in a fresh interpreter, because this process has
+imported all of these.
 """
 
 import contextlib
@@ -94,6 +96,24 @@ FLOATING_COMMANDS = [
     ["verify", "--preset", "pell", "--format", "json", "--precision", "extended"],
 ]
 
+# every exact command, and one floating command, in the text format
+TEXT_COMMANDS = [
+    argv for argv in EXACT_COMMANDS if "--format" not in argv or argv[-1] == "text"
+] + [FLOATING_COMMANDS[0]]
+
+# Runs main() on each argv in the list literal argv[1] and prints which of
+# json and csv are loaded afterwards.  It reads its input with ast, since
+# json is one of the modules it looks for.
+RUN_TEXT_COMMANDS = """
+import ast, contextlib, io, sys
+import goldenseq.cli
+codes = []
+for argv in ast.literal_eval(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(goldenseq.cli.main(argv))
+print(codes, sorted(m for m in ("json", "csv") if m in sys.modules))
+"""
+
 
 def _in_process(argv):
     out = io.StringIO()
@@ -133,6 +153,14 @@ def test_floating_commands_load_the_floating_layer_and_work(fresh_python, argv):
     assert code == 0
     assert stdout
     assert (code, stdout) == _in_process(argv)
+
+
+def test_text_output_loads_neither_json_nor_csv(fresh_python):
+    assert {argv[0] for argv in TEXT_COMMANDS} == {
+        "seq", "term", "genfunc", "trapezoid", "rowsum", "presets", "roots"
+    }
+    printed = fresh_python(RUN_TEXT_COMMANDS, repr(TEXT_COMMANDS))
+    assert printed == "%s []\n" % ([0] * len(TEXT_COMMANDS))
 
 
 def test_star_import_binds_the_public_names(fresh_python):
