@@ -25,7 +25,7 @@ import sys
 from typing import NamedTuple
 
 from . import __version__
-from .errors import RootConvergenceError
+from .errors import RootConvergenceError, SingularSystemError
 from .genfunc import build_genfunc, series_coefficients
 from .numerics import PRECISIONS, STANDARD
 from .presets import BUILTIN_PRESETS, load_presets, parse_rational_list
@@ -447,7 +447,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         out = args.handler(args)
-    except (CLIError, ValueError, ArithmeticError, RootConvergenceError) as exc:
+    except (CLIError, ValueError, OverflowError, SingularSystemError, RootConvergenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     _render(out, args.format)

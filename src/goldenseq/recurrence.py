@@ -19,6 +19,8 @@ from .errors import InvalidSpecError, SeedMismatchError
 
 def _to_fraction(value, error_cls):
     """Convert an int, Fraction, or 'p/q' string; reject inexact types."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, (float, complex)):
         raise error_cls(f"exact rational required, got inexact {value!r}")
     try:
