@@ -4,7 +4,9 @@ For a degree-n recurrence with ascending coefficients a_0..a_{n-1},
 R(z) = a_{n-1} z + a_{n-2} z^2 + ... + a_0 z^n collects the recursion
 and T(z) (degree <= n-1) absorbs the seeds:
 
-    T_d = x_d - sum_{j=0}^{d-1} a_{n-1-j} x_{d-1-j}   (d >= 1),  T_0 = x_0.
+    T_d = x_d - sum_{j=0}^{d-1} a_{n-1-j} x_{d-1-j}   (d >= 1),  T_0 = x_0,
+
+that is, T is (1 - R(z)) times the seed polynomial, cut to degree n-1.
 
 Series extraction never divides polynomials: the coefficients come out
 of the convolution c_k = t_k + sum_i r_i c_{k-i}, exactly, in Fractions.
@@ -13,7 +15,7 @@ of the convolution c_k = t_k + sum_i r_i c_{k-i}, exactly, in Fractions.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _to_fraction
+from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, _to_fraction
 
 
 def unit_function(n: int) -> int:
@@ -89,16 +91,9 @@ class GeneratingFunction:
 def build_genfunc(spec: RecurrenceSpec, seeds: SeedVector) -> GeneratingFunction:
     """Generating function of the sequence defined by spec and seeds."""
     _check_seeds(spec, seeds)
-    n = spec.degree
-    coeffs = spec.coeffs
-    numerator = []
-    for d in range(n):
-        t = seeds[d]
-        if d >= 1:
-            t -= sum(coeffs[n - 1 - j] * seeds[d - 1 - j] for j in range(d))
-        numerator.append(t)
-    tail = [Fraction(0)] + [coeffs[n - i] for i in range(1, n + 1)]
-    return GeneratingFunction(tuple(numerator), tuple(tail))
+    tail = (Fraction(0),) + spec.coeffs[::-1]
+    numerator = _poly_mul([Fraction(1)] + [-c for c in tail[1:]], seeds.values)
+    return GeneratingFunction(tuple(numerator[: spec.degree]), tail)
 
 
 def series_coefficients(gf: GeneratingFunction, count: int) -> list:

@@ -9,6 +9,11 @@ Coefficients are stored ascending, a0 first, so a_{n-1} is the one that
 multiplies x_{k+n-1}. Everything in this module is exact rational
 arithmetic; sequences grow exponentially and floating point would corrupt
 the tables downstream modules reproduce bit-for-bit.
+
+Because the two relations are one, x_k written as a linear form in the
+seeds has the coefficients of x^k mod p(x).  symbolic_term and term_at
+compute that remainder by squaring, O(n^2 log k); generate stays a plain
+forward loop so that checks have a side which does not use it.
 """
 
 from dataclasses import dataclass
@@ -107,57 +112,29 @@ def generate(spec: RecurrenceSpec, seeds: SeedVector, count: int) -> list[Fracti
     return terms
 
 
-def _mat_mul(a, b, n):
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        oi = out[i]
-        for k in range(n):
-            aik = row[k]
-            if aik:
-                bk = b[k]
-                for j in range(n):
-                    if bk[j]:
-                        oi[j] += aik * bk[j]
+def _poly_mul(a, b):
+    """Product of two dense ascending coefficient lists."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            if cb:
+                out[i + j] += ca * cb
     return out
 
 
-def _companion(spec: RecurrenceSpec):
-    """Companion matrix advancing the state (x_k, ..., x_{k+n-1}) one step."""
+def _reduce(poly, spec: RecurrenceSpec) -> list[Fraction]:
+    """poly mod p(x), in place: fold each x^d, d >= n, by x^n = sum a_j x^j."""
     n = spec.degree
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n - 1):
-        m[i][i + 1] = Fraction(1)
-    m[n - 1] = list(spec.coeffs)
-    return m
-
-
-def _power_first_row(spec: RecurrenceSpec, k: int) -> list[Fraction]:
-    """First row of the k-th companion-matrix power.
-
-    Dotted with the seeds this row gives x_k; it is also the exact
-    coefficient vector of x_k as a linear form in x_0..x_{n-1}.
-    """
-    n = spec.degree
-    result = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    base = _companion(spec)
-    e = k
-    while e:
-        if e & 1:
-            result = _mat_mul(result, base, n)
-        e >>= 1
-        if e:
-            base = _mat_mul(base, base, n)
-    return result[0]
-
-
-def term_at(spec: RecurrenceSpec, seeds: SeedVector, k: int) -> Fraction:
-    """x_k via companion-matrix binary exponentiation, O(n^3 log k) exact."""
-    _check_seeds(spec, seeds)
-    if k < 0:
-        raise ValueError("k must be >= 0 (backward extension is not defined)")
-    row = _power_first_row(spec, k)
-    return sum((c * s for c, s in zip(row, seeds) if c), Fraction(0))
+    while len(poly) > n:
+        c = poly.pop()  # coefficient of x^d, d = len(poly) after the pop
+        if c:
+            low = len(poly) - n
+            for j, a in enumerate(spec.coeffs):
+                if a:
+                    poly[low + j] += c * a
+    return poly
 
 
 @dataclass(frozen=True)
@@ -176,7 +153,27 @@ class SymbolicTerm:
 
 
 def symbolic_term(spec: RecurrenceSpec, k: int) -> SymbolicTerm:
-    """Coefficients of x_0..x_{n-1} expressing x_k; unit vector for k < n."""
+    """Coefficients of x_0..x_{n-1} expressing x_k; unit vector for k < n.
+
+    They are the coefficients of x^k mod p(x) (Fiduccia 1985): the
+    recurrence and x^n = sum a_j x^j are the same relation.  x^k is built
+    by square-and-multiply-by-x over the bits of k, high bit first, each
+    step reduced mod p(x), so O(n^2 log k) exact operations.
+    """
     if k < 0:
         raise ValueError("k must be >= 0 (backward extension is not defined)")
-    return SymbolicTerm(k, tuple(_power_first_row(spec, k)))
+    form = [Fraction(1)] + [Fraction(0)] * (spec.degree - 1)
+    for bit in bin(k)[2:]:
+        form = _reduce(_poly_mul(form, form), spec)
+        if bit == "1":
+            form = _reduce([Fraction(0)] + form, spec)
+    return SymbolicTerm(k, tuple(form))
+
+
+def term_at(spec: RecurrenceSpec, seeds: SeedVector, k: int) -> Fraction:
+    """x_k as the linear form of symbolic_term applied to the seeds.
+
+    O(n^2 log k) exact operations (x^k mod p(x), see symbolic_term).
+    """
+    _check_seeds(spec, seeds)
+    return symbolic_term(spec, k).evaluate(seeds)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .genfunc import build_genfunc
-from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _to_fraction
+from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, _to_fraction
 from .reports import FormulaCheck
 
 
@@ -60,17 +60,6 @@ class Trapezoid:
         if 0 <= j < len(row):
             return row[j]
         return Fraction(0)
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            if cb:
-                out[i + j] += ca * cb
-    return out
 
 
 def build_expansion(spec: RecurrenceSpec, seeds: SeedVector, num_rows: int) -> Trapezoid:

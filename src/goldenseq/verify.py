@@ -27,7 +27,7 @@ from .errors import (
 )
 from .genfunc import build_genfunc, series_coefficients
 from .numerics import STANDARD, arithmetic
-from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, generate, term_at
+from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, generate
 from .reports import VerificationCheck
 from .roots import solve_roots, verify_symmetric_relations
 from .trapezoid import (
@@ -221,11 +221,10 @@ def verify_all(
         if not violations
         else "first violation at (i, j) = (%d, %d)" % violations[0][:2],
     )
-    bad = None
-    for i in range(rows):
-        if row_sum(i, spec, seeds) != sum(trap.rows[i], Fraction(0)):
-            bad = i
-            break
+    bad = next(
+        (i for i in range(rows) if row_sum(i, spec, seeds) != sum(trap.rows[i], Fraction(0))),
+        None,
+    )
     add(
         "trapezoid_row_sums",
         "pass" if bad is None else "fail",
@@ -234,11 +233,10 @@ def verify_all(
         if bad is None
         else "first divergence at row %d" % bad,
     )
-    bad = None
-    for i in range(rows):
-        if diagonal_sum(trap, i) != term_at(spec, seeds, i):
-            bad = i
-            break
+    bad = next(
+        (i for i, t in enumerate(generate(spec, seeds, rows)) if diagonal_sum(trap, i) != t),
+        None,
+    )
     add(
         "trapezoid_diagonal_sums",
         "pass" if bad is None else "fail",

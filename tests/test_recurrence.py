@@ -146,3 +146,31 @@ def test_symbolic_term_evaluates_to_term_at(coeffs, data, k):
         )
     )
     assert gs.symbolic_term(spec, k).evaluate(seeds) == gs.term_at(spec, seeds, k)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(
+        st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=1, max_size=8
+    ),
+    zero_a0=st.booleans(),
+    data=st.data(),
+    k=st.integers(0, 200),
+)
+def test_term_at_and_symbolic_term_match_generate(coeffs, zero_a0, data, k):
+    # generate is the plain forward loop; term_at and symbolic_term reduce x^k mod p(x)
+    if zero_a0:
+        coeffs[0] = Fraction(0)
+    spec = gs.make_spec(coeffs)
+    seeds = gs.make_seeds(
+        data.draw(
+            st.lists(
+                st.fractions(min_value=-9, max_value=9, max_denominator=5),
+                min_size=spec.degree,
+                max_size=spec.degree,
+            )
+        )
+    )
+    expected = gs.generate(spec, seeds, k + 1)[k]
+    assert gs.term_at(spec, seeds, k) == expected
+    assert gs.symbolic_term(spec, k).evaluate(seeds) == expected
