@@ -13,6 +13,8 @@ read coefficient-up (a0 first).  From one spec the package derives:
 * ratio-convergence diagnostics and a cross-verification battery.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DegenerateSpectrumError,
     InvalidSpecError,
@@ -108,67 +110,9 @@ def __dir__():
 
 __version__ = "0.1.0"
 
+# every name imported above plus the floating ones; submodules stay out
 __all__ = [
-    "BUILTIN_PRESETS",
-    "BinetWeights",
-    "ConvergenceReport",
-    "DegenerateSpectrumError",
-    "EXTENDED",
-    "FormulaCheck",
-    "GeneratingFunction",
-    "IdentityReport",
-    "InvalidSpecError",
-    "Preset",
-    "PresetError",
-    "PRECISIONS",
-    "RecurrenceSpec",
-    "RootConvergenceError",
-    "RootSet",
-    "STANDARD",
-    "SeedMismatchError",
-    "SeedVector",
-    "SingularSystemError",
-    "SymbolicTerm",
-    "SymmetricRelationsReport",
-    "Trapezoid",
-    "UnitRootError",
-    "VerificationCheck",
-    "binet_cubic_closed",
-    "binet_eval",
-    "binet_quadratic_closed",
-    "build_closed_form",
-    "build_expansion",
-    "build_genfunc",
-    "check_closed_form",
-    "check_cubic_closed_form",
-    "check_row_recurrence",
-    "coeff_cubic",
-    "coeff_quadratic",
-    "cubic_roots",
-    "diagonal_sum",
-    "dominant_root",
-    "format_polynomial",
-    "general_roots",
-    "generate",
-    "golden_identity_check",
-    "has_failures",
-    "load_presets",
-    "make_seeds",
-    "make_spec",
-    "nearest_integer",
-    "parse_rational",
-    "pseudo_sign_combine",
-    "quadratic_roots",
-    "ratio_convergence",
-    "recover_cubic_conjugates",
-    "row_length",
-    "row_sum",
-    "series_coefficients",
-    "solve_roots",
-    "solve_weights",
-    "symbolic_term",
-    "term_at",
-    "unit_function",
-    "verify_all",
-    "verify_symmetric_relations",
-]
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+] + list(_FLOATING_HOME)

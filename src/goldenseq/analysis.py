@@ -119,11 +119,7 @@ def _dominant_weight_vanishes(spec, seeds, rootset) -> bool:
     return float(abs(weights.weights[rootset.dominant_index])) <= 1e-9 * scale
 
 
-def golden_identity_check(
-    spec: RecurrenceSpec,
-    rootset: RootSet,
-    tolerance: float | None = None,
-) -> IdentityReport:
+def golden_identity_check(spec: RecurrenceSpec, rootset: RootSet) -> IdentityReport:
     """Check the defining identity r^n = sum a_j r^j at every root.
 
     For degree 2 with a_0 != 0 it also checks the reciprocal identity
@@ -137,10 +133,7 @@ def golden_identity_check(
             "root set degree %d does not match recurrence degree %d"
             % (rootset.degree, n)
         )
-    if tolerance is None:
-        tolerance = TOL_IDENTITY * max(
-            1.0, max(float(abs(z)) for z in rootset.roots)
-        ) ** n
+    tolerance = TOL_IDENTITY * max(1.0, max(float(abs(z)) for z in rootset.roots)) ** n
 
     residuals = []
     skipped = []

@@ -29,7 +29,7 @@ from .recurrence import (
     make_seeds,
     make_spec,
 )
-from .reports import FormulaCheck
+from .reports import FormulaCheck, compare
 from .roots import RootSet, cubic_roots, quadratic_roots
 
 # Tolerances are relative to the scale of the data they gate.
@@ -55,9 +55,9 @@ def _separation_scale(rootset: RootSet):
     return 1 + max(abs(z) for z in rootset.roots)
 
 
-def check_separation(rootset: RootSet, tolerance: float = TOL_SEP) -> None:
+def check_separation(rootset: RootSet) -> None:
     """Raise DegenerateSpectrumError when two roots (nearly) coincide."""
-    scale = tolerance * _separation_scale(rootset)
+    scale = TOL_SEP * _separation_scale(rootset)
     roots = rootset.roots
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
@@ -141,16 +141,16 @@ def binet_eval(weights: BinetWeights, rootset: RootSet, k: int):
     return total
 
 
-def nearest_integer(value, tol_im: float = TOL_IM) -> int:
+def nearest_integer(value) -> int:
     """Round a (near-real) complex value to the nearest integer.
 
-    Raises ValueError when the imaginary part is larger than tol_im
+    Raises ValueError when the imaginary part is larger than TOL_IM
     relative to the magnitude of the value: rounding such a value would
     hide a real inconsistency.  Rounds in the extended context, which
     takes a float exactly and keeps every digit of an extended value.
     """
     scale = max(1.0, float(abs(value)))
-    if abs(float(value.imag)) > tol_im * scale:
+    if abs(float(value.imag)) > TOL_IM * scale:
         raise ValueError(
             "imaginary part %.3e too large to round to an integer"
             % float(value.imag)
@@ -166,16 +166,12 @@ def compare_with_terms(evaluate, terms, precision: str) -> FormulaCheck:
     the mismatch.  The note is left for the caller to write.
     """
     ctx = arithmetic(precision).ctx
-    first_bad = None
-    max_err = 0.0
-    for k, exact in enumerate(terms):
-        value = evaluate(k)
+
+    def relative_error(value, exact):
         ref = to_complex(ctx, exact)
-        err = float(abs(value - ref)) / max(1.0, float(abs(ref)))
-        max_err = max(max_err, err)
-        if err > TOL_BINET and first_bad is None:
-            first_bad = k
-    return FormulaCheck(first_bad is None, first_bad, max_err, TOL_BINET)
+        return float(abs(value - ref)) / max(1.0, float(abs(ref)))
+
+    return compare(enumerate(map(evaluate, range(len(terms)))), terms, relative_error, TOL_BINET)
 
 
 def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD):

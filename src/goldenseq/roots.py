@@ -205,8 +205,7 @@ def cubic_roots(alpha, beta, gamma, precision: str = STANDARD) -> RootSet:
     return _finish(make_spec([gamma, beta, alpha]), [phi, varphi, psi], precision)
 
 
-def general_roots(spec: RecurrenceSpec, precision: str = STANDARD,
-                  max_iter: int = MAX_ITER) -> RootSet:
+def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     """All roots by simultaneous (Aberth-style) iteration.
 
     Standard precision starts from a perturbed circle at the Cauchy
@@ -217,7 +216,7 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD,
     1e-14 * (1 + |root|), or when every residual reaches the evaluation
     noise floor (which is where clustered and multiple roots stall).
     Raises RootConvergenceError, carrying the best iterate and its
-    residuals, if neither happens within max_iter, or if a residual of
+    residuals, if neither happens within MAX_ITER sweeps, or if a residual of
     the result exceeds tol_root or is not finite (the iteration overflowed).
     """
     ctx, eps, _ = arithmetic(precision)
@@ -230,7 +229,7 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD,
     z = None
     if precision != STANDARD:
         try:
-            seed = general_roots(spec, STANDARD, max_iter).roots
+            seed = general_roots(spec, STANDARD).roots
         except RootConvergenceError as exc:
             seed = exc.best_roots
         if all(cmath.isfinite(w) for w in seed):
@@ -245,7 +244,7 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD,
         z = [radius * ctx.expj(2 * ctx.pi * (j + 0.5) / n + 0.4) for j in range(n)]
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         worst_step = 0.0
         for i in range(n):
             pv = _poly_eval(poly, z[i])
@@ -289,10 +288,10 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD,
     residuals = _residuals(spec, z, ctx)
     if not converged:
         raise RootConvergenceError(
-            f"root iteration did not converge within {max_iter} sweeps",
+            f"root iteration did not converge within {MAX_ITER} sweeps",
             best_roots=z,
             residuals=residuals,
-            iterations=max_iter,
+            iterations=MAX_ITER,
         )
     z.sort(key=lambda w: (-float(abs(w)), -float(w.real), -float(w.imag)))
     result = _finish(spec, z, precision)
@@ -303,7 +302,7 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD,
             f"root residuals exceed tolerance {gate:.3e}",
             best_roots=result.roots,
             residuals=result.residuals,
-            iterations=max_iter,
+            iterations=MAX_ITER,
         )
     return result
 
@@ -323,8 +322,8 @@ def dominant_root(rootset: RootSet):
     return rootset.roots[rootset.dominant_index], rootset.dominance_unique
 
 
-def verify_symmetric_relations(rootset: RootSet, spec: RecurrenceSpec,
-                               tolerance: float = TOL_SYMMETRIC) -> SymmetricRelationsReport:
+def verify_symmetric_relations(rootset: RootSet,
+                               spec: RecurrenceSpec) -> SymmetricRelationsReport:
     """Check the elementary symmetric polynomials of the roots against
     the spec coefficients: e_1 = a_{n-1}, e_2 = -a_{n-2}, ...,
     e_n = (-1)^(n-1) * a_0."""
@@ -341,4 +340,4 @@ def verify_symmetric_relations(rootset: RootSet, spec: RecurrenceSpec,
         float(abs(elementary[k] - to_complex(ctx, spec.coeffs[n - k] * (-1) ** (k - 1))))
         for k in range(1, n + 1)
     )
-    return SymmetricRelationsReport(residuals, tolerance, max(residuals) <= tolerance)
+    return SymmetricRelationsReport(residuals, TOL_SYMMETRIC, max(residuals) <= TOL_SYMMETRIC)

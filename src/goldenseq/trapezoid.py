@@ -19,12 +19,12 @@ for coefficient values of 0.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .genfunc import build_genfunc
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, _to_fraction
-from .reports import FormulaCheck
+from .reports import FormulaCheck, compare
 
 
 def _binom(a: int, b: int) -> int:
@@ -180,25 +180,15 @@ def check_closed_form(
     """Compare closed-form rows against the expansion, entry for entry."""
     expansion = build_expansion(spec, seeds, num_rows)
     closed = build_closed_form(spec, seeds, num_rows)
-    first_bad = None
-    max_err = 0.0
-    for i in range(num_rows):
-        for j, (lhs, rhs) in enumerate(zip(closed.rows[i], expansion.rows[i])):
-            if lhs != rhs:
-                if first_bad is None:
-                    first_bad = (i, j)
-                max_err = max(max_err, float(abs(lhs - rhs)))
-    if first_bad is None:
+    check = compare(
+        (((i, j), v) for i, row in enumerate(closed.rows) for j, v in enumerate(row)),
+        (v for row in expansion.rows for v in row),
+    )
+    if check.matches:
         note = "closed form matches the expansion on %d rows" % num_rows
     else:
-        note = "first divergent entry at (i, j) = (%d, %d)" % first_bad
-    return FormulaCheck(
-        matches=first_bad is None,
-        first_mismatch=first_bad,
-        max_error=max_err,
-        tolerance=0.0,
-        note=note,
-    )
+        note = "first divergent entry at (i, j) = (%d, %d)" % check.first_mismatch
+    return replace(check, note=note)
 
 
 def check_row_recurrence(trapezoid: Trapezoid) -> list:

@@ -28,7 +28,7 @@ from .errors import (
 from .genfunc import build_genfunc, series_coefficients
 from .numerics import STANDARD, arithmetic
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, generate
-from .reports import VerificationCheck
+from .reports import VerificationCheck, compare
 from .roots import solve_roots, verify_symmetric_relations
 from .trapezoid import (
     build_expansion,
@@ -68,10 +68,11 @@ def verify_all(
     }
     checks: list = []
 
-    def add(name, status, residual=None, detail=""):
+    def add(name, ok, residual=None, detail=""):
+        status = {True: "pass", False: "fail", None: "skipped"}[ok]
         checks.append(VerificationCheck(name, status, residual, detail, dict(echo)))
 
-    rootset = None
+    rootset, root_note = None, ""
     try:
         rootset = solve_roots(spec, precision)
     except RootConvergenceError as exc:
@@ -79,13 +80,13 @@ def verify_all(
 
     # --- root-level identities -------------------------------------
     if rootset is None:
-        add("symmetric_relations", "skipped", detail=root_note)
-        add("golden_identity_defining", "skipped", detail=root_note)
+        for name in ("symmetric_relations", "golden_identity_defining"):
+            add(name, None, detail=root_note)
     else:
         sym = verify_symmetric_relations(rootset, spec)
         add(
             "symmetric_relations",
-            "pass" if sym.passed else "fail",
+            sym.passed,
             sym.max_residual,
             "elementary symmetric polynomials vs. coefficients",
         )
@@ -93,7 +94,7 @@ def verify_all(
         defining = [v for name, v in idreport.residuals if name.startswith("defining")]
         add(
             "golden_identity_defining",
-            "pass" if max(defining) <= idreport.tolerance else "fail",
+            max(defining) <= idreport.tolerance,
             max(defining),
             "r^n = sum of a_j r^j at every root",
         )
@@ -104,48 +105,46 @@ def verify_all(
             if reciprocal:
                 add(
                     "golden_identity_inverse",
-                    "pass" if max(reciprocal) <= idreport.tolerance else "fail",
+                    max(reciprocal) <= idreport.tolerance,
                     max(reciprocal),
                     "1/r = (r - a_1)/a_0 at both roots",
                 )
             else:
                 add(
                     "golden_identity_inverse",
-                    "skipped",
+                    None,
                     detail=idreport.skipped[0] if idreport.skipped else "not applicable",
                 )
 
     # --- Binet weights and round trip -------------------------------
     terms = generate(spec, seeds, k_max + 1)
-    if rootset is None:
-        add("binet_constant_weight", "skipped", detail=root_note)
-        add("recurrence_binet_roundtrip", "skipped", detail=root_note)
-    else:
+    weights, weight_note = None, root_note
+    if rootset is not None:
         try:
             weights = solve_weights(spec, seeds, rootset)
         except (DegenerateSpectrumError, SingularSystemError) as exc:
-            add("binet_constant_weight", "skipped", detail=str(exc))
-            add("recurrence_binet_roundtrip", "skipped", detail=str(exc))
-        else:
-            scale = max(1.0, max(float(abs(t)) for t in terms[: spec.degree + 1]))
-            probe = float(abs(weights.weights[-1]))
-            add(
-                "binet_constant_weight",
-                "pass" if probe <= TOL_W * scale else "fail",
-                probe,
-                "constant probe weight w_{n+1} must vanish",
-            )
-            trip = compare_with_terms(
-                lambda k: binet_eval(weights, rootset, k), terms, precision
-            )
-            add(
-                "recurrence_binet_roundtrip",
-                "pass" if trip.matches else "fail",
-                trip.max_error,
-                "exact terms vs. root-power evaluation for k <= %d" % k_max
-                if trip.matches
-                else "first divergence at k = %d" % trip.first_mismatch,
-            )
+            weight_note = str(exc)
+    if weights is None:
+        for name in ("binet_constant_weight", "recurrence_binet_roundtrip"):
+            add(name, None, detail=weight_note)
+    else:
+        scale = max(1.0, max(float(abs(t)) for t in terms[: spec.degree + 1]))
+        probe = float(abs(weights.weights[-1]))
+        add(
+            "binet_constant_weight",
+            probe <= TOL_W * scale,
+            probe,
+            "constant probe weight w_{n+1} must vanish",
+        )
+        trip = compare_with_terms(lambda k: binet_eval(weights, rootset, k), terms, precision)
+        add(
+            "recurrence_binet_roundtrip",
+            trip.matches,
+            trip.max_error,
+            "exact terms vs. root-power evaluation for k <= %d" % k_max
+            if trip.matches
+            else "first divergence at k = %d" % trip.first_mismatch,
+        )
 
     # --- closed Binet forms -----------------------------------------
     if spec.degree == 2:
@@ -157,11 +156,11 @@ def verify_all(
                 precision,
             )
         except DegenerateSpectrumError as exc:
-            add("binet_quadratic_closed_matches", "skipped", detail=str(exc))
+            add("binet_quadratic_closed_matches", None, detail=str(exc))
         else:
             add(
                 "binet_quadratic_closed_matches",
-                "pass" if closed.matches else "fail",
+                closed.matches,
                 closed.max_error,
                 ""
                 if closed.matches
@@ -174,76 +173,65 @@ def verify_all(
                 alpha, beta, gamma, seeds, min(k_max, 20), precision
             )
         except (DegenerateSpectrumError, UnitRootError) as exc:
-            add("binet_cubic_closed_matches", "skipped", detail=str(exc))
+            add("binet_cubic_closed_matches", None, detail=str(exc))
         else:
-            add(
-                "binet_cubic_closed_matches",
-                "pass" if report.matches else "fail",
-                report.max_error,
-                report.note,
-            )
+            add("binet_cubic_closed_matches", report.matches, report.max_error, report.note)
 
     # --- generating function ----------------------------------------
     gf = build_genfunc(spec, seeds)
-    series = series_coefficients(gf, k_max + 1)
-    bad = next((k for k, (a, b) in enumerate(zip(series, terms)) if a != b), None)
+    series = compare(enumerate(series_coefficients(gf, k_max + 1)), terms)
     add(
         "genfunc_series_roundtrip",
-        "pass" if bad is None else "fail",
-        0.0 if bad is None else float(abs(series[bad] - terms[bad])),
+        series.matches,
+        series.max_error,
         "series of %s vs. the recurrence (exact)" % gf.display()
-        if bad is None
-        else "first divergence at k = %d" % bad,
+        if series.matches
+        else "first divergence at k = %d" % series.first_mismatch,
     )
 
     # --- trapezoid ----------------------------------------------------
     trap = build_expansion(spec, seeds, rows)
     if spec.degree in (2, 3):
         closed = check_closed_form(spec, seeds, rows)
-        add(
-            "trapezoid_closed_form",
-            "pass" if closed.matches else "fail",
-            closed.max_error,
-            closed.note,
-        )
+        add("trapezoid_closed_form", closed.matches, closed.max_error, closed.note)
     else:
         add(
             "trapezoid_closed_form",
-            "skipped",
+            None,
             detail="per-entry closed forms exist only for degrees 2 and 3",
         )
     violations = check_row_recurrence(trap)
     add(
         "trapezoid_row_recurrence",
-        "pass" if not violations else "fail",
+        not violations,
         float(len(violations)),
         "every adjacent row pair"
         if not violations
         else "first violation at (i, j) = (%d, %d)" % violations[0][:2],
     )
-    bad = next(
-        (i for i in range(rows) if row_sum(i, spec, seeds) != sum(trap.rows[i], Fraction(0))),
-        None,
+    sums = compare(
+        ((i, row_sum(i, spec, seeds)) for i in range(rows)),
+        (sum(row, Fraction(0)) for row in trap.rows),
     )
     add(
         "trapezoid_row_sums",
-        "pass" if bad is None else "fail",
+        sums.matches,
         None,
         "closed-form row sums vs. direct sums (exact)"
-        if bad is None
-        else "first divergence at row %d" % bad,
+        if sums.matches
+        else "first divergence at row %d" % sums.first_mismatch,
     )
-    bad = next(
-        (i for i, t in enumerate(generate(spec, seeds, rows)) if diagonal_sum(trap, i) != t),
-        None,
+    diagonals = compare(
+        ((i, diagonal_sum(trap, i)) for i in range(rows)),
+        generate(spec, seeds, rows),
     )
     add(
         "trapezoid_diagonal_sums",
-        "pass" if bad is None else "fail",
+        diagonals.matches,
         None,
         "diagonal sums reproduce the sequence (exact)"
-        if bad is None
-        else "first divergence at diagonal %d" % bad,
+        if diagonals.matches
+        else "first divergence at diagonal %d" % diagonals.first_mismatch,
     )
 
     # --- convergence and root recovery -------------------------------
@@ -251,17 +239,11 @@ def verify_all(
     try:
         conv = ratio_convergence(spec, seeds, max(k_max, 60), precision)
     except ValueError as exc:
-        add("ratio_convergence", "skipped", detail=str(exc))
+        add("ratio_convergence", None, detail=str(exc))
     else:
-        if conv.converged:
-            conv_status = "pass"
-        elif not conv.hypothesis_met:
-            conv_status = "skipped"  # non-convergence is expected here
-        else:
-            conv_status = "fail"
         add(
             "ratio_convergence",
-            conv_status,
+            conv.converged if conv.hypothesis_met else None,  # else non-convergence is expected
             conv.abs_error,
             conv.reason or "ratios reach the dominant root",
         )
@@ -279,14 +261,14 @@ def verify_all(
             err = float(min(direct_err, swapped_err))
             add(
                 "cubic_ratio_root_recovery",
-                "pass" if err <= TOL_RECOVERY else "fail",
+                err <= TOL_RECOVERY,
                 err,
                 "non-dominant roots recovered from the ratio limit",
             )
         else:
             add(
                 "cubic_ratio_root_recovery",
-                "skipped",
+                None,
                 detail="needs a converged ratio limit and a solved root set",
             )
     return checks

@@ -2,6 +2,8 @@
 
 import pytest
 
+import goldenseq.trapezoid as trapezoid_module
+import goldenseq.verify as verify_module
 from goldenseq import has_failures, make_seeds, make_spec, verify_all
 
 
@@ -102,3 +104,55 @@ def test_has_failures_helper():
     assert not has_failures(passing)
     failing = verify_all(make_spec((1, 1, 1)), make_seeds((0, 1, 1)))
     assert has_failures(failing)
+
+
+# Each case raises one exact value by 1 where verify_all reads it; the
+# check that compares it against its oracle must fail, name the position,
+# and leave every other check passing.
+@pytest.mark.parametrize(
+    "module, name, wrap, check, residual, detail",
+    [
+        (
+            verify_module,
+            "series_coefficients",
+            lambda f: lambda gf, count: [v + (k == 4) for k, v in enumerate(f(gf, count))],
+            "genfunc_series_roundtrip",
+            1.0,
+            "first divergence at k = 4",
+        ),
+        (
+            verify_module,
+            "row_sum",
+            lambda f: lambda i, spec, seeds: f(i, spec, seeds) + (i == 5),
+            "trapezoid_row_sums",
+            None,
+            "first divergence at row 5",
+        ),
+        (
+            verify_module,
+            "diagonal_sum",
+            lambda f: lambda trap, i: f(trap, i) + (i == 3),
+            "trapezoid_diagonal_sums",
+            None,
+            "first divergence at diagonal 3",
+        ),
+        (
+            trapezoid_module,
+            "coeff_quadratic",
+            lambda f: lambda i, j, *rest: f(i, j, *rest) + ((i, j) == (3, 1)),
+            "trapezoid_closed_form",
+            1.0,
+            "first divergent entry at (i, j) = (3, 1)",
+        ),
+    ],
+)
+def test_exact_check_fails_on_one_wrong_value(
+    monkeypatch, module, name, wrap, check, residual, detail
+):
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    checks = verify_all(make_spec((1, 1)), make_seeds((0, 1)))
+    assert [c.check for c in checks if c.status != "pass"] == [check]
+    row = by_name(checks)[check]
+    assert row.status == "fail"
+    assert row.residual == residual
+    assert row.detail == detail
