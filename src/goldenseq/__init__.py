@@ -24,13 +24,6 @@ from .errors import (
     SingularSystemError,
     UnitRootError,
 )
-from .genfunc import (
-    GeneratingFunction,
-    build_genfunc,
-    format_polynomial,
-    series_coefficients,
-    unit_function,
-)
 from .numerics import EXTENDED, PRECISIONS, STANDARD
 from .presets import BUILTIN_PRESETS, Preset, load_presets, parse_rational
 from .recurrence import (
@@ -44,22 +37,12 @@ from .recurrence import (
     term_at,
 )
 from .reports import FormulaCheck, VerificationCheck
-from .trapezoid import (
-    Trapezoid,
-    build_closed_form,
-    build_expansion,
-    check_closed_form,
-    check_row_recurrence,
-    coeff_cubic,
-    coeff_quadratic,
-    diagonal_sum,
-    row_length,
-    row_sum,
-)
 
-# The floating modules load mpmath, so they are imported on first use
-# (PEP 562): a process that only touches the exact layers never loads it.
-_FLOATING = {
+# Imported on first use (PEP 562): the floating modules load mpmath, so a
+# process that only touches the exact layers never loads it, and a
+# command that only needs the recurrence core never compiles genfunc or
+# trapezoid.
+_LAZY = {
     "analysis": (
         "ConvergenceReport",
         "IdentityReport",
@@ -76,6 +59,13 @@ _FLOATING = {
         "nearest_integer",
         "solve_weights",
     ),
+    "genfunc": (
+        "GeneratingFunction",
+        "build_genfunc",
+        "format_polynomial",
+        "series_coefficients",
+        "unit_function",
+    ),
     "roots": (
         "RootSet",
         "SymmetricRelationsReport",
@@ -87,32 +77,44 @@ _FLOATING = {
         "solve_roots",
         "verify_symmetric_relations",
     ),
+    "trapezoid": (
+        "Trapezoid",
+        "build_closed_form",
+        "build_expansion",
+        "check_closed_form",
+        "check_row_recurrence",
+        "coeff_cubic",
+        "coeff_quadratic",
+        "diagonal_sum",
+        "row_length",
+        "row_sum",
+    ),
     "verify": ("has_failures", "verify_all"),
 }
-_FLOATING_HOME = {name: module for module, names in _FLOATING.items() for name in names}
+_LAZY_HOME = {name: module for module, names in _LAZY.items() for name in names}
 
 
 def __getattr__(name):
     import importlib
 
-    if name in _FLOATING:
+    if name in _LAZY:
         return importlib.import_module("." + name, __name__)
-    if name not in _FLOATING_HOME:
+    if name not in _LAZY_HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module("." + _FLOATING_HOME[name], __name__), name)
+    value = getattr(importlib.import_module("." + _LAZY_HOME[name], __name__), name)
     globals()[name] = value
     return value
 
 
 def __dir__():
-    return sorted(set(globals()) | set(_FLOATING) | set(_FLOATING_HOME))
+    return sorted(set(globals()) | set(_LAZY) | set(_LAZY_HOME))
 
 
 __version__ = "0.1.0"
 
-# every name imported above plus the floating ones; submodules stay out
+# every name imported above plus the lazy ones; submodules stay out
 __all__ = [
     name
     for name, value in globals().items()
     if not name.startswith("_") and not isinstance(value, _ModuleType)
-] + list(_FLOATING_HOME)
+] + list(_LAZY_HOME)

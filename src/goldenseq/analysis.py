@@ -8,20 +8,18 @@ the experiment with exact rational arithmetic and reports why it
 failed when it fails, instead of just returning False.
 """
 
-from dataclasses import dataclass
-
 from .binet import solve_weights
 from .errors import DegenerateSpectrumError, SingularSystemError
 from .numerics import STANDARD, arithmetic, to_complex
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _to_fraction, generate
+from .reports import Record
 from .roots import RootSet, dominant_root, solve_roots
 
 TOL_CONV = 1e-8
 TOL_IDENTITY = 1e-10
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     ratios: tuple
     final_estimate: float | None
     target: object  # dominant root (complex in standard precision)
@@ -35,8 +33,7 @@ class ConvergenceReport:
     hypothesis_met: bool = True
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(Record):
     residuals: tuple  # (name, value) pairs
     skipped: tuple  # human-readable notices for checks that do not apply
     tolerance: float

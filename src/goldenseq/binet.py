@@ -16,8 +16,6 @@ instead of silently trusting it (on most inputs it disagrees from k = 0,
 so the generic weights path stays authoritative).
 """
 
-from dataclasses import dataclass, replace
-
 from .errors import DegenerateSpectrumError, SeedMismatchError, UnitRootError
 from .numerics import EXTENDED, STANDARD, arithmetic, solve_linear_system, to_complex
 from .recurrence import (
@@ -29,7 +27,7 @@ from .recurrence import (
     make_seeds,
     make_spec,
 )
-from .reports import FormulaCheck, compare
+from .reports import FormulaCheck, Record, compare
 from .roots import RootSet, cubic_roots, quadratic_roots
 
 # Tolerances are relative to the scale of the data they gate.
@@ -39,8 +37,7 @@ TOL_BINET = 1e-6  # relative agreement demanded from closed forms
 TOL_SEP = 1e-8  # pairwise root separation, scaled by (1 + max |root|)
 
 
-@dataclass(frozen=True)
-class BinetWeights:
+class BinetWeights(Record):
     """Solved weights; weights[-1] is the constant probe w_{n+1}."""
 
     weights: tuple
@@ -273,4 +270,4 @@ def check_cubic_closed_form(
             "%.3e); falling back to the generic weights path"
             % (check.first_mismatch, check.max_error)
         )
-    return replace(check, note=note)
+    return check.replace(note=note)

@@ -26,11 +26,9 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import RootConvergenceError, SingularSystemError
-from .genfunc import build_genfunc, series_coefficients
 from .numerics import PRECISIONS, STANDARD
 from .presets import BUILTIN_PRESETS, load_presets, parse_rational_list
 from .recurrence import _check_seeds, generate, make_seeds, make_spec, term_at
-from .trapezoid import build_closed_form, build_expansion, row_sum
 
 _MP_DIGITS = 30  # shown for extended-precision values
 
@@ -211,6 +209,8 @@ def cmd_binet(args) -> Output:
 
 
 def cmd_genfunc(args) -> Output:
+    from .genfunc import build_genfunc, series_coefficients
+
     spec, seeds = _resolve(args)
     count = _at_least(args.count, 0, "--count")
     gf = build_genfunc(spec, seeds)
@@ -231,21 +231,22 @@ def cmd_genfunc(args) -> Output:
 def cmd_trapezoid(args) -> Output:
     spec, seeds = _resolve(args)
     count = _at_least(args.rows, 1, "--rows")
-    if args.method == "closed":
-        if spec.degree not in (2, 3):
-            raise CLIError(
-                "closed-form entries exist only for degrees 2 and 3; "
-                "use --method expansion"
-            )
-        trapezoid = build_closed_form(spec, seeds, count)
-    else:
-        trapezoid = build_expansion(spec, seeds, count)
+    if args.method == "closed" and spec.degree not in (2, 3):
+        raise CLIError(
+            "closed-form entries exist only for degrees 2 and 3; use --method expansion"
+        )
+    from .trapezoid import build_closed_form, build_expansion
+
+    build = build_closed_form if args.method == "closed" else build_expansion
+    trapezoid = build(spec, seeds, count)
     rows = [[str(v) for v in row] for row in trapezoid.rows]
     payload = _echo(spec, seeds, method=trapezoid.method, rows=rows)
     return Output(payload, rows, [" ".join(row) for row in rows])
 
 
 def cmd_rowsum(args) -> Output:
+    from .trapezoid import row_sum
+
     spec, seeds = _resolve(args)
     sums = [str(row_sum(i, spec, seeds)) for i in range(_at_least(args.rows, 1, "--rows"))]
     lines = ["row %d: %s" % (i, s) for i, s in enumerate(sums)]

@@ -12,10 +12,10 @@ Series extraction never divides polynomials: the coefficients come out
 of the convolution c_k = t_k + sum_i r_i c_{k-i}, exactly, in Fractions.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, _to_fraction
+from .reports import Record
 
 
 def unit_function(n: int) -> int:
@@ -50,8 +50,7 @@ def format_polynomial(coeffs, variable: str = "z") -> str:
     return text
 
 
-@dataclass(frozen=True)
-class GeneratingFunction:
+class GeneratingFunction(Record):
     """T(z)/(1 - R(z)) with dense ascending Fraction coefficients.
 
     numerator holds T; denominator_tail holds R including its zero

@@ -19,18 +19,17 @@ and its interpolation rules are a trap for values containing '%'.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PresetError
+from .reports import Record
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_][A-Za-z0-9_-]*)\]$")
 _KEYS = ("coeffs", "seeds", "description")
 
 
-@dataclass(frozen=True)
-class Preset:
+class Preset(Record):
     """A named (coeffs, seeds) pair; lengths always agree."""
 
     name: str

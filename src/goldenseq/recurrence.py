@@ -16,10 +16,10 @@ compute that remainder by squaring, O(n^2 log k); generate stays a plain
 forward loop so that checks have a side which does not use it.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidSpecError, SeedMismatchError
+from .reports import Record
 
 
 def _to_fraction(value, error_cls):
@@ -34,8 +34,7 @@ def _to_fraction(value, error_cls):
         raise error_cls(f"not a rational value: {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class RecurrenceSpec:
+class RecurrenceSpec(Record):
     """Coefficients a0..a_{n-1} of a monic polynomial / linear recurrence."""
 
     coeffs: tuple[Fraction, ...]
@@ -55,8 +54,7 @@ class RecurrenceSpec:
         return self.coeffs[0] == 0
 
 
-@dataclass(frozen=True)
-class SeedVector:
+class SeedVector(Record):
     """Initial terms x_0..x_{n-1}, exact rationals."""
 
     values: tuple[Fraction, ...]
@@ -137,8 +135,7 @@ def _reduce(poly, spec: RecurrenceSpec) -> list[Fraction]:
     return poly
 
 
-@dataclass(frozen=True)
-class SymbolicTerm:
+class SymbolicTerm(Record):
     """x_k written as an exact linear form over the seeds."""
 
     k: int

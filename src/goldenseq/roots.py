@@ -12,11 +12,11 @@ the precision's noise floor are dropped on every path.
 
 import cmath
 import math
-from dataclasses import dataclass
 
 from .errors import RootConvergenceError
 from .numerics import STANDARD, arithmetic, to_complex
 from .recurrence import RecurrenceSpec, _to_fraction, make_spec
+from .reports import Record
 
 TOL_ROOT_BASE = 1e-10
 TOL_DOMINANCE = 1e-9  # relative modulus gap below which dominance is a tie
@@ -28,8 +28,7 @@ SLASH_FIRST = "slash-first"
 BACKSLASH_FIRST = "backslash-first"
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(Record):
     """All n roots plus the bookkeeping every consumer needs.
 
     roots are complex numbers of the precision's mpmath context: builtin
@@ -50,8 +49,7 @@ class RootSet:
         return len(self.roots)
 
 
-@dataclass(frozen=True)
-class SymmetricRelationsReport:
+class SymmetricRelationsReport(Record):
     """Residuals of the elementary-symmetric-polynomial identities."""
 
     residuals: tuple[float, ...]

@@ -19,12 +19,11 @@ for coefficient values of 0.
 """
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .genfunc import build_genfunc
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, _to_fraction
-from .reports import FormulaCheck, compare
+from .reports import FormulaCheck, Record, compare
 
 
 def _binom(a: int, b: int) -> int:
@@ -42,8 +41,7 @@ def row_length(i: int, n: int) -> int:
     return i * (n - 1) + n
 
 
-@dataclass(frozen=True)
-class Trapezoid:
+class Trapezoid(Record):
     rows: tuple
     spec: RecurrenceSpec
     seeds: SeedVector
@@ -188,7 +186,7 @@ def check_closed_form(
         note = "closed form matches the expansion on %d rows" % num_rows
     else:
         note = "first divergent entry at (i, j) = (%d, %d)" % check.first_mismatch
-    return replace(check, note=note)
+    return check.replace(note=note)
 
 
 def check_row_recurrence(trapezoid: Trapezoid) -> list:

@@ -1,11 +1,13 @@
 """Root-power closed forms: generic weights, degree-2/3 direct formulas."""
 
+import math
 import random
 
 import pytest
 
 import goldenseq as gs
-from goldenseq.binet import TOL_W, check_cubic_closed_form
+from goldenseq.binet import TOL_W, check_cubic_closed_form, compare_with_terms
+from goldenseq.reports import compare
 from goldenseq.errors import (
     DegenerateSpectrumError,
     SingularSystemError,
@@ -165,3 +167,19 @@ def test_weights_respect_scale_tolerance():
     spec, seeds, rs = _setup([1, 1], [10**6, -(10**6)])
     w = gs.solve_weights(spec, seeds, rs)
     assert abs(w.weights[-1]) <= TOL_W * 10**6
+
+
+@pytest.mark.parametrize("precision", gs.PRECISIONS)
+def test_nan_evaluation_is_a_mismatch(precision):
+    check = compare_with_terms(lambda k: complex("nan"), [1, 2, 3], precision)
+    assert (check.matches, check.first_mismatch) == (False, 0)
+    assert math.isnan(check.max_error)
+    check = compare_with_terms(lambda k: complex("nan") if k == 1 else k + 1, [1, 2, 3], precision)
+    assert (check.matches, check.first_mismatch) == (False, 1)
+    assert math.isnan(check.max_error)
+
+
+def test_nan_max_error_is_not_overwritten_by_later_errors():
+    check = compare(enumerate([1.0, float("nan"), 5.0]), [1.0, 2.0, 3.0], lambda a, b: abs(a - b))
+    assert (check.matches, check.first_mismatch) == (False, 1)
+    assert math.isnan(check.max_error)

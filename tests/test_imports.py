@@ -2,10 +2,12 @@
 
 Importing goldenseq or goldenseq.cli, and running an exact subcommand,
 must not import mpmath or the root-finding module; the floating commands
-load both on first use and print what they printed before.  Text output
-never loads the json or csv module: only their renderers import them.
-Each check runs in a fresh interpreter, because this process has
-imported all of these.
+load both on first use and print what they printed before.  No import
+and no command loads dataclasses or inspect, and the commands that need
+only the recurrence core (seq, term, presets, usage errors) load neither
+genfunc nor trapezoid.  Text output never loads the json or csv module:
+only their renderers import them.  Each check runs in a fresh
+interpreter, because this process has imported all of these.
 """
 
 import contextlib
@@ -34,15 +36,19 @@ solve_weights symbolic_term term_at unit_function verify_all verify_symmetric_re
 """.split())
 
 FLOATING_MODULES = ["goldenseq.roots", "mpmath"]
+LAZY_EXACT_MODULES = {"goldenseq.genfunc", "goldenseq.trapezoid"}
 
 # Imports goldenseq, then goldenseq.cli, then runs main() on each argv in
-# the JSON list argv[1]; prints which floating modules are loaded after
-# each step, with each command's exit code and stdout.
+# the JSON list argv[1]; prints which of the watched modules are loaded
+# after each step, with each command's exit code and stdout.
 RUN_COMMANDS = """
 import contextlib, io, json, sys
 
+WATCHED = ("dataclasses", "inspect", "mpmath", "goldenseq.genfunc", "goldenseq.roots",
+           "goldenseq.trapezoid")
+
 def loaded():
-    return sorted(m for m in ("mpmath", "goldenseq.roots") if m in sys.modules)
+    return sorted(m for m in WATCHED if m in sys.modules)
 
 steps = []
 import goldenseq
@@ -74,6 +80,8 @@ EXACT_COMMANDS = [
     ["presets", "--format", "json"],
     ["presets", "--format", "csv"],
 ]
+# the exact commands that need only the recurrence core
+CORE_COMMANDS = [argv for argv in EXACT_COMMANDS if argv[0] in ("seq", "term", "presets")]
 EXACT_USAGE_ERRORS = [
     ["term", "--preset", "nosuch", "--k", "3"],
     ["seq", "--coeffs", "1,x", "--seeds", "0,1"],
@@ -130,11 +138,24 @@ def test_exact_commands_never_load_the_floating_layer(fresh_python):
     argvs = EXACT_COMMANDS + EXACT_USAGE_ERRORS
     steps = _run_fresh(fresh_python, argvs)
     assert [step[0] for step in steps[:2]] == ["import goldenseq", "import goldenseq.cli"]
-    for what, _, _, loaded in steps:
+    for what, _, _, loaded in steps[:2]:
         assert loaded == [], what
+    for what, _, _, loaded in steps[2:]:
+        assert set(loaded) <= LAZY_EXACT_MODULES, what
     for argv, code, stdout, _ in steps[2:]:
         assert (code, stdout) == _in_process(argv), argv
     assert [code for _, code, _, _ in steps[2:]] == [0] * len(EXACT_COMMANDS) + [2] * len(
+        EXACT_USAGE_ERRORS
+    )
+
+
+def test_core_commands_load_neither_genfunc_nor_trapezoid(fresh_python):
+    assert {argv[0] for argv in CORE_COMMANDS} == {"seq", "term", "presets"}
+    steps = _run_fresh(fresh_python, CORE_COMMANDS + EXACT_USAGE_ERRORS)
+    assert len(steps) == 2 + len(CORE_COMMANDS) + len(EXACT_USAGE_ERRORS)
+    for what, _, _, loaded in steps:
+        assert loaded == [], what
+    assert [code for _, code, _, _ in steps[2:]] == [0] * len(CORE_COMMANDS) + [2] * len(
         EXACT_USAGE_ERRORS
     )
 
@@ -144,12 +165,13 @@ def test_floating_usage_errors_do_not_load_mpmath(fresh_python):
     for argv, code, _, loaded in steps[2:]:
         assert code == 2, argv
         assert "mpmath" not in loaded, argv
+        assert not {"dataclasses", "inspect"} & set(loaded), argv
 
 
 @pytest.mark.parametrize("argv", FLOATING_COMMANDS, ids=" ".join)
 def test_floating_commands_load_the_floating_layer_and_work(fresh_python, argv):
     ((_, code, stdout, loaded),) = _run_fresh(fresh_python, [argv])[2:]
-    assert loaded == FLOATING_MODULES
+    assert set(loaded) - LAZY_EXACT_MODULES == set(FLOATING_MODULES)
     assert code == 0
     assert stdout
     assert (code, stdout) == _in_process(argv)
@@ -179,13 +201,18 @@ def test_star_import_binds_the_public_names(fresh_python):
 
 
 def test_floating_names_resolve_to_their_modules():
-    from goldenseq import analysis, binet, roots, verify
+    from goldenseq import analysis, binet, genfunc, roots, trapezoid, verify
 
-    for module in (analysis, binet, roots, verify):
-        for name in gs._FLOATING[module.__name__.rsplit(".", 1)[1]]:
+    modules = (analysis, binet, genfunc, roots, trapezoid, verify)
+    assert {module.__name__.rsplit(".", 1)[1] for module in modules} == set(gs._LAZY)
+    for module in modules:
+        for name in gs._LAZY[module.__name__.rsplit(".", 1)[1]]:
             assert getattr(gs, name) is getattr(module, name), name
     assert gs.solve_roots is roots.solve_roots
     assert gs.roots is roots
+    assert gs.build_genfunc is genfunc.build_genfunc
+    assert gs.Trapezoid is trapezoid.Trapezoid
+    assert gs.trapezoid is trapezoid
     for name in gs.__all__:
         assert getattr(gs, name) is not None, name
     assert not hasattr(gs, "no_such_name")
