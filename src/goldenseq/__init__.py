@@ -11,6 +11,13 @@ read coefficient-up (a0 first).  From one spec the package derives:
 * the arithmetic trapezoid generalizing Pascal's triangle, with
   per-entry closed forms for degrees 2 and 3;
 * ratio-convergence diagnostics and a cross-verification battery.
+
+`import goldenseq` loads only the recurrence core (recurrence, presets,
+reports, errors and the precision names).  The names of genfunc,
+trapezoid and the floating modules resolve on first use, and only the
+floating modules load mpmath.  Every record is a frozen value object
+built on `reports.Record`, not a dataclass: derive a changed copy with
+its `.replace(...)` method.
 """
 
 from types import ModuleType as _ModuleType

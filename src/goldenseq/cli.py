@@ -16,7 +16,9 @@ It prints nothing; main renders the view that --format names, and only
 the json and csv renderers import their modules, when they run.  The
 floating commands (roots, binet, converge, verify) import their modules,
 and with them mpmath, when they run; the exact commands never load
-either.
+either.  genfunc, trapezoid and rowsum import genfunc or trapezoid the
+same way, so seq, term, presets and usage errors load only the
+recurrence core.
 """
 
 import argparse

@@ -27,27 +27,25 @@ class Record:
         names = cls.__match_args__
         if len(args) > len(names):
             raise TypeError(f"{cls.__name__} takes {len(names)} fields, got {len(args)}")
-        values = dict(zip(names, args))
-        for name, value in kwargs.items():
-            if name not in names or name in values:
-                raise TypeError(f"{cls.__name__} got an unexpected or repeated field {name!r}")
-            values[name] = value
         state = vars(self)
-        for name in names:
-            if name in values:
-                state[name] = values[name]
-            elif name in cls._defaults:
+        state.update(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names or name in state:
+                raise TypeError(f"{cls.__name__} got an unexpected or repeated field {name!r}")
+            state[name] = value
+        for name in names[len(args):]:
+            if name not in state:
+                if name not in cls._defaults:
+                    raise TypeError(f"{cls.__name__} missing field {name!r}")
                 default = cls._defaults[name]
                 state[name] = default.copy() if type(default) in (dict, list, set) else default
-            else:
-                raise TypeError(f"{cls.__name__} missing field {name!r}")
         self.__post_init__()
 
     def __post_init__(self):
         pass
 
     def _astuple(self):
-        return tuple(getattr(self, name) for name in self.__match_args__)
+        return tuple([getattr(self, name) for name in self.__match_args__])
 
     def __eq__(self, other):
         if type(other) is not type(self):
