@@ -47,7 +47,7 @@ from .reports import FormulaCheck, VerificationCheck
 
 # Imported on first use (PEP 562): the floating modules load mpmath, so a
 # process that only touches the exact layers never loads it, and a
-# command that only needs the recurrence core never compiles genfunc or
+# command that only needs the recurrence core never imports genfunc or
 # trapezoid.
 _LAZY = {
     "analysis": (

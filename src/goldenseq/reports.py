@@ -16,8 +16,6 @@ class Record:
     positionally.  `replace(**changes)` returns a new record.
     """
 
-    __slots__ = ()
-
     def __init_subclass__(cls):
         cls.__match_args__ = tuple(cls.__annotations__)
         cls._defaults = {name: vars(cls)[name] for name in cls.__match_args__ if name in vars(cls)}
