@@ -272,7 +272,7 @@ def test_pickle_and_deepcopy_round_trips(make, names, text):
 
 
 @pytest.mark.parametrize("make, names, text", RECORDS, ids=IDS)
-def test_replace_changes_one_field(make, names, text):
+def test_replace_returns_a_new_record(make, names, text):
     record = make()
     assert record.replace() == record
     last = names[-1]
