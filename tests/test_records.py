@@ -134,7 +134,6 @@ def test_repr_fields_and_match_args(make, names, text):
     record = make()
     assert repr(record) == text
     assert type(record).__match_args__ == names
-    assert type(make()) is type(record)
 
 
 @pytest.mark.parametrize("make, names, text", RECORDS, ids=IDS)
