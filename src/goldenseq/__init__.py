@@ -52,8 +52,8 @@ from .reports import FormulaCheck, VerificationCheck
 _LAZY = {
     "analysis": (
         "ConvergenceReport",
-        "IdentityReport",
         "golden_identity_check",
+        "golden_inverse_check",
         "ratio_convergence",
         "recover_cubic_conjugates",
     ),
@@ -75,7 +75,6 @@ _LAZY = {
     ),
     "roots": (
         "RootSet",
-        "SymmetricRelationsReport",
         "cubic_roots",
         "dominant_root",
         "general_roots",

@@ -12,7 +12,7 @@ from .binet import solve_weights
 from .errors import DegenerateSpectrumError, SingularSystemError
 from .numerics import STANDARD, arithmetic, to_complex
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _to_fraction, generate
-from .reports import Record
+from .reports import FormulaCheck, Record, compare
 from .roots import RootSet, dominant_root, solve_roots
 
 TOL_CONV = 1e-8
@@ -33,17 +33,6 @@ class ConvergenceReport(Record):
     hypothesis_met: bool = True
 
 
-class IdentityReport(Record):
-    residuals: tuple  # (name, value) pairs
-    skipped: tuple  # human-readable notices for checks that do not apply
-    tolerance: float
-    passed: bool
-
-    @property
-    def max_residual(self) -> float:
-        return max((v for _, v in self.residuals), default=0.0)
-
-
 def ratio_convergence(
     spec: RecurrenceSpec,
     seeds: SeedVector,
@@ -57,13 +46,33 @@ def ratio_convergence(
     largest k whose ratio was usable.
     """
     _check_seeds(spec, seeds)
-    ctx = arithmetic(precision).ctx
+    arithmetic(precision)  # rejects an unknown precision up front
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    _check_nonzero(seeds)
+    terms = generate(spec, seeds, k_max + 2)
+    rootset = solve_roots(spec, precision)
+
+    def weights():
+        try:
+            return solve_weights(spec, seeds, rootset)
+        except (DegenerateSpectrumError, SingularSystemError):
+            return None
+
+    return _ratio_report(terms, k_max, rootset, weights)
+
+
+def _check_nonzero(seeds) -> None:
     if all(v == 0 for v in seeds):
         raise ValueError("all seeds are zero: the sequence is identically zero")
 
-    terms = generate(spec, seeds, k_max + 2)
+
+def _ratio_report(terms, k_max: int, rootset: RootSet, weights) -> ConvergenceReport:
+    """The body of ratio_convergence, on exact terms x_0 .. x_{k_max+1}
+    and a root set the caller already has.  weights() returns the seeds'
+    BinetWeights in the root set's precision, or None when they cannot
+    be solved; it is called only once the other premises hold."""
+    ctx = arithmetic(rootset.precision).ctx
     ratios = []
     k_used = None
     for k in range(k_max + 1):
@@ -72,7 +81,6 @@ def ratio_convergence(
             k_used = k
     estimate = ratios[-1] if ratios else None
 
-    rootset = solve_roots(spec, precision)
     target, unique = dominant_root(rootset)
     abs_error = None
     if estimate is not None:
@@ -89,7 +97,7 @@ def ratio_convergence(
     elif estimate is None:
         hypothesis_met = False
         reason = "no nonzero term produced a usable ratio"
-    elif _dominant_weight_vanishes(spec, seeds, rootset):
+    elif _dominant_weight_vanishes(weights(), rootset):
         hypothesis_met = False
         reason = (
             "the seeds give (numerically) zero weight to the dominant "
@@ -107,23 +115,16 @@ def ratio_convergence(
     )
 
 
-def _dominant_weight_vanishes(spec, seeds, rootset) -> bool:
-    try:
-        weights = solve_weights(spec, seeds, rootset)
-    except (DegenerateSpectrumError, SingularSystemError):
+def _dominant_weight_vanishes(weights, rootset) -> bool:
+    if weights is None:
         return False
     scale = max(1.0, max(float(abs(w)) for w in weights.weights))
     return float(abs(weights.weights[rootset.dominant_index])) <= 1e-9 * scale
 
 
-def golden_identity_check(spec: RecurrenceSpec, rootset: RootSet) -> IdentityReport:
-    """Check the defining identity r^n = sum a_j r^j at every root.
-
-    For degree 2 with a_0 != 0 it also checks the reciprocal identity
-    1/r = (r - a_1)/a_0 (the generalization of 1/phi = phi - 1).  When
-    a_0 = 0 that identity divides by zero and is reported as skipped
-    rather than silently dropped.
-    """
+def _identity_check(spec: RecurrenceSpec, rootset: RootSet, side, note: str) -> FormulaCheck:
+    """Compare the two sides of an identity, side(z, coeffs) -> (lhs, rhs),
+    at every root, within TOL_IDENTITY * max(1, max |root|)^n."""
     n = spec.degree
     if rootset.degree != n:
         raise ValueError(
@@ -131,28 +132,43 @@ def golden_identity_check(spec: RecurrenceSpec, rootset: RootSet) -> IdentityRep
             % (rootset.degree, n)
         )
     tolerance = TOL_IDENTITY * max(1.0, max(float(abs(z)) for z in rootset.roots)) ** n
-
-    residuals = []
-    skipped = []
     ctx = arithmetic(rootset.precision).ctx
     coeffs = [to_complex(ctx, c) for c in spec.coeffs]
-    for idx, z in enumerate(rootset.roots):
-        value = z**n - sum(c * z**j for j, c in enumerate(coeffs))
-        residuals.append(("defining[%d]" % idx, float(abs(value))))
-    if n == 2:
-        beta, alpha = spec.coeffs
-        if beta == 0:
-            skipped.append(
-                "reciprocal identity skipped: constant coefficient is 0, "
-                "so 1/r = (r - a_1)/a_0 divides by zero"
-            )
-        else:
-            bc, ac = to_complex(ctx, beta), to_complex(ctx, alpha)
-            for idx, z in enumerate(rootset.roots):
-                value = 1 / z - (z - ac) / bc
-                residuals.append(("reciprocal[%d]" % idx, float(abs(value))))
-    passed = all(v <= tolerance for _, v in residuals)
-    return IdentityReport(tuple(residuals), tuple(skipped), tolerance, passed)
+    sides = [side(z, coeffs) for z in rootset.roots]
+    check = compare(
+        enumerate(lhs for lhs, _ in sides),
+        (rhs for _, rhs in sides),
+        lambda lhs, rhs: float(abs(lhs - rhs)),
+        tolerance,
+    )
+    return check.replace(note=note)
+
+
+def golden_identity_check(spec: RecurrenceSpec, rootset: RootSet) -> FormulaCheck:
+    """Check the defining identity r^n = sum a_j r^j at every root;
+    first_mismatch is the index of the first failing root."""
+    n = spec.degree
+    return _identity_check(
+        spec, rootset, lambda z, a: (z**n, sum(c * z**j for j, c in enumerate(a))),
+        "r^n = sum of a_j r^j at every root",
+    )
+
+
+def golden_inverse_check(spec: RecurrenceSpec, rootset: RootSet) -> FormulaCheck:
+    """Check the degree-2 reciprocal identity 1/r = (r - a_1)/a_0 (the
+    generalization of 1/phi = phi - 1) at both roots.
+
+    Raises ValueError for a degree other than 2, and when a_0 = 0, where
+    the identity divides by zero.
+    """
+    if spec.degree != 2:
+        raise ValueError("the reciprocal identity is stated for degree 2 only")
+    if spec.coeffs[0] == 0:
+        raise ValueError("constant coefficient is 0, so 1/r = (r - a_1)/a_0 divides by zero")
+    return _identity_check(
+        spec, rootset, lambda z, a: (1 / z, (z - a[1]) / a[0]),
+        "1/r = (r - a_1)/a_0 at both roots",
+    )
 
 
 def recover_cubic_conjugates(alpha, gamma, ratio_limit, precision: str = STANDARD):

@@ -44,7 +44,7 @@ class Output(NamedTuple):
 
     json: object  # the value json.dumps prints
     csv: list  # rows
-    text: list  # lines
+    text: object  # lines: a list, or a generator where the lines are many
     code: int = 0
 
 
@@ -243,7 +243,8 @@ def cmd_trapezoid(args) -> Output:
     trapezoid = build(spec, seeds, count)
     rows = [[str(v) for v in row] for row in trapezoid.rows]
     payload = _echo(spec, seeds, method=trapezoid.method, rows=rows)
-    return Output(payload, rows, [" ".join(row) for row in rows])
+    # the text lines are joined as they print, not held beside the rows
+    return Output(payload, rows, (" ".join(row) for row in rows))
 
 
 def cmd_rowsum(args) -> Output:
@@ -351,25 +352,57 @@ def cmd_presets(args) -> Output:
 # ----------------------------------------------------------------- wiring
 
 
-def _add_common(sub):
-    sub.add_argument(
-        "--coeffs",
+_FORMATS = ("text", "csv", "json")
+# (flag, add_argument keywords) of the options every spec-taking command has
+_COMMON = (
+    ("--coeffs", dict(
         help="ascending recurrence coefficients a0,...,a_{n-1} as exact "
         "rationals (e.g. 1,1 or 1/2,3)",
-    )
-    sub.add_argument("--seeds", help="initial terms x_0,...,x_{n-1}")
-    sub.add_argument("--preset", help="use a named preset instead of --coeffs")
-    sub.add_argument(
-        "--presets-file", metavar="PATH", help="load extra presets from PATH"
-    )
-    sub.add_argument(
-        "--format", choices=("text", "csv", "json"), default="text",
-        help="output format (default: text)",
-    )
-    sub.add_argument(
-        "--precision", choices=PRECISIONS, default=STANDARD,
+    )),
+    ("--seeds", dict(help="initial terms x_0,...,x_{n-1}")),
+    ("--preset", dict(help="use a named preset instead of --coeffs")),
+    ("--presets-file", dict(metavar="PATH", help="load extra presets from PATH")),
+    ("--format", dict(choices=_FORMATS, default="text", help="output format (default: text)")),
+    ("--precision", dict(
+        choices=PRECISIONS, default=STANDARD,
         help="floating precision for root-based computations",
-    )
+    )),
+)
+
+
+def _int(flag, default, help, **extra):
+    return flag, dict(type=int, default=default, help=help, **extra)
+
+
+# name, handler, help line, options; build_parser adds them in this order
+_COMMANDS = (
+    ("seq", cmd_seq, "list the first terms of a sequence",
+     _COMMON + (_int("--count", 10, "how many terms (default 10)"),)),
+    ("term", cmd_term, "one exact term x_k, fast for large k",
+     _COMMON + (_int("--k", None, "term index", required=True),)),
+    ("roots", cmd_roots, "characteristic roots (golden numbers)", _COMMON),
+    ("binet", cmd_binet, "closed-form weights and evaluation",
+     _COMMON + (_int("--k", None, "also evaluate the closed form at k"),)),
+    ("genfunc", cmd_genfunc, "rational generating function and series",
+     _COMMON + (_int("--count", 8, "series terms to expand (default 8)"),)),
+    ("trapezoid", cmd_trapezoid, "arithmetic trapezoid rows", _COMMON + (
+        _int("--rows", 6, "rows to build (default 6)"),
+        ("--method", dict(
+            choices=("expansion", "closed"), default="expansion",
+            help="row construction: series expansion or per-entry closed form",
+        )),
+    )),
+    ("rowsum", cmd_rowsum, "closed-form trapezoid row sums",
+     _COMMON + (_int("--rows", 6, "rows to sum (default 6)"),)),
+    ("converge", cmd_converge, "term-ratio convergence to the dominant root",
+     _COMMON + (_int("--k", 60, "ratios up to k (default 60)"),)),
+    ("verify", cmd_verify, "run every cross-check; exit 1 on failure", _COMMON + (
+        _int("--k", 40, "terms per check (default 40)"),
+        _int("--rows", 8, "trapezoid rows to check (default 8)"),
+    )),
+    ("presets", cmd_presets, "list available presets",
+     (_COMMON[3], ("--format", dict(choices=_FORMATS, default="text")))),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,61 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version="%(prog)s " + __version__
     )
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sub = commands.add_parser("seq", help="list the first terms of a sequence")
-    _add_common(sub)
-    sub.add_argument("--count", type=int, default=10, help="how many terms (default 10)")
-    sub.set_defaults(handler=cmd_seq)
-
-    sub = commands.add_parser("term", help="one exact term x_k, fast for large k")
-    _add_common(sub)
-    sub.add_argument("--k", type=int, required=True, help="term index")
-    sub.set_defaults(handler=cmd_term)
-
-    sub = commands.add_parser("roots", help="characteristic roots (golden numbers)")
-    _add_common(sub)
-    sub.set_defaults(handler=cmd_roots)
-
-    sub = commands.add_parser("binet", help="closed-form weights and evaluation")
-    _add_common(sub)
-    sub.add_argument("--k", type=int, default=None, help="also evaluate the closed form at k")
-    sub.set_defaults(handler=cmd_binet)
-
-    sub = commands.add_parser("genfunc", help="rational generating function and series")
-    _add_common(sub)
-    sub.add_argument("--count", type=int, default=8, help="series terms to expand (default 8)")
-    sub.set_defaults(handler=cmd_genfunc)
-
-    sub = commands.add_parser("trapezoid", help="arithmetic trapezoid rows")
-    _add_common(sub)
-    sub.add_argument("--rows", type=int, default=6, help="rows to build (default 6)")
-    sub.add_argument(
-        "--method", choices=("expansion", "closed"), default="expansion",
-        help="row construction: series expansion or per-entry closed form",
-    )
-    sub.set_defaults(handler=cmd_trapezoid)
-
-    sub = commands.add_parser("rowsum", help="closed-form trapezoid row sums")
-    _add_common(sub)
-    sub.add_argument("--rows", type=int, default=6, help="rows to sum (default 6)")
-    sub.set_defaults(handler=cmd_rowsum)
-
-    sub = commands.add_parser("converge", help="term-ratio convergence to the dominant root")
-    _add_common(sub)
-    sub.add_argument("--k", type=int, default=60, help="ratios up to k (default 60)")
-    sub.set_defaults(handler=cmd_converge)
-
-    sub = commands.add_parser("verify", help="run every cross-check; exit 1 on failure")
-    _add_common(sub)
-    sub.add_argument("--k", type=int, default=40, help="terms per check (default 40)")
-    sub.add_argument("--rows", type=int, default=8, help="trapezoid rows to check (default 8)")
-    sub.set_defaults(handler=cmd_verify)
-
-    sub = commands.add_parser("presets", help="list available presets")
-    sub.add_argument("--presets-file", metavar="PATH", help="load extra presets from PATH")
-    sub.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    sub.set_defaults(handler=cmd_presets)
-
+    for name, handler, summary, options in _COMMANDS:
+        sub = commands.add_parser(name, help=summary)
+        for flag, keywords in options:
+            sub.add_argument(flag, **keywords)
+        sub.set_defaults(handler=handler)
     return parser
 
 

@@ -16,7 +16,7 @@ import math
 from .errors import RootConvergenceError
 from .numerics import STANDARD, arithmetic, to_complex
 from .recurrence import RecurrenceSpec, _to_fraction, make_spec
-from .reports import Record
+from .reports import FormulaCheck, Record, compare
 
 TOL_ROOT_BASE = 1e-10
 TOL_DOMINANCE = 1e-9  # relative modulus gap below which dominance is a tie
@@ -47,18 +47,6 @@ class RootSet(Record):
     @property
     def degree(self) -> int:
         return len(self.roots)
-
-
-class SymmetricRelationsReport(Record):
-    """Residuals of the elementary-symmetric-polynomial identities."""
-
-    residuals: tuple[float, ...]
-    tolerance: float
-    passed: bool
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.residuals)
 
 
 def pseudo_sign_combine(x, s1, s2, orientation: str, precision: str = STANDARD):
@@ -213,9 +201,10 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     iteration stops when every correction step drops below
     1e-14 * (1 + |root|), or when every residual reaches the evaluation
     noise floor (which is where clustered and multiple roots stall).
-    Raises RootConvergenceError, carrying the best iterate and its
-    residuals, if neither happens within MAX_ITER sweeps, or if a residual of
-    the result exceeds tol_root or is not finite (the iteration overflowed).
+    Raises RootConvergenceError, carrying the best iterate, its residuals
+    and the sweeps run, if neither happens within MAX_ITER sweeps, or if a
+    residual of the result exceeds tol_root or is not finite (the
+    iteration overflowed).
     """
     ctx, eps, _ = arithmetic(precision)
     n = spec.degree
@@ -242,7 +231,7 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
         z = [radius * ctx.expj(2 * ctx.pi * (j + 0.5) / n + 0.4) for j in range(n)]
 
     converged = False
-    for _ in range(MAX_ITER):
+    for sweeps in range(1, MAX_ITER + 1):
         worst_step = 0.0
         for i in range(n):
             pv = _poly_eval(poly, z[i])
@@ -300,7 +289,7 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
             f"root residuals exceed tolerance {gate:.3e}",
             best_roots=result.roots,
             residuals=result.residuals,
-            iterations=MAX_ITER,
+            iterations=sweeps,
         )
     return result
 
@@ -320,11 +309,10 @@ def dominant_root(rootset: RootSet):
     return rootset.roots[rootset.dominant_index], rootset.dominance_unique
 
 
-def verify_symmetric_relations(rootset: RootSet,
-                               spec: RecurrenceSpec) -> SymmetricRelationsReport:
+def verify_symmetric_relations(rootset: RootSet, spec: RecurrenceSpec) -> FormulaCheck:
     """Check the elementary symmetric polynomials of the roots against
     the spec coefficients: e_1 = a_{n-1}, e_2 = -a_{n-2}, ...,
-    e_n = (-1)^(n-1) * a_0."""
+    e_n = (-1)^(n-1) * a_0.  first_mismatch is the first failing k."""
     if rootset.degree != spec.degree:
         raise ValueError("rootset and spec have different degrees")
     n = spec.degree
@@ -334,8 +322,10 @@ def verify_symmetric_relations(rootset: RootSet,
         elementary.append(elementary[-1] * 0)
         for k in range(len(elementary) - 1, 0, -1):
             elementary[k] = elementary[k] + root * elementary[k - 1]
-    residuals = tuple(
-        float(abs(elementary[k] - to_complex(ctx, spec.coeffs[n - k] * (-1) ** (k - 1))))
-        for k in range(1, n + 1)
+    check = compare(
+        enumerate(elementary[1:], 1),
+        (spec.coeffs[n - k] * (-1) ** (k - 1) for k in range(1, n + 1)),
+        lambda e, a: float(abs(e - to_complex(ctx, a))),
+        TOL_SYMMETRIC,
     )
-    return SymmetricRelationsReport(residuals, TOL_SYMMETRIC, max(residuals) <= TOL_SYMMETRIC)
+    return check.replace(note="elementary symmetric polynomials vs. coefficients")

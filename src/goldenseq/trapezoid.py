@@ -172,12 +172,13 @@ def build_closed_form(spec: RecurrenceSpec, seeds: SeedVector, num_rows: int) ->
     return Trapezoid(rows, spec, seeds, "closed-form")
 
 
-def check_closed_form(
-    spec: RecurrenceSpec, seeds: SeedVector, num_rows: int = 6
-) -> FormulaCheck:
-    """Compare closed-form rows against the expansion, entry for entry."""
-    expansion = build_expansion(spec, seeds, num_rows)
-    closed = build_closed_form(spec, seeds, num_rows)
+def check_closed_form(expansion: Trapezoid) -> FormulaCheck:
+    """Compare closed-form rows against a built expansion, entry for
+    entry, over the expansion's spec, seeds and row count."""
+    if expansion.method != "expansion":
+        raise ValueError("check_closed_form needs rows built by build_expansion")
+    num_rows = len(expansion)
+    closed = build_closed_form(expansion.spec, expansion.seeds, num_rows)
     check = compare(
         (((i, j), v) for i, row in enumerate(closed.rows) for j, v in enumerate(row)),
         (v for row in expansion.rows for v in row),

@@ -1,18 +1,30 @@
 """Cross-verification battery: every identity checked against an
 independent computation of the same quantity.
 
-Each check pairs a closed form with an oracle that shares no code path
-with it (exact recurrence vs. root-based evaluation, expansion vs.
-per-entry formula, and so on).  Checks that do not apply to the given
-input — repeated roots, degenerate specs, degrees without closed forms —
-report status "skipped" with the reason, never a fake pass.
+`verify_all` computes three inputs once and shares them between the
+checks: the root set with the seeds' Binet weights, the exact terms, and
+the trapezoid expansion.  Sharing them joins no oracle pair; these pairs
+stay independent: roots vs. coefficients (symmetric relations, defining
+identity), weights and roots vs. exact terms (round trip), the closed
+Binet forms (which solve their own radical roots) vs. exact terms,
+series vs. exact terms, per-entry closed forms and closed-form row sums
+vs. the expansion, its diagonal sums vs. exact terms, and exact term
+ratios vs. the dominant root.  Checks that do not apply to the given
+input — repeated roots, degenerate specs, degrees without closed forms,
+roots that cannot be solved — report status "skipped" with the reason,
+never a fake pass.
 """
 
 from fractions import Fraction
 
-from .analysis import golden_identity_check, ratio_convergence, recover_cubic_conjugates
+from .analysis import (
+    _check_nonzero,
+    _ratio_report,
+    golden_identity_check,
+    golden_inverse_check,
+    recover_cubic_conjugates,
+)
 from .binet import (
-    TOL_W,
     binet_eval,
     binet_quadratic_closed,
     check_cubic_closed_form,
@@ -51,6 +63,10 @@ def verify_all(
     """Run every applicable cross-check; returns VerificationCheck rows.
 
     Statuses: "pass", "fail", "skipped" (with the reason in detail).
+    The shared inputs are one `solve_roots`, one `solve_weights`, one
+    `generate` of max(k_max, 60) + 2 terms (at least `rows`) and one
+    `build_expansion` of `rows` rows.  When the roots cannot be solved,
+    every row that needs them is skipped with "roots unavailable: ...".
     """
     _check_seeds(spec, seeds)
     arithmetic(precision)  # rejects an unknown precision up front
@@ -72,71 +88,53 @@ def verify_all(
         status = {True: "pass", False: "fail", None: "skipped"}[ok]
         checks.append(VerificationCheck(name, status, residual, detail, dict(echo)))
 
-    rootset, root_note = None, ""
+    def add_check(name, check):
+        add(name, check.matches, check.max_error, check.note)
+
+    conv_k = max(k_max, 60)
+    terms = generate(spec, seeds, max(conv_k + 2, rows))
+    rootset = weights = None
     try:
         rootset = solve_roots(spec, precision)
     except RootConvergenceError as exc:
-        root_note = "roots unavailable: %s" % exc
+        root_note = weight_note = "roots unavailable: %s" % exc
+    else:
+        try:
+            weights = solve_weights(spec, seeds, rootset)
+        except (DegenerateSpectrumError, SingularSystemError) as exc:
+            weight_note = str(exc)
 
     # --- root-level identities -------------------------------------
     if rootset is None:
         for name in ("symmetric_relations", "golden_identity_defining"):
             add(name, None, detail=root_note)
-    else:
-        sym = verify_symmetric_relations(rootset, spec)
-        add(
-            "symmetric_relations",
-            sym.passed,
-            sym.max_residual,
-            "elementary symmetric polynomials vs. coefficients",
-        )
-        idreport = golden_identity_check(spec, rootset)
-        defining = [v for name, v in idreport.residuals if name.startswith("defining")]
-        add(
-            "golden_identity_defining",
-            max(defining) <= idreport.tolerance,
-            max(defining),
-            "r^n = sum of a_j r^j at every root",
-        )
         if spec.degree == 2:
-            reciprocal = [
-                v for name, v in idreport.residuals if name.startswith("reciprocal")
-            ]
-            if reciprocal:
-                add(
-                    "golden_identity_inverse",
-                    max(reciprocal) <= idreport.tolerance,
-                    max(reciprocal),
-                    "1/r = (r - a_1)/a_0 at both roots",
-                )
-            else:
-                add(
-                    "golden_identity_inverse",
-                    None,
-                    detail=idreport.skipped[0] if idreport.skipped else "not applicable",
-                )
+            add("golden_identity_inverse", None, detail=root_note)
+    else:
+        add_check("symmetric_relations", verify_symmetric_relations(rootset, spec))
+        add_check("golden_identity_defining", golden_identity_check(spec, rootset))
+        if spec.degree == 2:
+            try:
+                add_check("golden_identity_inverse", golden_inverse_check(spec, rootset))
+            except ValueError as exc:
+                note = "reciprocal identity skipped: %s" % exc
+                add("golden_identity_inverse", None, detail=note)
 
     # --- Binet weights and round trip -------------------------------
-    terms = generate(spec, seeds, k_max + 1)
-    weights, weight_note = None, root_note
-    if rootset is not None:
-        try:
-            weights = solve_weights(spec, seeds, rootset)
-        except (DegenerateSpectrumError, SingularSystemError) as exc:
-            weight_note = str(exc)
     if weights is None:
         for name in ("binet_constant_weight", "recurrence_binet_roundtrip"):
             add(name, None, detail=weight_note)
     else:
-        scale = max(1.0, max(float(abs(t)) for t in terms[: spec.degree + 1]))
-        probe = float(abs(weights.weights[-1]))
+        # solve_weights refuses a probe over its bound, so it passes here
         add(
             "binet_constant_weight",
-            probe <= TOL_W * scale,
-            probe,
+            True,
+            float(abs(weights.weights[-1])),
             "constant probe weight w_{n+1} must vanish",
         )
-        trip = compare_with_terms(lambda k: binet_eval(weights, rootset, k), terms, precision)
+        trip = compare_with_terms(
+            lambda k: binet_eval(weights, rootset, k), terms[: k_max + 1], precision
+        )
         add(
             "recurrence_binet_roundtrip",
             trip.matches,
@@ -175,7 +173,7 @@ def verify_all(
         except (DegenerateSpectrumError, UnitRootError) as exc:
             add("binet_cubic_closed_matches", None, detail=str(exc))
         else:
-            add("binet_cubic_closed_matches", report.matches, report.max_error, report.note)
+            add_check("binet_cubic_closed_matches", report)
 
     # --- generating function ----------------------------------------
     gf = build_genfunc(spec, seeds)
@@ -192,8 +190,7 @@ def verify_all(
     # --- trapezoid ----------------------------------------------------
     trap = build_expansion(spec, seeds, rows)
     if spec.degree in (2, 3):
-        closed = check_closed_form(spec, seeds, rows)
-        add("trapezoid_closed_form", closed.matches, closed.max_error, closed.note)
+        add_check("trapezoid_closed_form", check_closed_form(trap))
     else:
         add(
             "trapezoid_closed_form",
@@ -221,10 +218,7 @@ def verify_all(
         if sums.matches
         else "first divergence at row %d" % sums.first_mismatch,
     )
-    diagonals = compare(
-        ((i, diagonal_sum(trap, i)) for i in range(rows)),
-        generate(spec, seeds, rows),
-    )
+    diagonals = compare(((i, diagonal_sum(trap, i)) for i in range(rows)), terms)
     add(
         "trapezoid_diagonal_sums",
         diagonals.matches,
@@ -237,18 +231,22 @@ def verify_all(
     # --- convergence and root recovery -------------------------------
     conv = None
     try:
-        conv = ratio_convergence(spec, seeds, max(k_max, 60), precision)
+        _check_nonzero(seeds)
     except ValueError as exc:
         add("ratio_convergence", None, detail=str(exc))
     else:
-        add(
-            "ratio_convergence",
-            conv.converged if conv.hypothesis_met else None,  # else non-convergence is expected
-            conv.abs_error,
-            conv.reason or "ratios reach the dominant root",
-        )
+        if rootset is None:
+            add("ratio_convergence", None, detail=root_note)
+        else:
+            conv = _ratio_report(terms, conv_k, rootset, lambda: weights)
+            add(
+                "ratio_convergence",
+                conv.converged if conv.hypothesis_met else None,  # else non-convergence is expected
+                conv.abs_error,
+                conv.reason or "ratios reach the dominant root",
+            )
     if spec.degree == 3:
-        if conv is not None and conv.converged and rootset is not None:
+        if conv is not None and conv.converged:
             gamma, _, alpha = spec.coeffs
             pair = recover_cubic_conjugates(alpha, gamma, conv.final_estimate, precision)
             others = [
@@ -269,7 +267,9 @@ def verify_all(
             add(
                 "cubic_ratio_root_recovery",
                 None,
-                detail="needs a converged ratio limit and a solved root set",
+                detail=root_note
+                if rootset is None
+                else "needs a converged ratio limit and a solved root set",
             )
     return checks
 

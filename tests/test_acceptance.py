@@ -133,7 +133,7 @@ def test_criterion_4_closed_form_oracle_equivalence(criterion, monkeypatch):
                 build_expansion(spec, sv, rows).rows
 
         spec, sv = _preset("tribonacci")
-        report = check_closed_form(spec, sv, 8)
+        report = check_closed_form(build_expansion(spec, sv, 8))
         assert report.matches, "cubic per-entry formula diverged: %s" % report.note
 
         # a divergence, when forced, must be named by its first (i, j) --
@@ -145,7 +145,7 @@ def test_criterion_4_closed_form_oracle_equivalence(criterion, monkeypatch):
             return value + 1 if (i, j) == (4, 2) else value
 
         monkeypatch.setattr(trapezoid_module, "coeff_cubic", crooked)
-        forced = check_closed_form(spec, sv, 8)
+        forced = check_closed_form(build_expansion(spec, sv, 8))
         assert not forced.matches
         assert forced.first_mismatch == (4, 2)
         assert "(4, 2)" in forced.note

@@ -62,34 +62,56 @@ def test_zero_terms_are_skipped_not_divided():
     assert not report.hypothesis_met
 
 
-def test_identity_report_quadratic_includes_reciprocal():
+def test_no_usable_ratio_is_diagnosed():
+    # the first k_max + 2 = 3 terms of this degree-6 sequence are all zero
+    report = _conv([1] * 6, [0, 0, 0, 0, 0, 1], k_max=1)
+    assert report.ratios == ()
+    assert report.final_estimate is None and report.abs_error is None
+    assert report.k_used is None
+    assert not report.converged
+    assert not report.hypothesis_met
+    assert report.reason == "no nonzero term produced a usable ratio"
+
+
+def test_golden_identities_hold_on_fibonacci():
     spec = gs.make_spec([1, 1])
-    report = gs.golden_identity_check(spec, gs.solve_roots(spec))
-    names = [name for name, _ in report.residuals]
-    assert names == ["defining[0]", "defining[1]", "reciprocal[0]", "reciprocal[1]"]
-    assert report.passed
-    assert report.skipped == ()
+    rootset = gs.solve_roots(spec)
+    defining = gs.golden_identity_check(spec, rootset)
+    assert (defining.matches, defining.first_mismatch) == (True, None)
+    assert defining.max_error <= defining.tolerance
+    assert defining.note == "r^n = sum of a_j r^j at every root"
+    inverse = gs.golden_inverse_check(spec, rootset)
+    assert (inverse.matches, inverse.first_mismatch) == (True, None)
+    assert inverse.note == "1/r = (r - a_1)/a_0 at both roots"
 
 
-def test_identity_report_skips_reciprocal_when_undefined():
+def test_golden_identities_name_the_first_wrong_root():
+    spec = gs.make_spec([1, 1])
+    rootset = gs.solve_roots(spec)
+    wrong = rootset.replace(roots=(rootset.roots[0], rootset.roots[1] + 0.5))
+    for check in (gs.golden_identity_check, gs.golden_inverse_check):
+        report = check(spec, wrong)
+        assert not report.matches
+        assert report.first_mismatch == 1
+        assert report.max_error > report.tolerance
+
+
+def test_inverse_identity_refuses_a_zero_constant_coefficient():
     spec = gs.make_spec([0, 1])  # constant coefficient 0
-    report = gs.golden_identity_check(spec, gs.solve_roots(spec))
-    names = [name for name, _ in report.residuals]
-    assert names == ["defining[0]", "defining[1]"]
-    assert len(report.skipped) == 1
-    assert "divides by zero" in report.skipped[0]
-    assert report.passed
+    rootset = gs.solve_roots(spec)
+    assert gs.golden_identity_check(spec, rootset).matches
+    with pytest.raises(ValueError, match="divides by zero"):
+        gs.golden_inverse_check(spec, rootset)
 
 
-def test_identity_report_cubic_defining_only():
+def test_inverse_identity_is_quadratic_only():
     spec = gs.make_spec([1, 1, 1])
-    report = gs.golden_identity_check(spec, gs.solve_roots(spec))
-    assert [name for name, _ in report.residuals] == [
-        "defining[0]",
-        "defining[1]",
-        "defining[2]",
-    ]
-    assert report.passed
+    rootset = gs.solve_roots(spec)
+    report = gs.golden_identity_check(spec, rootset)
+    assert report.matches
+    assert report.first_mismatch is None
+    with pytest.raises(ValueError, match="degree 2"):
+        gs.golden_inverse_check(spec, rootset)
 
 
 def test_identity_degree_mismatch_rejected():
@@ -97,6 +119,8 @@ def test_identity_degree_mismatch_rejected():
     rs3 = gs.solve_roots(gs.make_spec([1, 1, 1]))
     with pytest.raises(ValueError):
         gs.golden_identity_check(spec2, rs3)
+    with pytest.raises(ValueError):
+        gs.golden_inverse_check(spec2, rs3)
 
 
 def test_recover_cubic_conjugates_from_ratio_limit():

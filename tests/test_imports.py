@@ -19,18 +19,18 @@ import pytest
 import goldenseq as gs
 from goldenseq.cli import main
 
-# what `from goldenseq import *` bound before the floating names went lazy
+# what `from goldenseq import *` binds: the eager names and the lazy ones
 PUBLIC_NAMES = set("""
 BUILTIN_PRESETS BinetWeights ConvergenceReport DegenerateSpectrumError EXTENDED
-FormulaCheck GeneratingFunction IdentityReport InvalidSpecError Preset PresetError
+FormulaCheck GeneratingFunction InvalidSpecError Preset PresetError
 PRECISIONS RecurrenceSpec RootConvergenceError RootSet STANDARD SeedMismatchError
-SeedVector SingularSystemError SymbolicTerm SymmetricRelationsReport Trapezoid
+SeedVector SingularSystemError SymbolicTerm Trapezoid
 UnitRootError VerificationCheck binet_cubic_closed binet_eval binet_quadratic_closed
 build_closed_form build_expansion build_genfunc check_closed_form
 check_cubic_closed_form check_row_recurrence coeff_cubic coeff_quadratic cubic_roots
 diagonal_sum dominant_root format_polynomial general_roots generate
-golden_identity_check has_failures load_presets make_seeds make_spec nearest_integer
-parse_rational pseudo_sign_combine quadratic_roots ratio_convergence
+golden_identity_check golden_inverse_check has_failures load_presets make_seeds make_spec
+nearest_integer parse_rational pseudo_sign_combine quadratic_roots ratio_convergence
 recover_cubic_conjugates row_length row_sum series_coefficients solve_roots
 solve_weights symbolic_term term_at unit_function verify_all verify_symmetric_relations
 """.split())

@@ -1,6 +1,6 @@
 """The report and value records behave as frozen value objects.
 
-For one fixed instance of each of the 13 record classes: the exact
+For one fixed instance of each of the 11 record classes: the exact
 repr, equality within the class only, equal hashes for equal
 instances, no assignment or deletion, the defaults, the validation in
 __post_init__, positional match patterns, pickle and deepcopy round
@@ -18,14 +18,12 @@ from goldenseq import (
     ConvergenceReport,
     FormulaCheck,
     GeneratingFunction,
-    IdentityReport,
     InvalidSpecError,
     Preset,
     RecurrenceSpec,
     RootSet,
     SeedVector,
     SymbolicTerm,
-    SymmetricRelationsReport,
     Trapezoid,
     VerificationCheck,
 )
@@ -90,11 +88,6 @@ def _records():
             "dominance_unique=True, precision='standard')",
         ),
         (
-            lambda: SymmetricRelationsReport((1e-16, 0.0), 1e-9, True),
-            ("residuals", "tolerance", "passed"),
-            "SymmetricRelationsReport(residuals=(1e-16, 0.0), tolerance=1e-09, passed=True)",
-        ),
-        (
             lambda: BinetWeights((0.5, -0.5, 0.0), 2, "standard"),
             ("weights", "degree", "precision"),
             "BinetWeights(weights=(0.5, -0.5, 0.0), degree=2, precision='standard')",
@@ -108,12 +101,6 @@ def _records():
             "ConvergenceReport(ratios=(1.0, 2.0), final_estimate=2.0, target=2.0, "
             "abs_error=0.0, converged=True, k_used=2, reason=None, hypothesis_met=True)",
         ),
-        (
-            lambda: IdentityReport((("sum", 0.0),), ("no cubic",), 1e-9, True),
-            ("residuals", "skipped", "tolerance", "passed"),
-            "IdentityReport(residuals=(('sum', 0.0),), skipped=('no cubic',), "
-            "tolerance=1e-09, passed=True)",
-        ),
     ]
 
 
@@ -125,8 +112,8 @@ def _values(record, names):
     return tuple(getattr(record, name) for name in names)
 
 
-def test_all_thirteen_classes_are_covered():
-    assert len({make().__class__ for make, _, _ in RECORDS}) == 13
+def test_all_eleven_classes_are_covered():
+    assert len({make().__class__ for make, _, _ in RECORDS}) == 11
 
 
 @pytest.mark.parametrize("make, names, text", RECORDS, ids=IDS)
@@ -154,8 +141,7 @@ def test_equality_is_within_one_class(make, names, text):
     [
         ((ONE_ONE,), (RecurrenceSpec, SeedVector)),
         (((F(1),), (F(0), F(1))), (SymbolicTerm, GeneratingFunction)),
-        (((1.0,), 2, "standard"), (SymmetricRelationsReport, BinetWeights)),
-        (("a", ONE_ONE, ONE_ONE, "b"), (Preset, Trapezoid, IdentityReport)),
+        (("a", ONE_ONE, ONE_ONE, "b"), (Preset, Trapezoid)),
         ((True, None, 0.0, 0.0, "x"), (FormulaCheck, VerificationCheck, RootSet)),
     ],
 )

@@ -8,6 +8,7 @@ import mpmath
 import pytest
 
 import goldenseq as gs
+import goldenseq.roots as roots_module
 from goldenseq.roots import SLASH_FIRST, BACKSLASH_FIRST, tol_root
 
 GOLDEN = 1.618033988749895
@@ -154,8 +155,8 @@ def test_symmetric_relations_on_random_specs():
         spec = gs.make_spec(coeffs)
         rs = gs.solve_roots(spec)
         report = gs.verify_symmetric_relations(rs, spec)
-        assert report.passed, (coeffs, report.residuals)
-        assert report.max_residual <= 1e-8
+        assert report.matches, (coeffs, report.first_mismatch, report.max_error)
+        assert report.max_error <= 1e-8
 
 
 def test_extended_precision_golden_ratio():
@@ -263,3 +264,26 @@ def test_overflowed_roots_are_refused(precision):
         gs.general_roots(spec, precision)
     with pytest.raises(gs.RootConvergenceError):
         gs.solve_roots(spec, precision)
+
+
+@pytest.mark.parametrize("precision, sweeps", [(gs.STANDARD, 5), (gs.EXTENDED, 2)])
+def test_residual_gate_refusal_reports_the_sweeps_taken(monkeypatch, precision, sweeps):
+    # with a zero gate the converged roots of x^4 = x^3 + x^2 + x + 1 are
+    # refused after the sweeps the iteration really took, not MAX_ITER
+    monkeypatch.setattr(roots_module, "tol_root", lambda rootset: 0.0)
+    with pytest.raises(gs.RootConvergenceError, match="exceed tolerance") as info:
+        gs.general_roots(gs.make_spec([1, 1, 1, 1]), precision)
+    assert info.value.iterations == sweeps < roots_module.MAX_ITER
+    assert len(info.value.best_roots) == 4
+
+
+def test_symmetric_relations_name_the_first_wrong_coefficient():
+    spec = gs.make_spec([1, 1])
+    rootset = gs.solve_roots(spec)
+    report = gs.verify_symmetric_relations(rootset, spec)
+    assert (report.matches, report.first_mismatch) == (True, None)
+    assert report.note == "elementary symmetric polynomials vs. coefficients"
+    wrong = rootset.replace(roots=(rootset.roots[0] + 1e-6, rootset.roots[1]))
+    report = gs.verify_symmetric_relations(wrong, spec)
+    assert (report.matches, report.first_mismatch) == (False, 1)
+    assert report.max_error == pytest.approx(1e-6, rel=1e-6)

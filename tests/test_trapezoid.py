@@ -82,25 +82,34 @@ def test_closed_form_matches_expansion_quadratic_random():
         seeds = [rng.randint(-5, 5) for _ in range(2)]
         spec = gs.make_spec(coeffs)
         vec = gs.make_seeds(seeds)
-        report = gs.check_closed_form(spec, vec, 6)
+        report = gs.check_closed_form(gs.build_expansion(spec, vec, 6))
         assert report.matches, (coeffs, seeds, report.first_mismatch)
 
 
 def test_closed_form_matches_expansion_cubic():
-    report = gs.check_closed_form(TRI, TRI_SEEDS, 6)
+    report = gs.check_closed_form(gs.build_expansion(TRI, TRI_SEEDS, 6))
     assert report.matches
     rng = random.Random(37)
     for _ in range(25):
         coeffs = [rng.randint(-4, 4) for _ in range(3)]
         seeds = [rng.randint(-4, 4) for _ in range(3)]
-        report = gs.check_closed_form(gs.make_spec(coeffs), gs.make_seeds(seeds), 5)
+        expansion = gs.build_expansion(gs.make_spec(coeffs), gs.make_seeds(seeds), 5)
+        report = gs.check_closed_form(expansion)
         assert report.matches, (coeffs, seeds, report.first_mismatch)
 
 
 def test_closed_form_handles_rational_inputs():
     spec = gs.make_spec([Fraction(1, 2), Fraction(3, 2)])
     seeds = gs.make_seeds([1, Fraction(2, 3)])
-    assert gs.check_closed_form(spec, seeds, 5).matches
+    assert gs.check_closed_form(gs.build_expansion(spec, seeds, 5)).matches
+
+
+def test_closed_form_check_reads_spec_seeds_and_rows_from_the_expansion():
+    report = gs.check_closed_form(gs.build_expansion(TRI, TRI_SEEDS, 7))
+    assert report.matches
+    assert report.note == "closed form matches the expansion on 7 rows"
+    with pytest.raises(ValueError, match="build_expansion"):
+        gs.check_closed_form(gs.build_closed_form(TRI, TRI_SEEDS, 7))
 
 
 def test_mismatch_report_names_first_divergent_entry(monkeypatch):
@@ -114,7 +123,7 @@ def test_mismatch_report_names_first_divergent_entry(monkeypatch):
         return value
 
     monkeypatch.setattr(trap_mod, "coeff_quadratic", crooked)
-    report = gs.check_closed_form(FIB, FIB_SEEDS, 6)
+    report = gs.check_closed_form(gs.build_expansion(FIB, FIB_SEEDS, 6))
     assert not report.matches
     assert report.first_mismatch == (3, 1)
     assert "(3, 1)" in report.note
@@ -207,7 +216,7 @@ def test_zero_coefficient_spec_still_tabulates():
     assert list(t.rows[0]) == [3, 5]
     assert all(v == 0 for row in t.rows[1:] for v in row)
     assert gs.diagonal_sum(t, 2) == 0
-    assert gs.check_closed_form(spec, seeds, 4).matches
+    assert gs.check_closed_form(gs.build_expansion(spec, seeds, 4)).matches
 
 
 def test_entry_accessor_bounds():

@@ -1,10 +1,36 @@
-"""The cross-check battery: statuses, skips, and failure detection."""
+"""The cross-check battery: statuses, skips, failure detection, and the
+inputs it computes once."""
+
+import contextlib
+import io
+from fractions import Fraction
 
 import pytest
 
+import goldenseq.analysis as analysis_module
 import goldenseq.trapezoid as trapezoid_module
 import goldenseq.verify as verify_module
-from goldenseq import has_failures, make_seeds, make_spec, verify_all
+from goldenseq import (
+    DegenerateSpectrumError,
+    RootConvergenceError,
+    has_failures,
+    make_seeds,
+    make_spec,
+    solve_roots,
+    solve_weights,
+    verify_all,
+)
+from goldenseq.cli import main
+
+ROOT_ROWS = {
+    "symmetric_relations",
+    "golden_identity_defining",
+    "golden_identity_inverse",
+    "binet_constant_weight",
+    "recurrence_binet_roundtrip",
+    "ratio_convergence",
+    "cubic_ratio_root_recovery",
+}
 
 
 def by_name(checks):
@@ -156,3 +182,106 @@ def test_exact_check_fails_on_one_wrong_value(
     assert row.status == "fail"
     assert row.residual == residual
     assert row.detail == detail
+
+
+@pytest.fixture
+def roots_unavailable(monkeypatch):
+    def refuse(spec, precision="standard"):
+        raise RootConvergenceError("root iteration did not converge within 200 sweeps")
+
+    for module in (verify_module, analysis_module):
+        monkeypatch.setattr(module, "solve_roots", refuse)
+
+
+@pytest.mark.parametrize(
+    "coeffs, seeds, degree_row",
+    [
+        ((1, 2), (0, 1), "golden_identity_inverse"),
+        ((1, 1, 1), (0, 1, 1), "cubic_ratio_root_recovery"),
+        ((1, 1, 1, 1), (0, 1, 1, 2), None),
+    ],
+)
+def test_unsolved_roots_skip_every_row_that_needs_them(
+    roots_unavailable, coeffs, seeds, degree_row
+):
+    checks = verify_all(make_spec(coeffs), make_seeds(seeds))
+    skipped = [c for c in checks if c.check in ROOT_ROWS]
+    assert {c.check for c in skipped} == ROOT_ROWS - (
+        {"golden_identity_inverse", "cubic_ratio_root_recovery"} - {degree_row}
+    )
+    for c in skipped:
+        assert c.status == "skipped", c.check
+        assert c.detail == "roots unavailable: root iteration did not converge within 200 sweeps"
+    for c in checks:
+        if c.check.startswith(("genfunc_", "trapezoid_")) and c.check != "trapezoid_closed_form":
+            assert c.status == "pass", c.check
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--preset", "pell"], ["--coeffs", "1,1,1,1", "--seeds", "0,1,1,2", "--format", "json"]],
+)
+def test_verify_command_reports_unsolved_roots_and_exits_0(roots_unavailable, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", *argv])
+    assert code == 0
+    assert "roots unavailable: root iteration did not converge" in out.getvalue()
+
+
+def test_probe_refusal_skips_both_binet_rows():
+    spec = make_spec((0, -1, -1, 0, -1))
+    seeds = make_seeds((1, Fraction(2, 3), -1, Fraction(2, 3), 2))
+    with pytest.raises(DegenerateSpectrumError, match="1.132e-08 exceeds") as refusal:
+        solve_weights(spec, seeds, solve_roots(spec))
+    named = by_name(verify_all(spec, seeds))
+    for name in ("binet_constant_weight", "recurrence_binet_roundtrip"):
+        assert named[name].status == "skipped"
+        assert named[name].detail == str(refusal.value)
+
+
+def test_all_zero_seeds_skip_convergence_and_recovery():
+    checks = verify_all(make_spec((1, 1, 1)), make_seeds((0, 0, 0)))
+    named = by_name(checks)
+    assert named["ratio_convergence"].status == "skipped"
+    assert "all seeds are zero" in named["ratio_convergence"].detail
+    assert named["cubic_ratio_root_recovery"].status == "skipped"
+    assert not has_failures(checks)
+
+
+# (module, name) pairs whose calls a verify_all run counts: the names
+# verify and analysis import, and trapezoid's own build_expansion, which
+# check_closed_form would reach.  The generate calls inside solve_weights
+# and check_cubic_closed_form are binet's and are not counted.
+COUNTED = [
+    (verify_module, "solve_roots"),
+    (analysis_module, "solve_roots"),
+    (verify_module, "solve_weights"),
+    (analysis_module, "solve_weights"),
+    (verify_module, "build_expansion"),
+    (trapezoid_module, "build_expansion"),
+    (verify_module, "generate"),
+    (analysis_module, "generate"),
+]
+
+
+@pytest.mark.parametrize(
+    "coeffs, seeds",
+    [((1, 1, 1), (0, 1, 1)), ((1, -1, 2, 0, 1), (0, 1, 0, 2, 1))],
+)
+def test_shared_inputs_are_computed_once(monkeypatch, coeffs, seeds):
+    calls = {}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in COUNTED:
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    verify_all(make_spec(coeffs), make_seeds(seeds))
+    assert calls.pop("solve_roots") == 1
+    assert calls.pop("solve_weights", 0) <= 1
+    assert calls == {"build_expansion": 1, "generate": 1}
