@@ -13,10 +13,9 @@ from .errors import DegenerateSpectrumError, SingularSystemError
 from .numerics import STANDARD, arithmetic, to_complex
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _to_fraction, generate
 from .reports import FormulaCheck, Record, compare
-from .roots import RootSet, dominant_root, solve_roots
+from .roots import RootSet, dominant_root, solve_roots, tol_root
 
 TOL_CONV = 1e-8
-TOL_IDENTITY = 1e-10
 
 
 class ConvergenceReport(Record):
@@ -124,14 +123,13 @@ def _dominant_weight_vanishes(weights, rootset) -> bool:
 
 def _identity_check(spec: RecurrenceSpec, rootset: RootSet, side, note: str) -> FormulaCheck:
     """Compare the two sides of an identity, side(z, coeffs) -> (lhs, rhs),
-    at every root, within TOL_IDENTITY * max(1, max |root|)^n."""
+    at every root, within the root set's residual gate tol_root."""
     n = spec.degree
     if rootset.degree != n:
         raise ValueError(
             "root set degree %d does not match recurrence degree %d"
             % (rootset.degree, n)
         )
-    tolerance = TOL_IDENTITY * max(1.0, max(float(abs(z)) for z in rootset.roots)) ** n
     ctx = arithmetic(rootset.precision).ctx
     coeffs = [to_complex(ctx, c) for c in spec.coeffs]
     sides = [side(z, coeffs) for z in rootset.roots]
@@ -139,7 +137,7 @@ def _identity_check(spec: RecurrenceSpec, rootset: RootSet, side, note: str) -> 
         enumerate(lhs for lhs, _ in sides),
         (rhs for _, rhs in sides),
         lambda lhs, rhs: float(abs(lhs - rhs)),
-        tolerance,
+        tol_root(rootset),
     )
     return check.replace(note=note)
 

@@ -9,11 +9,14 @@ polynomial, in which case the system is singular and we refuse to
 solve it rather than return garbage.
 
 Degree-2 and degree-3 also get direct closed forms written entirely in
-terms of the roots and seeds.  The quadratic one is reliable.  The
-cubic one reproduces a published formula verbatim; `check_cubic_closed_form`
-compares it against the exact recurrence and reports a formula mismatch
-instead of silently trusting it (on most inputs it disagrees from k = 0,
-so the generic weights path stays authoritative).
+terms of the roots and seeds.  Each is built in one step (seed count,
+premises, radical roots, inputs converted to the precision's context)
+and then evaluated at k, so a check over many k solves the roots once.
+The quadratic one is reliable.  The cubic one reproduces a published
+formula verbatim; `check_cubic_closed_form` compares it against the
+exact recurrence and reports a formula mismatch instead of silently
+trusting it (on most inputs it disagrees from k = 0, so the generic
+weights path stays authoritative).
 """
 
 from .errors import DegenerateSpectrumError, SeedMismatchError, UnitRootError
@@ -171,14 +174,8 @@ def compare_with_terms(evaluate, terms, precision: str) -> FormulaCheck:
     return compare(enumerate(map(evaluate, range(len(terms)))), terms, relative_error, TOL_BINET)
 
 
-def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD):
-    """Degree-2 closed form: ((phi - a) x0 + x1)/sigma * (phi^k - varphi^k) + varphi^k x0.
-
-    sigma = sqrt(a^2 + 4 b) is the root gap; a repeated root (sigma = 0)
-    raises DegenerateSpectrumError.
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+def _quadratic_closed(alpha, beta, seeds, precision: str):
+    """Build binet_quadratic_closed once; returns its evaluation k -> value."""
     if len(seeds) != 2:
         raise SeedMismatchError("quadratic closed form needs exactly 2 seeds")
     a, b = (_to_fraction(v, ValueError) for v in (alpha, beta))
@@ -187,24 +184,27 @@ def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD
         raise DegenerateSpectrumError(
             "discriminant a^2 + 4b is zero: repeated root, closed form undefined"
         )
-    rootset = quadratic_roots(a, b, precision)
-    phi, varphi = rootset.roots
+    phi, varphi = quadratic_roots(a, b, precision).roots
     ctx = arithmetic(precision).ctx
     sigma = ctx.sqrt(to_complex(ctx, disc))
     x0, x1, ac = (to_complex(ctx, v) for v in (seeds[0], seeds[1], a))
-    return ((phi - ac) * x0 + x1) / sigma * (phi**k - varphi**k) + varphi**k * x0
+    return lambda k: ((phi - ac) * x0 + x1) / sigma * (phi**k - varphi**k) + varphi**k * x0
 
 
-def binet_cubic_closed(alpha, beta, gamma, seeds, k: int, precision: str = STANDARD):
-    """Degree-3 closed form, transcribed verbatim from its source.
+def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD):
+    """Degree-2 closed form: ((phi - a) x0 + x1)/sigma * (phi^k - varphi^k) + varphi^k x0.
 
-    Requires three distinct roots, none equal to 1 (the formula divides
-    by root - 1 factors).  See check_cubic_closed_form: on most inputs
-    this expression does NOT reproduce the recurrence, so use it only
-    through the checking wrapper.
+    sigma = sqrt(a^2 + 4 b) is the root gap; a repeated root (sigma = 0)
+    raises DegenerateSpectrumError.  The roots are solved once per build,
+    and a call builds the form for its one k.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
+    return _quadratic_closed(alpha, beta, seeds, precision)(k)
+
+
+def _cubic_closed(alpha, beta, gamma, seeds, precision: str):
+    """Build binet_cubic_closed once; returns its evaluation k -> value."""
     if len(seeds) != 3:
         raise SeedMismatchError("cubic closed form needs exactly 3 seeds")
     a, b, g = (_to_fraction(v, ValueError) for v in (alpha, beta, gamma))
@@ -220,20 +220,38 @@ def binet_cubic_closed(alpha, beta, gamma, seeds, k: int, precision: str = STAND
         + (bc + varphi * psi + varphi + psi) * x1
         + (gc - varphi * psi) * x0
     ) / ((phi - varphi) * (varphi - psi) * (phi - psi))
-    comb = (
-        (psi - varphi) / (phi - 1) * phi**k
-        - (psi - phi) / (varphi - 1) * varphi**k
-        + (varphi - phi) / (psi - 1) * psi**k
-    )
-    tail = (
-        (x2 - (varphi + 1) * x1 + varphi * x0)
-        / ((psi - 1) * (psi - varphi))
-        * psi**k
-        - (x2 - (psi + 1) * x1 + psi * x0)
-        / ((varphi - 1) * (psi - varphi))
-        * varphi**k
-    )
-    return pref * comb + tail
+
+    def at(k):
+        comb = (
+            (psi - varphi) / (phi - 1) * phi**k
+            - (psi - phi) / (varphi - 1) * varphi**k
+            + (varphi - phi) / (psi - 1) * psi**k
+        )
+        tail = (
+            (x2 - (varphi + 1) * x1 + varphi * x0)
+            / ((psi - 1) * (psi - varphi))
+            * psi**k
+            - (x2 - (psi + 1) * x1 + psi * x0)
+            / ((varphi - 1) * (psi - varphi))
+            * varphi**k
+        )
+        return pref * comb + tail
+
+    return at
+
+
+def binet_cubic_closed(alpha, beta, gamma, seeds, k: int, precision: str = STANDARD):
+    """Degree-3 closed form, transcribed verbatim from its source.
+
+    Requires three distinct roots, none equal to 1 (the formula divides
+    by root - 1 factors); the roots are solved once per build, and a
+    call builds the form for its one k.  See check_cubic_closed_form: on
+    most inputs this expression does NOT reproduce the recurrence, so use
+    it only through the checking wrapper.
+    """
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    return _cubic_closed(alpha, beta, gamma, seeds, precision)(k)
 
 
 def check_cubic_closed_form(
@@ -257,11 +275,8 @@ def check_cubic_closed_form(
     seed_vec = seeds if isinstance(seeds, SeedVector) else make_seeds(seeds)
     _check_seeds(spec, seed_vec)
 
-    check = compare_with_terms(
-        lambda k: binet_cubic_closed(a, b, g, seed_vec, k, precision),
-        generate(spec, seed_vec, k_max + 1),
-        precision,
-    )
+    terms = generate(spec, seed_vec, k_max + 1)
+    check = compare_with_terms(_cubic_closed(a, b, g, seed_vec, precision), terms, precision)
     if check.matches:
         note = "closed form matches the recurrence for k <= %d" % k_max
     else:

@@ -272,12 +272,11 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
             converged = True
             break
 
-    residuals = _residuals(spec, z, ctx)
     if not converged:
         raise RootConvergenceError(
             f"root iteration did not converge within {MAX_ITER} sweeps",
             best_roots=z,
-            residuals=residuals,
+            residuals=_residuals(spec, z, ctx),
             iterations=MAX_ITER,
         )
     z.sort(key=lambda w: (-float(abs(w)), -float(w.real), -float(w.imag)))

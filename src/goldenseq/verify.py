@@ -6,10 +6,10 @@ checks: the root set with the seeds' Binet weights, the exact terms, and
 the trapezoid expansion.  Sharing them joins no oracle pair; these pairs
 stay independent: roots vs. coefficients (symmetric relations, defining
 identity), weights and roots vs. exact terms (round trip), the closed
-Binet forms (which solve their own radical roots) vs. exact terms,
-series vs. exact terms, per-entry closed forms and closed-form row sums
-vs. the expansion, its diagonal sums vs. exact terms, and exact term
-ratios vs. the dominant root.  Checks that do not apply to the given
+Binet forms (which solve their own radical roots, once per check) vs.
+exact terms, series vs. exact terms, per-entry closed forms and
+closed-form row sums vs. the expansion, its diagonal sums vs. exact
+terms, and exact term ratios vs. the dominant root.  Checks that do not apply to the given
 input — repeated roots, degenerate specs, degrees without closed forms,
 roots that cannot be solved — report status "skipped" with the reason,
 never a fake pass.
@@ -25,8 +25,8 @@ from .analysis import (
     recover_cubic_conjugates,
 )
 from .binet import (
+    _quadratic_closed,
     binet_eval,
-    binet_quadratic_closed,
     check_cubic_closed_form,
     compare_with_terms,
     solve_weights,
@@ -91,6 +91,11 @@ def verify_all(
     def add_check(name, check):
         add(name, check.matches, check.max_error, check.note)
 
+    def add_scan(name, check, note, at="k =", residual=True):
+        if not check.matches:
+            note = "first divergence at %s %d" % (at, check.first_mismatch)
+        add(name, check.matches, check.max_error if residual else None, note)
+
     conv_k = max(k_max, 60)
     terms = generate(spec, seeds, max(conv_k + 2, rows))
     rootset = weights = None
@@ -135,35 +140,19 @@ def verify_all(
         trip = compare_with_terms(
             lambda k: binet_eval(weights, rootset, k), terms[: k_max + 1], precision
         )
-        add(
-            "recurrence_binet_roundtrip",
-            trip.matches,
-            trip.max_error,
-            "exact terms vs. root-power evaluation for k <= %d" % k_max
-            if trip.matches
-            else "first divergence at k = %d" % trip.first_mismatch,
-        )
+        note = "exact terms vs. root-power evaluation for k <= %d" % k_max
+        add_scan("recurrence_binet_roundtrip", trip, note)
 
     # --- closed Binet forms -----------------------------------------
     if spec.degree == 2:
         beta, alpha = spec.coeffs
         try:
-            closed = compare_with_terms(
-                lambda k: binet_quadratic_closed(alpha, beta, seeds, k, precision),
-                terms[: min(k_max, 30) + 1],
-                precision,
-            )
+            closed = _quadratic_closed(alpha, beta, seeds, precision)
         except DegenerateSpectrumError as exc:
             add("binet_quadratic_closed_matches", None, detail=str(exc))
         else:
-            add(
-                "binet_quadratic_closed_matches",
-                closed.matches,
-                closed.max_error,
-                ""
-                if closed.matches
-                else "first divergence at k = %d" % closed.first_mismatch,
-            )
+            check = compare_with_terms(closed, terms[: min(k_max, 30) + 1], precision)
+            add_scan("binet_quadratic_closed_matches", check, "")
     if spec.degree == 3:
         gamma, beta, alpha = spec.coeffs
         try:
@@ -178,14 +167,8 @@ def verify_all(
     # --- generating function ----------------------------------------
     gf = build_genfunc(spec, seeds)
     series = compare(enumerate(series_coefficients(gf, k_max + 1)), terms)
-    add(
-        "genfunc_series_roundtrip",
-        series.matches,
-        series.max_error,
-        "series of %s vs. the recurrence (exact)" % gf.display()
-        if series.matches
-        else "first divergence at k = %d" % series.first_mismatch,
-    )
+    note = "series of %s vs. the recurrence (exact)" % gf.display()
+    add_scan("genfunc_series_roundtrip", series, note)
 
     # --- trapezoid ----------------------------------------------------
     trap = build_expansion(spec, seeds, rows)
@@ -210,23 +193,11 @@ def verify_all(
         ((i, row_sum(i, spec, seeds)) for i in range(rows)),
         (sum(row, Fraction(0)) for row in trap.rows),
     )
-    add(
-        "trapezoid_row_sums",
-        sums.matches,
-        None,
-        "closed-form row sums vs. direct sums (exact)"
-        if sums.matches
-        else "first divergence at row %d" % sums.first_mismatch,
-    )
+    note = "closed-form row sums vs. direct sums (exact)"
+    add_scan("trapezoid_row_sums", sums, note, "row", residual=False)
     diagonals = compare(((i, diagonal_sum(trap, i)) for i in range(rows)), terms)
-    add(
-        "trapezoid_diagonal_sums",
-        diagonals.matches,
-        None,
-        "diagonal sums reproduce the sequence (exact)"
-        if diagonals.matches
-        else "first divergence at diagonal %d" % diagonals.first_mismatch,
-    )
+    note = "diagonal sums reproduce the sequence (exact)"
+    add_scan("trapezoid_diagonal_sums", diagonals, note, "diagonal", residual=False)
 
     # --- convergence and root recovery -------------------------------
     conv = None

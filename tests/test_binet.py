@@ -10,6 +10,7 @@ from goldenseq.binet import TOL_W, check_cubic_closed_form, compare_with_terms
 from goldenseq.reports import compare
 from goldenseq.errors import (
     DegenerateSpectrumError,
+    SeedMismatchError,
     SingularSystemError,
     UnitRootError,
 )
@@ -136,6 +137,26 @@ def test_cubic_closed_form_repeated_root_refused():
     # (x - 1)^3
     with pytest.raises(DegenerateSpectrumError):
         gs.binet_cubic_closed(3, -3, 1, gs.make_seeds([0, 1, 2]), 4)
+
+
+@pytest.mark.parametrize(
+    "closed_form, seeds",
+    [
+        (lambda seeds, k: gs.binet_quadratic_closed(1, 1, seeds, k), [0, 1, 1]),
+        (lambda seeds, k: gs.binet_cubic_closed(1, 1, 1, seeds, k), [0, 1]),
+    ],
+    ids=("quadratic", "cubic"),
+)
+def test_closed_forms_check_k_before_the_seed_count(closed_form, seeds):
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        closed_form(gs.make_seeds(seeds), -1)
+    with pytest.raises(SeedMismatchError, match="closed form needs exactly"):
+        closed_form(gs.make_seeds(seeds), 0)
+
+
+def test_cubic_check_rejects_negative_k_max():
+    with pytest.raises(ValueError, match="k_max must be >= 0"):
+        check_cubic_closed_form(1, 1, 1, [0, 1, 1], k_max=-1)
 
 
 @pytest.mark.parametrize(

@@ -8,9 +8,12 @@ from fractions import Fraction
 import pytest
 
 import goldenseq.analysis as analysis_module
+import goldenseq.binet as binet_module
 import goldenseq.trapezoid as trapezoid_module
 import goldenseq.verify as verify_module
 from goldenseq import (
+    BUILTIN_PRESETS,
+    PRECISIONS,
     DegenerateSpectrumError,
     RootConvergenceError,
     has_failures,
@@ -285,3 +288,38 @@ def test_shared_inputs_are_computed_once(monkeypatch, coeffs, seeds):
     assert calls.pop("solve_roots") == 1
     assert calls.pop("solve_weights", 0) <= 1
     assert calls == {"build_expansion": 1, "generate": 1}
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize(
+    "coeffs, seeds, row, detail",
+    [
+        (
+            (-1, 2),
+            (1, 2),
+            "binet_quadratic_closed_matches",
+            "discriminant a^2 + 4b is zero: repeated root, closed form undefined",
+        ),
+        (
+            (1, -1, 1),
+            (0, 1, 2),
+            "binet_cubic_closed_matches",
+            "1 is a characteristic root; the closed form divides by (root - 1) "
+            "and is undefined here",
+        ),
+    ],
+)
+def test_closed_form_without_its_premise_is_skipped(coeffs, seeds, row, detail, precision):
+    named = by_name(verify_all(make_spec(coeffs), make_seeds(seeds), precision=precision))
+    assert (named[row].status, named[row].residual, named[row].detail) == ("skipped", None, detail)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("name, solver", [("pell", "quadratic_roots"), ("tribonacci", "cubic_roots")])
+def test_closed_form_solves_its_roots_once(monkeypatch, name, solver, precision):
+    calls = []
+    solve = getattr(binet_module, solver)
+    monkeypatch.setattr(binet_module, solver, lambda *args: calls.append(args) or solve(*args))
+    preset = BUILTIN_PRESETS[name]
+    verify_all(make_spec(preset.coeffs), make_seeds(preset.seeds), precision=precision)
+    assert len(calls) == 1
