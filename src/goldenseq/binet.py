@@ -87,7 +87,8 @@ def solve_weights(
 ) -> BinetWeights:
     """Solve the (n+1)x(n+1) weight system for the generic closed form.
 
-    The weights are in the precision of the root set.  Raises DegenerateSpectrumError for (near-)repeated roots and
+    The weights are in the precision of the root set.  Raises
+    DegenerateSpectrumError for (near-)repeated roots and
     SingularSystemError when the linear system is unsolvable, which is
     exactly what happens when 1 is a characteristic root: the constant
     column collides with a root column.

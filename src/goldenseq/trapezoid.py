@@ -12,7 +12,9 @@ with out-of-range entries read as zero, the diagonal sums reproduce the
 sequence itself, and each row sums to a fixed multiple of (sum a_k)^i.
 
 Degrees 2 and 3 additionally have direct per-entry closed forms built
-from binomial coefficients (coeff_quadratic / coeff_cubic).  Each
+from binomial coefficients.  The form is built once per spec (seed count
+and degree checked once) and then evaluated at each (i, j);
+coeff_quadratic / coeff_cubic build it for their one entry.  Each
 monomial is evaluated only when its binomial guard is nonzero, which
 keeps every exponent non-negative so the arithmetic stays exact even
 for coefficient values of 0.
@@ -22,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .genfunc import build_genfunc
-from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, _to_fraction
+from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, make_seeds, make_spec
 from .reports import FormulaCheck, Record, compare
 
 
@@ -83,91 +85,86 @@ def build_expansion(spec: RecurrenceSpec, seeds: SeedVector, num_rows: int) -> T
     return Trapezoid(tuple(rows), spec, seeds, "expansion")
 
 
+def _closed_form(spec: RecurrenceSpec, seeds: SeedVector):
+    """Build the per-entry closed form of a degree-2 or degree-3 spec
+    once; returns its evaluation (i, j) -> entry for 0 <= j < row_length."""
+    _check_seeds(spec, seeds)
+    if spec.degree == 2:
+        b, a = spec.coeffs
+        x0, x1 = seeds
+
+        def entry(i, j):
+            total = Fraction(0)
+            c = _binom(i, j)
+            if c:
+                total += c * a ** (i - j) * b**j * x0
+            c = _binom(i, j - 1)
+            if c:
+                total -= c * a ** (i - j + 2) * b ** (j - 1) * x0
+                total += c * a ** (i - j + 1) * b ** (j - 1) * x1
+            return total
+
+        return entry
+    if spec.degree == 3:
+        g, b, a = spec.coeffs
+        x0, x1, x2 = seeds
+
+        def entry(i, j):
+            total = Fraction(0)
+            for k in range(j // 2 + 1):
+                b1 = _binom(j - k - 2, k) * _binom(i, j - k - 2)
+                if b1:
+                    total += b1 * a ** (i - j + k + 2) * b ** (j - 2 - 2 * k) * g**k * x2
+                    total -= b1 * a ** (i - j + k + 3) * b ** (j - 2 - 2 * k) * g**k * x1
+                b2 = _binom(j - k - 1, k) * _binom(i, j - k - 1)
+                if b2:
+                    total += b2 * a ** (i - j + k + 1) * b ** (j - 1 - 2 * k) * g**k * x1
+                b3 = _binom(j - k, k) * _binom(i, j - k)
+                if b3:
+                    total += b3 * a ** (i - j + k) * b ** (j - 2 * k) * g**k * x0
+                b4 = _binom(i - k + 1, j - 2 * k - 1) * _binom(i, i - k)
+                if b4:
+                    total -= b4 * a ** (i - j + k + 2) * b ** (j - 1 - 2 * k) * g**k * x0
+            return total
+
+        return entry
+    raise ValueError(
+        "closed-form trapezoid entries exist only for degrees 2 and 3 "
+        "(got degree %d); use build_expansion" % spec.degree
+    )
+
+
+def _one_entry(i: int, j: int, coeffs, seeds) -> Fraction:
+    if i < 0 or j < 0 or j >= row_length(i, len(coeffs)):
+        raise ValueError("entry (%d, %d) is outside row %d" % (i, j, i))
+    return _closed_form(make_spec(coeffs), make_seeds(seeds))(i, j)
+
+
 def coeff_quadratic(i: int, j: int, alpha, beta, seeds) -> Fraction:
     """Closed-form entry (i, j) for x_{k+2} = alpha x_{k+1} + beta x_k.
 
-    Three guarded binomial monomials; valid for 0 <= j <= i + 1.
+    Three guarded binomial monomials; valid for 0 <= j <= i + 1.  A call
+    builds the form for its one entry.
     """
-    if i < 0 or j < 0 or j >= row_length(i, 2):
-        raise ValueError("entry (%d, %d) is outside row %d" % (i, j, i))
-    if len(seeds) != 2:
-        raise ValueError("quadratic closed form needs exactly 2 seeds")
-    a = _to_fraction(alpha, ValueError)
-    b = _to_fraction(beta, ValueError)
-    x0 = _to_fraction(seeds[0], ValueError)
-    x1 = _to_fraction(seeds[1], ValueError)
-
-    total = Fraction(0)
-    c = _binom(i, j)
-    if c:
-        total += c * a ** (i - j) * b**j * x0
-    c = _binom(i, j - 1)
-    if c:
-        total -= c * a ** (i - j + 2) * b ** (j - 1) * x0
-        total += c * a ** (i - j + 1) * b ** (j - 1) * x1
-    return total
+    return _one_entry(i, j, (beta, alpha), seeds)
 
 
 def coeff_cubic(i: int, j: int, alpha, beta, gamma, seeds) -> Fraction:
     """Closed-form entry (i, j) for x_{k+3} = alpha x_{k+2} + beta x_{k+1} + gamma x_k.
 
     Sum over k = 0 .. floor(j/2) of guarded binomial monomials; valid
-    for 0 <= j <= 2i + 2.
+    for 0 <= j <= 2i + 2.  A call builds the form for its one entry.
     """
-    if i < 0 or j < 0 or j >= row_length(i, 3):
-        raise ValueError("entry (%d, %d) is outside row %d" % (i, j, i))
-    if len(seeds) != 3:
-        raise ValueError("cubic closed form needs exactly 3 seeds")
-    a = _to_fraction(alpha, ValueError)
-    b = _to_fraction(beta, ValueError)
-    g = _to_fraction(gamma, ValueError)
-    x0 = _to_fraction(seeds[0], ValueError)
-    x1 = _to_fraction(seeds[1], ValueError)
-    x2 = _to_fraction(seeds[2], ValueError)
-
-    total = Fraction(0)
-    for k in range(j // 2 + 1):
-        b1 = _binom(j - k - 2, k) * _binom(i, j - k - 2)
-        if b1:
-            total += b1 * a ** (i - j + k + 2) * b ** (j - 2 - 2 * k) * g**k * x2
-            total -= b1 * a ** (i - j + k + 3) * b ** (j - 2 - 2 * k) * g**k * x1
-        b2 = _binom(j - k - 1, k) * _binom(i, j - k - 1)
-        if b2:
-            total += b2 * a ** (i - j + k + 1) * b ** (j - 1 - 2 * k) * g**k * x1
-        b3 = _binom(j - k, k) * _binom(i, j - k)
-        if b3:
-            total += b3 * a ** (i - j + k) * b ** (j - 2 * k) * g**k * x0
-        b4 = _binom(i - k + 1, j - 2 * k - 1) * _binom(i, i - k)
-        if b4:
-            total -= b4 * a ** (i - j + k + 2) * b ** (j - 1 - 2 * k) * g**k * x0
-    return total
+    return _one_entry(i, j, (gamma, beta, alpha), seeds)
 
 
 def build_closed_form(spec: RecurrenceSpec, seeds: SeedVector, num_rows: int) -> Trapezoid:
     """Build rows from the per-entry closed forms (degrees 2 and 3 only)."""
     if num_rows < 1:
         raise ValueError("num_rows must be >= 1")
-    _check_seeds(spec, seeds)
-    n = spec.degree
-    if n == 2:
-        beta, alpha = spec.coeffs
-
-        def entry(i, j):
-            return coeff_quadratic(i, j, alpha, beta, seeds)
-
-    elif n == 3:
-        gamma, beta, alpha = spec.coeffs
-
-        def entry(i, j):
-            return coeff_cubic(i, j, alpha, beta, gamma, seeds)
-
-    else:
-        raise ValueError(
-            "closed-form trapezoid entries exist only for degrees 2 and 3 "
-            "(got degree %d); use build_expansion" % n
-        )
+    entry = _closed_form(spec, seeds)
     rows = tuple(
-        tuple(entry(i, j) for j in range(row_length(i, n))) for i in range(num_rows)
+        tuple(entry(i, j) for j in range(row_length(i, spec.degree))) for i in range(num_rows)
     )
     return Trapezoid(rows, spec, seeds, "closed-form")
 

@@ -7,12 +7,12 @@ the trapezoid expansion.  Sharing them joins no oracle pair; these pairs
 stay independent: roots vs. coefficients (symmetric relations, defining
 identity), weights and roots vs. exact terms (round trip), the closed
 Binet forms (which solve their own radical roots, once per check) vs.
-exact terms, series vs. exact terms, per-entry closed forms and
-closed-form row sums vs. the expansion, its diagonal sums vs. exact
-terms, and exact term ratios vs. the dominant root.  Checks that do not apply to the given
-input — repeated roots, degenerate specs, degrees without closed forms,
-roots that cannot be solved — report status "skipped" with the reason,
-never a fake pass.
+exact terms, series vs. exact terms, per-entry closed forms (built once
+per check) and closed-form row sums vs. the expansion, its diagonal sums
+vs. exact terms, and exact term ratios vs. the dominant root.  Checks
+that do not apply to the given input — repeated roots, degenerate specs,
+degrees without closed forms, roots that cannot be solved — report
+status "skipped" with the reason, never a fake pass.
 """
 
 from fractions import Fraction

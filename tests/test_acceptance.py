@@ -138,13 +138,13 @@ def test_criterion_4_closed_form_oracle_equivalence(criterion, monkeypatch):
 
         # a divergence, when forced, must be named by its first (i, j) --
         # silent absorption would defeat the whole cross-check
-        real = trapezoid_module.coeff_cubic
+        real = trapezoid_module._closed_form
 
-        def crooked(i, j, alpha, beta, gamma, seeds):
-            value = real(i, j, alpha, beta, gamma, seeds)
-            return value + 1 if (i, j) == (4, 2) else value
+        def crooked(spec, seeds):
+            entry = real(spec, seeds)
+            return lambda i, j: entry(i, j) + ((i, j) == (4, 2))
 
-        monkeypatch.setattr(trapezoid_module, "coeff_cubic", crooked)
+        monkeypatch.setattr(trapezoid_module, "_closed_form", crooked)
         forced = check_closed_form(build_expansion(spec, sv, 8))
         assert not forced.matches
         assert forced.first_mismatch == (4, 2)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldenseq as gs
 from goldenseq import trapezoid as trap_mod
@@ -114,15 +116,13 @@ def test_closed_form_check_reads_spec_seeds_and_rows_from_the_expansion():
 
 def test_mismatch_report_names_first_divergent_entry(monkeypatch):
     # sabotage one closed-form entry to prove divergence is loud, not silent
-    real = trap_mod.coeff_quadratic
+    real = trap_mod._closed_form
 
-    def crooked(i, j, alpha, beta, seeds):
-        value = real(i, j, alpha, beta, seeds)
-        if (i, j) == (3, 1):
-            value += 1
-        return value
+    def crooked(spec, seeds):
+        entry = real(spec, seeds)
+        return lambda i, j: entry(i, j) + ((i, j) == (3, 1))
 
-    monkeypatch.setattr(trap_mod, "coeff_quadratic", crooked)
+    monkeypatch.setattr(trap_mod, "_closed_form", crooked)
     report = gs.check_closed_form(gs.build_expansion(FIB, FIB_SEEDS, 6))
     assert not report.matches
     assert report.first_mismatch == (3, 1)
@@ -138,15 +138,70 @@ def test_entry_out_of_range_raises():
         gs.coeff_quadratic(-1, 0, 1, 1, FIB_SEEDS)
 
 
+def test_entry_with_wrong_seed_count_raises():
+    with pytest.raises(ValueError):
+        gs.coeff_quadratic(0, 0, 1, 1, TRI_SEEDS)
+    with pytest.raises(ValueError):
+        gs.coeff_cubic(0, 0, 1, 1, 1, FIB_SEEDS)
+
+
+def test_entry_with_float_coefficient_raises():
+    with pytest.raises(ValueError):
+        gs.coeff_quadratic(1, 1, 1.5, 1, FIB_SEEDS)
+    with pytest.raises(ValueError):
+        gs.coeff_cubic(1, 1, 1, 1.5, 1, TRI_SEEDS)
+
+
 def test_closed_form_builder_rejects_other_degrees():
     spec = gs.make_spec([1, 1, 1, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degrees 2 and 3"):
         gs.build_closed_form(spec, gs.make_seeds([0, 1, 1, 2]), 4)
+    with pytest.raises(ValueError, match="degrees 2 and 3"):
+        gs.build_closed_form(gs.make_spec([2]), gs.make_seeds([1]), 4)
 
 
 def test_method_labels():
     assert gs.build_expansion(FIB, FIB_SEEDS, 3).method == "expansion"
     assert gs.build_closed_form(FIB, FIB_SEEDS, 3).method == "closed-form"
+
+
+@pytest.mark.parametrize("name", ["pell", "tribonacci"])
+def test_closed_form_is_built_once_per_call(monkeypatch, name):
+    builds = []
+    real = trap_mod._closed_form
+    monkeypatch.setattr(
+        trap_mod, "_closed_form", lambda spec, seeds: builds.append(spec) or real(spec, seeds)
+    )
+    preset = gs.BUILTIN_PRESETS[name]
+    spec, seeds = gs.make_spec(preset.coeffs), gs.make_seeds(preset.seeds)
+    for run in (
+        lambda: gs.build_closed_form(spec, seeds, 8),
+        lambda: gs.check_closed_form(gs.build_expansion(spec, seeds, 8)),
+        lambda: gs.verify_all(spec, seeds),
+    ):
+        builds.clear()
+        run()
+        assert builds == [spec]
+
+
+# zeros are drawn often, so a0 = 0, zero coefficients and zero seeds all occur
+RATIONALS = st.just(Fraction(0)) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.sampled_from((2, 3)), rows=st.integers(1, 8), data=st.data())
+def test_closed_form_equals_expansion_on_rational_specs(degree, rows, data):
+    values = st.lists(RATIONALS, min_size=degree, max_size=degree)
+    coeffs, seeds = data.draw(values), data.draw(values)
+    spec, vec = gs.make_spec(coeffs), gs.make_seeds(seeds)
+    closed = gs.build_closed_form(spec, vec, rows)
+    assert closed.rows == gs.build_expansion(spec, vec, rows).rows
+    # the public per-entry functions give the form that verify checks
+    coeff = gs.coeff_quadratic if degree == 2 else gs.coeff_cubic
+    for i, row in enumerate(closed.rows):
+        for j, value in enumerate(row):
+            assert isinstance(value, Fraction)
+            assert coeff(i, j, *reversed(coeffs), seeds) == value
 
 
 def test_row_recurrence_holds_on_random_specs():

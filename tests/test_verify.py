@@ -167,8 +167,10 @@ def test_has_failures_helper():
         ),
         (
             trapezoid_module,
-            "coeff_quadratic",
-            lambda f: lambda i, j, *rest: f(i, j, *rest) + ((i, j) == (3, 1)),
+            "_closed_form",
+            lambda f: lambda spec, seeds: (
+                lambda i, j, entry=f(spec, seeds): entry(i, j) + ((i, j) == (3, 1))
+            ),
             "trapezoid_closed_form",
             1.0,
             "first divergent entry at (i, j) = (3, 1)",
