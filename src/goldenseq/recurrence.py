@@ -16,6 +16,7 @@ compute that remainder by squaring, O(n^2 log k); generate stays a plain
 forward loop so that checks have a side which does not use it.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import InvalidSpecError, SeedMismatchError
@@ -111,8 +112,8 @@ def generate(spec: RecurrenceSpec, seeds: SeedVector, count: int) -> list[Fracti
 
 
 def _poly_mul(a, b):
-    """Product of two dense ascending coefficient lists."""
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    """Product of two dense ascending coefficient lists, in their type."""
+    out = [a[0] * b[0] * 0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca == 0:
             continue
@@ -120,6 +121,12 @@ def _poly_mul(a, b):
             if cb:
                 out[i + j] += ca * cb
     return out
+
+
+def _scale(values):
+    """(ints, lcm) with values[k] == ints[k] / lcm, lcm the common denominator."""
+    lcm = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
 def _reduce(poly, spec: RecurrenceSpec) -> list[Fraction]:

@@ -18,13 +18,20 @@ coeff_quadratic / coeff_cubic build it for their one entry.  Each
 monomial is evaluated only when its binomial guard is nonzero, which
 keeps every exponent non-negative so the arithmetic stays exact even
 for coefficient values of 0.
+
+The expansion, the closed forms and the row check run on ints over
+common denominators (recurrence._scale): expansion row i is over E*D^i
+(T over E, R over D), closed-form entry (i, j) over S*D^(i+1) (seeds
+over S), and the row check cross-multiplies rows scaled by their own
+lcm.  Entries still leave as Fractions.
 """
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .genfunc import build_genfunc
-from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, make_seeds, make_spec
+from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, _scale, make_seeds, make_spec
 from .reports import FormulaCheck, Record, compare
 
 
@@ -69,63 +76,74 @@ def build_expansion(spec: RecurrenceSpec, seeds: SeedVector, num_rows: int) -> T
     _check_seeds(spec, seeds)
     n = spec.degree
     gf = build_genfunc(spec, seeds)
-    t_poly = list(gf.numerator)
-    r_poly = list(gf.denominator_tail)
+    t_poly, den = _scale(gf.numerator)
+    r_poly, r_den = _scale(gf.denominator_tail)
 
     rows = []
-    cur = t_poly
+    cur = t_poly  # T*R^i over den = E*D^i, i + p coefficients long
     for i in range(num_rows):
         p = row_length(i, n)
-        row = tuple(
-            cur[i + j] if 0 <= i + j < len(cur) else Fraction(0) for j in range(p)
-        )
-        rows.append(row)
+        rows.append(tuple(Fraction(v, den) for v in cur[i : i + p]))
         if i + 1 < num_rows:
             cur = _poly_mul(cur, r_poly)
+            den *= r_den
     return Trapezoid(tuple(rows), spec, seeds, "expansion")
 
 
 def _closed_form(spec: RecurrenceSpec, seeds: SeedVector):
     """Build the per-entry closed form of a degree-2 or degree-3 spec
-    once; returns its evaluation (i, j) -> entry for 0 <= j < row_length."""
+    once; returns its evaluation (i, j) -> entry for 0 <= j < row_length.
+    Its monomials have degree i (lo) or i + 1 (hi) in the coefficients."""
     _check_seeds(spec, seeds)
+    coeffs, d = _scale(spec.coeffs)
+    xs, s = _scale(seeds.values)
+    bases = coeffs + [d]
+    powers = [[1] for _ in bases]  # powers[k][e] == bases[k]**e
+
+    def grow(i):  # every exponent in row i is at most i + 1
+        while len(powers[0]) <= i + 1:
+            for table, base in zip(powers, bases):
+                table.append(table[-1] * base)
+
     if spec.degree == 2:
-        b, a = spec.coeffs
-        x0, x1 = seeds
+        b, a, d_pow = powers
+        x0, x1 = xs
 
         def entry(i, j):
-            total = Fraction(0)
+            grow(i)
+            lo = hi = 0
             c = _binom(i, j)
             if c:
-                total += c * a ** (i - j) * b**j * x0
+                lo += c * a[i - j] * b[j] * x0
             c = _binom(i, j - 1)
             if c:
-                total -= c * a ** (i - j + 2) * b ** (j - 1) * x0
-                total += c * a ** (i - j + 1) * b ** (j - 1) * x1
-            return total
+                hi -= c * a[i - j + 2] * b[j - 1] * x0
+                lo += c * a[i - j + 1] * b[j - 1] * x1
+            return Fraction(lo * d + hi, s * d_pow[i + 1])
 
         return entry
     if spec.degree == 3:
-        g, b, a = spec.coeffs
-        x0, x1, x2 = seeds
+        g, b, a, d_pow = powers
+        x0, x1, x2 = xs
 
         def entry(i, j):
-            total = Fraction(0)
+            grow(i)
+            lo = hi = 0
             for k in range(j // 2 + 1):
                 b1 = _binom(j - k - 2, k) * _binom(i, j - k - 2)
                 if b1:
-                    total += b1 * a ** (i - j + k + 2) * b ** (j - 2 - 2 * k) * g**k * x2
-                    total -= b1 * a ** (i - j + k + 3) * b ** (j - 2 - 2 * k) * g**k * x1
+                    lo += b1 * a[i - j + k + 2] * b[j - 2 - 2 * k] * g[k] * x2
+                    hi -= b1 * a[i - j + k + 3] * b[j - 2 - 2 * k] * g[k] * x1
                 b2 = _binom(j - k - 1, k) * _binom(i, j - k - 1)
                 if b2:
-                    total += b2 * a ** (i - j + k + 1) * b ** (j - 1 - 2 * k) * g**k * x1
+                    lo += b2 * a[i - j + k + 1] * b[j - 1 - 2 * k] * g[k] * x1
                 b3 = _binom(j - k, k) * _binom(i, j - k)
                 if b3:
-                    total += b3 * a ** (i - j + k) * b ** (j - 2 * k) * g**k * x0
+                    lo += b3 * a[i - j + k] * b[j - 2 * k] * g[k] * x0
                 b4 = _binom(i - k + 1, j - 2 * k - 1) * _binom(i, i - k)
                 if b4:
-                    total -= b4 * a ** (i - j + k + 2) * b ** (j - 1 - 2 * k) * g**k * x0
-            return total
+                    hi -= b4 * a[i - j + k + 2] * b[j - 1 - 2 * k] * g[k] * x0
+            return Fraction(lo * d + hi, s * d_pow[i + 1])
 
         return entry
     raise ValueError(
@@ -194,19 +212,23 @@ def check_row_recurrence(trapezoid: Trapezoid) -> list:
     empty means every adjacent row pair satisfies the recurrence.  A
     single-row trapezoid has no adjacent pairs and passes vacuously.
     """
-    coeffs = trapezoid.spec.coeffs
-    n = trapezoid.spec.degree
+    coeffs, d = _scale(trapezoid.spec.coeffs)
+    n = len(coeffs)
+    rows = trapezoid.rows
+    scaled = [_scale(row) for row in rows]
     violations = []
-    for i in range(len(trapezoid.rows) - 1):
-        p = len(trapezoid.rows[i])
-        for j in range(-n, p + n):
-            actual = trapezoid.entry(i + 1, j + n - 1)
-            expected = sum(
-                (coeffs[k] * trapezoid.entry(i, j + k) for k in range(n)),
-                Fraction(0),
-            )
-            if actual != expected:
-                violations.append((i, j, expected, actual))
+    for i, ((low, low_den), (high, high_den)) in enumerate(zip(scaled, scaled[1:])):
+        p = len(low)
+        # at t = j + n, low[t + k] is C_{i, j+k} (zero past the window's
+        # cut-off end) and high[t] is C_{i+1, j+n-1}
+        low = [0] * n + low
+        high = [0] + high + [0] * (p + 2 * n - 1 - len(high))
+        expected_den = d * low_den
+        for t in range(p + 2 * n):
+            expected = sum(map(mul, coeffs, low[t : t + n]))
+            if high[t] * expected_den != expected * high_den:
+                actual = rows[i + 1][t - 1] if 0 < t <= len(rows[i + 1]) else Fraction(0)
+                violations.append((i, t - n, Fraction(expected, expected_den), actual))
     return violations
 
 
@@ -235,4 +257,5 @@ def diagonal_sum(trapezoid: Trapezoid, i: int) -> Fraction:
             "diagonal %d needs %d rows but only %d were built"
             % (i, i + 1, len(trapezoid.rows))
         )
-    return sum((trapezoid.entry(i - j, j) for j in range(i + 1)), Fraction(0))
+    rows = trapezoid.rows
+    return sum((rows[i - j][j] for j in range(i + 1) if j < len(rows[i - j])), Fraction(0))

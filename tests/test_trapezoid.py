@@ -204,6 +204,126 @@ def test_closed_form_equals_expansion_on_rational_specs(degree, rows, data):
             assert coeff(i, j, *reversed(coeffs), seeds) == value
 
 
+def _fraction_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _expansion_reference(coeffs, seeds, num_rows):
+    """Rows of T(z)*R(z)^i in plain Fractions, T and R from their definitions."""
+    n = len(coeffs)
+    r_poly = [Fraction(0)] + [Fraction(c) for c in reversed(coeffs)]
+    t_poly = [
+        Fraction(seeds[d]) - sum(Fraction(coeffs[n - 1 - j]) * seeds[d - 1 - j] for j in range(d))
+        for d in range(n)
+    ]
+    rows, cur = [], t_poly
+    for i in range(num_rows):
+        p = gs.row_length(i, n)
+        rows.append(tuple(cur[i + j] if i + j < len(cur) else Fraction(0) for j in range(p)))
+        cur = _fraction_poly_mul(cur, r_poly)
+    return rows
+
+
+INTEGERS = st.just(Fraction(0)) | st.integers(-4, 4).map(Fraction)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    degree=st.integers(1, 8),
+    rows=st.integers(1, 7),
+    values=st.sampled_from((INTEGERS, RATIONALS)),
+    data=st.data(),
+)
+def test_expansion_equals_fraction_reference(degree, rows, values, data):
+    coeffs = data.draw(st.lists(values, min_size=degree, max_size=degree))
+    seeds = data.draw(st.lists(values, min_size=degree, max_size=degree))
+    t = gs.build_expansion(gs.make_spec(coeffs), gs.make_seeds(seeds), rows)
+    assert list(t.rows) == _expansion_reference(coeffs, seeds, rows)
+    assert all(type(v) is Fraction for row in t.rows for v in row)
+
+
+def _row_recurrence_reference(trapezoid):
+    """check_row_recurrence as it was in Fractions, read through Trapezoid.entry."""
+    coeffs = trapezoid.spec.coeffs
+    n = trapezoid.spec.degree
+    violations = []
+    for i in range(len(trapezoid.rows) - 1):
+        p = len(trapezoid.rows[i])
+        for j in range(-n, p + n):
+            actual = trapezoid.entry(i + 1, j + n - 1)
+            expected = sum(
+                (coeffs[k] * trapezoid.entry(i, j + k) for k in range(n)),
+                Fraction(0),
+            )
+            if actual != expected:
+                violations.append((i, j, expected, actual))
+    return violations
+
+
+def _typed(violations):
+    return [tuple((type(v), v) for v in violation) for violation in violations]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    degree=st.integers(1, 5),
+    rows=st.integers(1, 6),
+    closed=st.booleans(),
+    perturb=st.booleans(),
+    data=st.data(),
+)
+def test_row_recurrence_equals_fraction_reference(degree, rows, closed, perturb, data):
+    values = st.lists(RATIONALS, min_size=degree, max_size=degree)
+    spec, seeds = gs.make_spec(data.draw(values)), gs.make_seeds(data.draw(values))
+    build = gs.build_closed_form if closed and degree in (2, 3) else gs.build_expansion
+    t = build(spec, seeds, rows)
+    if perturb:
+        table = [list(row) for row in t.rows]
+        i = data.draw(st.integers(0, rows - 1))
+        j = data.draw(st.integers(0, len(table[i]) - 1))
+        # a new denominator as often as not
+        table[i][j] = data.draw(st.fractions(-5, 5, max_denominator=data.draw(st.sampled_from((1, 97)))))
+        t = trap_mod.Trapezoid(tuple(map(tuple, table)), spec, seeds, t.method)
+    found = gs.check_row_recurrence(t)
+    assert _typed(found) == _typed(_row_recurrence_reference(t))
+    if not perturb:
+        assert found == []
+
+
+def test_row_recurrence_on_hand_built_rows():
+    # int entries, a short row and a long row: the check reads them as the entry accessor does
+    spec = gs.make_spec([Fraction(1, 2), 3])
+    t = trap_mod.Trapezoid(((1, Fraction(2, 3)), (0, 5), (Fraction(1, 7),) * 9), spec, None, "hand")
+    found = gs.check_row_recurrence(t)
+    assert found and _typed(found) == _typed(_row_recurrence_reference(t))
+
+
+@pytest.mark.parametrize(
+    "coeffs, seeds",
+    [
+        ([0, 1], [2, Fraction(-1, 3)]),  # b = 0
+        ([1, 0, 1], [1, Fraction(1, 2), -2]),  # b = 0
+        ([0, 1, 1], [Fraction(2, 3), -1, 1]),  # g = 0
+        ([Fraction(-2, 3), Fraction(5, 4)], [Fraction(1, 2), 3]),
+        ([Fraction(1, 2), Fraction(-1, 3), 2], [1, Fraction(1, 2), -2]),
+    ],
+)
+def test_closed_form_edge_cases_equal_expansion(coeffs, seeds):
+    spec, vec = gs.make_spec(coeffs), gs.make_seeds(seeds)
+    expansion = gs.build_expansion(spec, vec, 41)
+    assert gs.build_closed_form(spec, vec, 12).rows == expansion.rows[:12]
+    # far rows first, so the power tables grow out of order
+    coeff = gs.coeff_quadratic if len(coeffs) == 2 else gs.coeff_cubic
+    entry = trap_mod._closed_form(spec, vec)
+    for i, j in ((40, 1), (40, 17), (40, 40), (3, 2), (0, 0), (40, 41 if len(coeffs) == 2 else 80)):
+        assert coeff(i, j, *reversed(coeffs), seeds) == expansion.rows[i][j]
+        assert entry(i, j) == expansion.rows[i][j]
+
+
 def test_row_recurrence_holds_on_random_specs():
     rng = random.Random(41)
     for _ in range(25):
