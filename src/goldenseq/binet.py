@@ -10,13 +10,24 @@ solve it rather than return garbage.
 
 Degree-2 and degree-3 also get direct closed forms written entirely in
 terms of the roots and seeds.  Each is built in one step (seed count,
-premises, radical roots, inputs converted to the precision's context)
-and then evaluated at k, so a check over many k solves the roots once.
-The quadratic one is reliable.  The cubic one reproduces a published
-formula verbatim; `check_cubic_closed_form` compares it against the
-exact recurrence and reports a formula mismatch instead of silently
-trusting it (on most inputs it disagrees from k = 0, so the generic
-weights path stays authoritative).
+premises, radical roots, inputs converted to the precision's context,
+the factors that do not depend on k) and then evaluated at a row of
+root powers, so a check over many k solves the roots once.
+
+The quadratic closed form is reliable.  The cubic one reproduces a
+published formula verbatim; `check_cubic_closed_form` compares it
+against the exact recurrence and reports a formula mismatch instead of
+silently trusting it (on most inputs it disagrees from k = 0, so the
+generic weights path stays authoritative).
+
+A scan over k = 0 .. K (verify's round trip and quadratic row,
+check_cubic_closed_form) takes its root powers from `_power_rows`, one
+product per root per step; in extended precision z**k is an exact
+big-integer power of the 136-bit mantissas, rounded once, and costs far
+more.  The running product rounds about k times instead of about
+log2(k) times, so a scan's residual differs from the single-k one in
+the low digits.  The single-k calls (binet_eval, binet_quadratic_closed,
+binet_cubic_closed) still evaluate z**k.
 """
 
 from .errors import DegenerateSpectrumError, SeedMismatchError, UnitRootError
@@ -105,11 +116,7 @@ def solve_weights(
     n = spec.degree
     terms = generate(spec, seeds, n + 1)
     one = ctx.mpc(1)
-    rows = []
-    powers = [one for _ in range(n)]
-    for r in range(n + 1):
-        rows.append(list(powers) + [one])
-        powers = [p * z for p, z in zip(powers, rootset.roots)]
+    rows = [powers + [one] for powers in _power_rows(rootset.roots, n + 1)]
     rhs = [to_complex(ctx, t) for t in terms]
     solution = solve_linear_system(rows, rhs, max_condition)
 
@@ -124,6 +131,24 @@ def solve_weights(
     return BinetWeights(tuple(solution), n, rootset.precision)
 
 
+def _power_rows(roots, count: int):
+    """Yield [z**k for z in roots] for k = 0 .. count - 1, each row the
+    previous one times the roots (one product per root per step)."""
+    row = [z**0 for z in roots]
+    for k in range(count):
+        if k:
+            row = [p * z for p, z in zip(row, roots)]
+        yield row
+
+
+def _weighted_sum(weights: BinetWeights, powers):
+    """w_{n+1} + sum of w_j * powers[j], in that order."""
+    total = weights.weights[-1]
+    for w, p in zip(weights.weights[:-1], powers):
+        total = total + w * p
+    return total
+
+
 def binet_eval(weights: BinetWeights, rootset: RootSet, k: int):
     """Evaluate sum of w_j root_j^k (+ constant probe) at integer k >= 0.
 
@@ -136,10 +161,7 @@ def binet_eval(weights: BinetWeights, rootset: RootSet, k: int):
             "weights were solved for degree %d, root set has degree %d"
             % (weights.degree, rootset.degree)
         )
-    total = weights.weights[-1]
-    for w, z in zip(weights.weights[:-1], rootset.roots):
-        total = total + w * z**k
-    return total
+    return _weighted_sum(weights, [z**k for z in rootset.roots])
 
 
 def nearest_integer(value) -> int:
@@ -159,12 +181,14 @@ def nearest_integer(value) -> int:
     return int(arithmetic(EXTENDED).ctx.nint(value.real))
 
 
-def compare_with_terms(evaluate, terms, precision: str) -> FormulaCheck:
-    """Check evaluate(k) against the exact terms[k] for every k.
+def compare_with_terms(values, terms, precision: str) -> FormulaCheck:
+    """Check values[k] against the exact terms[k] for every k.
 
-    The error at k is |value - x_k| / max(1, |x_k|), computed in the
-    precision's context; the first k whose error exceeds TOL_BINET is
-    the mismatch.  The note is left for the caller to write.
+    values is any iterable aligned with terms (a generator over a scan's
+    power rows, typically).  The error at k is |value - x_k| / max(1,
+    |x_k|), computed in the precision's context; the first k whose
+    error exceeds TOL_BINET is the mismatch.  The note is left for the
+    caller to write.
     """
     ctx = arithmetic(precision).ctx
 
@@ -172,11 +196,17 @@ def compare_with_terms(evaluate, terms, precision: str) -> FormulaCheck:
         ref = to_complex(ctx, exact)
         return float(abs(value - ref)) / max(1.0, float(abs(ref)))
 
-    return compare(enumerate(map(evaluate, range(len(terms)))), terms, relative_error, TOL_BINET)
+    return compare(enumerate(values), terms, relative_error, TOL_BINET)
+
+
+def _scan(at, roots, terms, precision: str) -> FormulaCheck:
+    """compare_with_terms of at(row) over the power rows of roots."""
+    return compare_with_terms(map(at, _power_rows(roots, len(terms))), terms, precision)
 
 
 def _quadratic_closed(alpha, beta, seeds, precision: str):
-    """Build binet_quadratic_closed once; returns its evaluation k -> value."""
+    """Build binet_quadratic_closed once; returns (at, roots), where
+    at([phi**k, varphi**k]) is the form's value at k."""
     if len(seeds) != 2:
         raise SeedMismatchError("quadratic closed form needs exactly 2 seeds")
     a, b = (_to_fraction(v, ValueError) for v in (alpha, beta))
@@ -185,11 +215,18 @@ def _quadratic_closed(alpha, beta, seeds, precision: str):
         raise DegenerateSpectrumError(
             "discriminant a^2 + 4b is zero: repeated root, closed form undefined"
         )
-    phi, varphi = quadratic_roots(a, b, precision).roots
+    roots = quadratic_roots(a, b, precision).roots
     ctx = arithmetic(precision).ctx
     sigma = ctx.sqrt(to_complex(ctx, disc))
     x0, x1, ac = (to_complex(ctx, v) for v in (seeds[0], seeds[1], a))
-    return lambda k: ((phi - ac) * x0 + x1) / sigma * (phi**k - varphi**k) + varphi**k * x0
+    phi = roots[0]
+    lead = ((phi - ac) * x0 + x1) / sigma
+
+    def at(powers):
+        phi_k, varphi_k = powers
+        return lead * (phi_k - varphi_k) + varphi_k * x0
+
+    return at, roots
 
 
 def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD):
@@ -201,11 +238,13 @@ def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _quadratic_closed(alpha, beta, seeds, precision)(k)
+    at, roots = _quadratic_closed(alpha, beta, seeds, precision)
+    return at([z**k for z in roots])
 
 
 def _cubic_closed(alpha, beta, gamma, seeds, precision: str):
-    """Build binet_cubic_closed once; returns its evaluation k -> value."""
+    """Build binet_cubic_closed once; returns (at, roots), where
+    at([phi**k, varphi**k, psi**k]) is the form's value at k."""
     if len(seeds) != 3:
         raise SeedMismatchError("cubic closed form needs exactly 3 seeds")
     a, b, g = (_to_fraction(v, ValueError) for v in (alpha, beta, gamma))
@@ -221,24 +260,19 @@ def _cubic_closed(alpha, beta, gamma, seeds, precision: str):
         + (bc + varphi * psi + varphi + psi) * x1
         + (gc - varphi * psi) * x0
     ) / ((phi - varphi) * (varphi - psi) * (phi - psi))
+    comb_phi = (psi - varphi) / (phi - 1)
+    comb_varphi = (psi - phi) / (varphi - 1)
+    comb_psi = (varphi - phi) / (psi - 1)
+    tail_psi = (x2 - (varphi + 1) * x1 + varphi * x0) / ((psi - 1) * (psi - varphi))
+    tail_varphi = (x2 - (psi + 1) * x1 + psi * x0) / ((varphi - 1) * (psi - varphi))
 
-    def at(k):
-        comb = (
-            (psi - varphi) / (phi - 1) * phi**k
-            - (psi - phi) / (varphi - 1) * varphi**k
-            + (varphi - phi) / (psi - 1) * psi**k
-        )
-        tail = (
-            (x2 - (varphi + 1) * x1 + varphi * x0)
-            / ((psi - 1) * (psi - varphi))
-            * psi**k
-            - (x2 - (psi + 1) * x1 + psi * x0)
-            / ((varphi - 1) * (psi - varphi))
-            * varphi**k
-        )
+    def at(powers):
+        phi_k, varphi_k, psi_k = powers
+        comb = comb_phi * phi_k - comb_varphi * varphi_k + comb_psi * psi_k
+        tail = tail_psi * psi_k - tail_varphi * varphi_k
         return pref * comb + tail
 
-    return at
+    return at, rootset.roots
 
 
 def binet_cubic_closed(alpha, beta, gamma, seeds, k: int, precision: str = STANDARD):
@@ -252,7 +286,8 @@ def binet_cubic_closed(alpha, beta, gamma, seeds, k: int, precision: str = STAND
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    return _cubic_closed(alpha, beta, gamma, seeds, precision)(k)
+    at, roots = _cubic_closed(alpha, beta, gamma, seeds, precision)
+    return at([z**k for z in roots])
 
 
 def check_cubic_closed_form(
@@ -277,7 +312,7 @@ def check_cubic_closed_form(
     _check_seeds(spec, seed_vec)
 
     terms = generate(spec, seed_vec, k_max + 1)
-    check = compare_with_terms(_cubic_closed(a, b, g, seed_vec, precision), terms, precision)
+    check = _scan(*_cubic_closed(a, b, g, seed_vec, precision), terms, precision)
     if check.matches:
         note = "closed form matches the recurrence for k <= %d" % k_max
     else:

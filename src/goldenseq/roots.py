@@ -213,6 +213,7 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
 
     poly = _monic_poly(spec, ctx)
     deriv = [poly[j] * j for j in range(1, n + 1)]
+    moduli = [abs(c) for c in poly]
     z = None
     if precision != STANDARD:
         try:
@@ -235,10 +236,10 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
         worst_step = 0.0
         for i in range(n):
             pv = _poly_eval(poly, z[i])
-            if abs(pv) == 0:
+            if pv == 0:
                 continue
             dv = _poly_eval(deriv, z[i])
-            if abs(dv) == 0:
+            if dv == 0:
                 z[i] = z[i] + 1e-6 * (1 + abs(z[i]))
                 worst_step = math.inf
                 continue
@@ -248,11 +249,11 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
                 if j == i:
                     continue
                 diff = z[i] - z[j]
-                if abs(diff) == 0:
+                if diff == 0:
                     diff = 1e-12 * (1 + abs(z[i]))
                 repel += 1 / diff
             denom = 1 - newton * repel
-            step = newton if abs(denom) == 0 else newton / denom
+            step = newton if denom == 0 else newton / denom
             z[i] = z[i] - step
             rel = float(abs(step)) / (1 + float(abs(z[i])))
             if rel > worst_step:
@@ -264,7 +265,8 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
         # its own evaluation, so clustered roots never meet STEP_TOL
         at_floor = True
         for zi in z:
-            mag = sum(abs(c) * abs(zi) ** j for j, c in enumerate(poly))
+            r = abs(zi)
+            mag = sum(m * r**j for j, m in enumerate(moduli))
             if abs(_poly_eval(poly, zi)) > 8 * eps * mag:
                 at_floor = False
                 break

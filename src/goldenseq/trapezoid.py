@@ -232,10 +232,8 @@ def check_row_recurrence(trapezoid: Trapezoid) -> list:
     return violations
 
 
-def row_sum(i: int, spec: RecurrenceSpec, seeds: SeedVector) -> Fraction:
-    """Closed-form sum of row i: a fixed seed combination times (sum a_k)^i."""
-    if i < 0:
-        raise ValueError("row index must be >= 0")
+def _row_sum_form(spec: RecurrenceSpec, seeds: SeedVector):
+    """Build the closed-form row sum once; returns i -> combination * (sum a_k)^i."""
     _check_seeds(spec, seeds)
     n = spec.degree
     coeffs = spec.coeffs
@@ -245,7 +243,16 @@ def row_sum(i: int, spec: RecurrenceSpec, seeds: SeedVector) -> Fraction:
             (coeffs[n + r - l - 1] for l in range(r, n - 1)), Fraction(0)
         )
         inner += weight * seeds[r]
-    return inner * sum(coeffs, Fraction(0)) ** i
+    total = sum(coeffs, Fraction(0))
+    return lambda i: inner * total**i
+
+
+def row_sum(i: int, spec: RecurrenceSpec, seeds: SeedVector) -> Fraction:
+    """Closed-form sum of row i: a fixed seed combination times (sum a_k)^i.
+    A call builds the form for its one row."""
+    if i < 0:
+        raise ValueError("row index must be >= 0")
+    return _row_sum_form(spec, seeds)(i)
 
 
 def diagonal_sum(trapezoid: Trapezoid, i: int) -> Fraction:

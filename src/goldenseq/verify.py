@@ -26,9 +26,9 @@ from .analysis import (
 )
 from .binet import (
     _quadratic_closed,
-    binet_eval,
+    _scan,
+    _weighted_sum,
     check_cubic_closed_form,
-    compare_with_terms,
     solve_weights,
 )
 from .errors import (
@@ -39,15 +39,15 @@ from .errors import (
 )
 from .genfunc import build_genfunc, series_coefficients
 from .numerics import STANDARD, arithmetic
-from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, generate
+from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _scale, generate
 from .reports import VerificationCheck, compare
 from .roots import solve_roots, verify_symmetric_relations
 from .trapezoid import (
+    _row_sum_form,
     build_expansion,
     check_closed_form,
     check_row_recurrence,
     diagonal_sum,
-    row_sum,
 )
 
 TOL_RECOVERY = 1e-6
@@ -137,8 +137,11 @@ def verify_all(
             float(abs(weights.weights[-1])),
             "constant probe weight w_{n+1} must vanish",
         )
-        trip = compare_with_terms(
-            lambda k: binet_eval(weights, rootset, k), terms[: k_max + 1], precision
+        trip = _scan(
+            lambda powers: _weighted_sum(weights, powers),
+            rootset.roots,
+            terms[: k_max + 1],
+            precision,
         )
         note = "exact terms vs. root-power evaluation for k <= %d" % k_max
         add_scan("recurrence_binet_roundtrip", trip, note)
@@ -147,11 +150,11 @@ def verify_all(
     if spec.degree == 2:
         beta, alpha = spec.coeffs
         try:
-            closed = _quadratic_closed(alpha, beta, seeds, precision)
+            at, closed_roots = _quadratic_closed(alpha, beta, seeds, precision)
         except DegenerateSpectrumError as exc:
             add("binet_quadratic_closed_matches", None, detail=str(exc))
         else:
-            check = compare_with_terms(closed, terms[: min(k_max, 30) + 1], precision)
+            check = _scan(at, closed_roots, terms[: min(k_max, 30) + 1], precision)
             add_scan("binet_quadratic_closed_matches", check, "")
     if spec.degree == 3:
         gamma, beta, alpha = spec.coeffs
@@ -189,9 +192,10 @@ def verify_all(
         if not violations
         else "first violation at (i, j) = (%d, %d)" % violations[0][:2],
     )
+    row_sum = _row_sum_form(spec, seeds)
     sums = compare(
-        ((i, row_sum(i, spec, seeds)) for i in range(rows)),
-        (sum(row, Fraction(0)) for row in trap.rows),
+        ((i, row_sum(i)) for i in range(rows)),
+        (Fraction(sum(ints), den) for ints, den in map(_scale, trap.rows)),
     )
     note = "closed-form row sums vs. direct sums (exact)"
     add_scan("trapezoid_row_sums", sums, note, "row", residual=False)

@@ -4,9 +4,18 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import goldenseq as gs
-from goldenseq.binet import TOL_W, check_cubic_closed_form, compare_with_terms
+from goldenseq.binet import (
+    TOL_W,
+    _power_rows,
+    check_cubic_closed_form,
+    check_separation,
+    compare_with_terms,
+)
+from goldenseq.numerics import arithmetic
 from goldenseq.reports import compare
 from goldenseq.errors import (
     DegenerateSpectrumError,
@@ -192,10 +201,10 @@ def test_weights_respect_scale_tolerance():
 
 @pytest.mark.parametrize("precision", gs.PRECISIONS)
 def test_nan_evaluation_is_a_mismatch(precision):
-    check = compare_with_terms(lambda k: complex("nan"), [1, 2, 3], precision)
+    check = compare_with_terms([complex("nan")] * 3, [1, 2, 3], precision)
     assert (check.matches, check.first_mismatch) == (False, 0)
     assert math.isnan(check.max_error)
-    check = compare_with_terms(lambda k: complex("nan") if k == 1 else k + 1, [1, 2, 3], precision)
+    check = compare_with_terms([1, complex("nan"), 3], [1, 2, 3], precision)
     assert (check.matches, check.first_mismatch) == (False, 1)
     assert math.isnan(check.max_error)
 
@@ -204,3 +213,68 @@ def test_nan_max_error_is_not_overwritten_by_later_errors():
     check = compare(enumerate([1.0, float("nan"), 5.0]), [1.0, 2.0, 3.0], lambda a, b: abs(a - b))
     assert (check.matches, check.first_mismatch) == (False, 1)
     assert math.isnan(check.max_error)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coeffs=st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3), min_size=1, max_size=6),
+    precision=st.sampled_from(gs.PRECISIONS),
+)
+def test_power_rows_agree_with_exact_powers(coeffs, precision):
+    # a running product rounds once per step and z**k about 2 log2(k)
+    # times, each complex product within sqrt(5) unit roundoffs (the
+    # unit roundoff is eps / 2 in standard and far below eps in
+    # extended), so the two differ by at most 4 * k * eps * |z|^k to
+    # first order
+    try:
+        rootset = gs.solve_roots(gs.make_spec(coeffs), precision)
+        check_separation(rootset)
+    except (gs.RootConvergenceError, DegenerateSpectrumError):
+        assume(False)
+    eps = arithmetic(precision).eps
+    rows = list(_power_rows(rootset.roots, 41))
+    assert len(rows) == 41
+    for k, row in enumerate(rows):
+        for z, power in zip(rootset.roots, row, strict=True):
+            bound = 4 * k * eps * float(abs(z)) ** k
+            assert float(abs(power - z**k)) <= bound, (k, z)
+
+
+# The single-k closed forms evaluate z**k; these values pin them on
+# fibonacci (quadratic) and tribonacci (cubic).
+CLOSED_FORM_REPRS = {
+    ("standard", 0): (
+        "0j",
+        "(-1.5436890126920764-2.5837096341669233e-17j)",
+    ),
+    ("standard", 7): (
+        "(13+0j)",
+        "(-23.854359393454356-8.009499865917458e-16j)",
+    ),
+    ("standard", 30): (
+        "(832039.9999999999+0j)",
+        "(-29249424.999893364-9.791094002076639e-10j)",
+    ),
+    ("extended", 0): (
+        "mpc(real='0.0', imag='0.0')",
+        "mpc(real='-1.543689012692076361570855971801747986525179', "
+        "imag='-1.112038321979753720404362254952770521483867e-42')",
+    ),
+    ("extended", 7): (
+        "mpc(real='12.99999999999999999999999999999999999999982', imag='0.0')",
+        "mpc(real='-23.85435939345436720869653512585418758228083', "
+        "imag='-3.44731879813723653325352299035358861659991e-41')",
+    ),
+    ("extended", 30): (
+        "mpc(real='832039.9999999999999999999999999999999999157', imag='0.0')",
+        "mpc(real='-29249424.99989344014706839519999745100413579', "
+        "imag='-4.214123599816221533429258538457791081641308e-35')",
+    ),
+}
+
+
+@pytest.mark.parametrize("precision, k", CLOSED_FORM_REPRS)
+def test_single_k_closed_forms_keep_their_values(precision, k):
+    quadratic = gs.binet_quadratic_closed(1, 1, gs.make_seeds([0, 1]), k, precision)
+    cubic = gs.binet_cubic_closed(1, 1, 1, gs.make_seeds([0, 1, 1]), k, precision)
+    assert (repr(quadratic), repr(cubic)) == CLOSED_FORM_REPRS[precision, k]

@@ -287,3 +287,27 @@ def test_symmetric_relations_name_the_first_wrong_coefficient():
     report = gs.verify_symmetric_relations(wrong, spec)
     assert (report.matches, report.first_mismatch) == (False, 1)
     assert report.max_error == pytest.approx(1e-6, rel=1e-6)
+
+
+# One spec with the exact root 0 (a0 = 0) and one with the exact double
+# root 1, (x - 1)^2 (x + 2) (x - 3); the values pin the iteration's
+# zero tests and noise-floor acceptance.
+PINNED_ROOTS = {
+    ((0, 1, 1, 1), "standard"): "((1.8392867552141612+0j), (-0.4196433776070806+0.6062907292071994j), "
+    "(-0.4196433776070806-0.6062907292071994j), 0j)",
+    ((0, 1, 1, 1), "extended"): "(mpc(real='1.839286755214161132551852564653286600424173', imag='0.0'), "
+    "mpc(real='-0.4196433776070805662759262823266433002120867', imag='0.6062907292071993692593421970280230029495676'), "
+    "mpc(real='-0.4196433776070805662759262823266433002120924', imag='-0.6062907292071993692593421970280230029495676'), "
+    "mpc(real='0.0', imag='0.0'))",
+    ((6, -11, 3, 3), "standard"): "((3+0j), (-2+0j), (1.0000000296444607+1.4074504488456444e-08j), "
+    "(0.9999999851165506-7.0105931142095965e-09j))",
+    ((6, -11, 3, 3), "extended"): "(mpc(real='3.0', imag='0.0'), mpc(real='-2.0', imag='0.0'), "
+    "mpc(real='1.000000000000001775334262083216152849293501', imag='7.758486390649601923895188465455438528400665e-16'), "
+    "mpc(real='0.9999999999999991123328689064646685697474724', imag='-3.879243141611914178226559488550065389233142e-16'))",
+}
+
+
+@pytest.mark.parametrize("coeffs, precision", PINNED_ROOTS)
+def test_iteration_roots_are_pinned(coeffs, precision):
+    rootset = gs.general_roots(gs.make_spec(coeffs), precision)
+    assert repr(rootset.roots) == PINNED_ROOTS[coeffs, precision]

@@ -151,8 +151,8 @@ def test_has_failures_helper():
         ),
         (
             verify_module,
-            "row_sum",
-            lambda f: lambda i, spec, seeds: f(i, spec, seeds) + (i == 5),
+            "_row_sum_form",
+            lambda f: lambda spec, seeds: lambda i, form=f(spec, seeds): form(i) + (i == 5),
             "trapezoid_row_sums",
             None,
             "first divergence at row 5",
@@ -325,3 +325,19 @@ def test_closed_form_solves_its_roots_once(monkeypatch, name, solver, precision)
     preset = BUILTIN_PRESETS[name]
     verify_all(make_spec(preset.coeffs), make_seeds(preset.seeds), precision=precision)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+@pytest.mark.parametrize("name", ["pell", "tribonacci"])
+def test_scans_take_power_rows_not_binet_eval(monkeypatch, name, precision):
+    # the round trip walks its power rows; binet_eval stays a single-k call
+    calls = []
+    evaluate = binet_module.binet_eval
+    for module in (binet_module, verify_module):
+        monkeypatch.setattr(
+            module, "binet_eval", lambda *args: calls.append(args) or evaluate(*args), raising=False
+        )
+    preset = BUILTIN_PRESETS[name]
+    checks = verify_all(make_spec(preset.coeffs), make_seeds(preset.seeds), precision=precision)
+    assert by_name(checks)["recurrence_binet_roundtrip"].status == "pass"
+    assert calls == []
