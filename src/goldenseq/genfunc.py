@@ -9,12 +9,14 @@ and T(z) (degree <= n-1) absorbs the seeds:
 that is, T is (1 - R(z)) times the seed polynomial, cut to degree n-1.
 
 Series extraction never divides polynomials: the coefficients come out
-of the convolution c_k = t_k + sum_i r_i c_{k-i}, exactly, in Fractions.
+of the convolution c_k = t_k + sum_i r_i c_{k-i}, exactly, on ints over
+common denominators (recurrence._scale): coefficient k is over E*D^k, T
+over E and R over D.  They still leave as Fractions.
 """
 
 from fractions import Fraction
 
-from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, _to_fraction
+from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, _scale, _to_fraction, _unscale
 from .reports import Record
 
 
@@ -96,16 +98,17 @@ def build_genfunc(spec: RecurrenceSpec, seeds: SeedVector) -> GeneratingFunction
 
 
 def series_coefficients(gf: GeneratingFunction, count: int) -> list:
-    """First `count` exact series coefficients of gf around z = 0."""
+    """First `count` exact series coefficients of gf around z = 0.
+
+    On ints: w_k = tau_k D^k + sum_i rho_i D^(i-1) w_{k-i}, w_k = E*D^k*c_k.
+    """
     if count < 0:
         raise ValueError("count must be >= 0")
-    t = gf.numerator
-    r = gf.denominator_tail
+    t, den = _scale(gf.numerator)
+    r, d = _scale(gf.denominator_tail)
+    weights = [(i, rho * d ** (i - 1)) for i, rho in enumerate(r) if rho]  # r[0] == 0
     out = []
     for k in range(count):
-        c = t[k] if k < len(t) else Fraction(0)
-        for i in range(1, min(k, len(r) - 1) + 1):
-            if r[i]:
-                c += r[i] * out[k - i]
-        out.append(c)
-    return out
+        w = t[k] * d**k if k < len(t) else 0
+        out.append(w + sum([rho * out[k - i] for i, rho in weights if i <= k]))
+    return _unscale(out, den, d)

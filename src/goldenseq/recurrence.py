@@ -6,14 +6,20 @@ A spec with coefficients (a0, ..., a_{n-1}) encodes two objects at once:
     x_{k+n} = a_{n-1} x_{k+n-1} + ... + a_1 x_{k+1} + a_0 x_k
 
 Coefficients are stored ascending, a0 first, so a_{n-1} is the one that
-multiplies x_{k+n-1}. Everything in this module is exact rational
-arithmetic; sequences grow exponentially and floating point would corrupt
-the tables downstream modules reproduce bit-for-bit.
+multiplies x_{k+n-1}. Everything in this module is exact; sequences grow
+exponentially and floating point would corrupt the tables downstream
+modules reproduce bit-for-bit.
 
 Because the two relations are one, x_k written as a linear form in the
 seeds has the coefficients of x^k mod p(x).  symbolic_term and term_at
 compute that remainder by squaring, O(n^2 log k); generate stays a plain
 forward loop so that checks have a side which does not use it.
+
+Both run on ints over common denominators (_scale), with D the lcm of the
+coefficient denominators and c_j = D*a_j: generate keeps z_k = S*D^k*x_k
+(seeds over S), and _power_form keeps y^k mod q(y), y = D*x, whose
+coefficient of y^j is D^(k-j) times that of x^j.  Values still leave as
+Fractions, built once each at the end.
 """
 
 import math
@@ -96,19 +102,19 @@ def generate(spec: RecurrenceSpec, seeds: SeedVector, count: int) -> list[Fracti
     """First `count` terms of the sequence, exactly.
 
     Plain O(count * n) iteration; use term_at for a single far-out index.
+    On ints: z_{k+n} = sum_j c_j D^(n-1-j) z_{k+j}, z_k = S*D^k*x_k.
     """
     _check_seeds(spec, seeds)
     if count < 0:
         raise ValueError("count must be >= 0")
     n = spec.degree
-    terms = list(seeds.values[:count])
-    while len(terms) < count:
-        nxt = Fraction(0)
-        for j, a in enumerate(spec.coeffs):
-            if a:
-                nxt += a * terms[len(terms) - n + j]
-        terms.append(nxt)
-    return terms
+    coeffs, d = _scale(spec.coeffs)
+    weights = [(j, c * d ** (n - 1 - j)) for j, c in enumerate(coeffs) if c]
+    xs, den = _scale(seeds.values)
+    terms = [x * d**i for i, x in enumerate(xs[:count])]
+    for k in range(count - len(terms)):
+        terms.append(sum([w * terms[k + j] for j, w in weights]))
+    return _unscale(terms, den, d)
 
 
 def _poly_mul(a, b):
@@ -129,17 +135,43 @@ def _scale(values):
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
-def _reduce(poly, spec: RecurrenceSpec) -> list[Fraction]:
-    """poly mod p(x), in place: fold each x^d, d >= n, by x^n = sum a_j x^j."""
-    n = spec.degree
+def _unscale(ints, den, d):
+    """ints[k] / (den * d^k) as Fractions, in place, so that the ints and
+    the Fractions are never held as two whole lists at once."""
+    for k, v in enumerate(ints):
+        ints[k] = Fraction(v, den)
+        den *= d
+    return ints
+
+
+def _reduce(poly, low):
+    """poly mod y^n - sum low[j] y^j, in place: fold each y^d, d >= n."""
+    n = len(low)
     while len(poly) > n:
-        c = poly.pop()  # coefficient of x^d, d = len(poly) after the pop
+        c = poly.pop()  # coefficient of y^d, d = len(poly) after the pop
         if c:
-            low = len(poly) - n
-            for j, a in enumerate(spec.coeffs):
+            base = len(poly) - n
+            for j, a in enumerate(low):
                 if a:
-                    poly[low + j] += c * a
+                    poly[base + j] += c * a
     return poly
+
+
+def _power_form(spec: RecurrenceSpec, k: int):
+    """(b, d): b = y^k mod q(y) for y = d*x and q(y) = d^n p(y/d), monic
+    with int coefficients, so x^k mod p(x) == sum_j b[j] d^j x^j / d^k.
+    Square-and-multiply-by-y over the bits of k, high bit first."""
+    if k < 0:
+        raise ValueError("k must be >= 0 (backward extension is not defined)")
+    n = spec.degree
+    coeffs, d = _scale(spec.coeffs)
+    low = [c * d ** (n - 1 - j) for j, c in enumerate(coeffs)]
+    form = [1] + [0] * (n - 1)
+    for bit in bin(k)[2:]:
+        form = _reduce(_poly_mul(form, form), low)
+        if bit == "1":
+            form = _reduce([0] + form, low)
+    return form, d
 
 
 class SymbolicTerm(Record):
@@ -160,24 +192,22 @@ def symbolic_term(spec: RecurrenceSpec, k: int) -> SymbolicTerm:
     """Coefficients of x_0..x_{n-1} expressing x_k; unit vector for k < n.
 
     They are the coefficients of x^k mod p(x) (Fiduccia 1985): the
-    recurrence and x^n = sum a_j x^j are the same relation.  x^k is built
-    by square-and-multiply-by-x over the bits of k, high bit first, each
-    step reduced mod p(x), so O(n^2 log k) exact operations.
+    recurrence and x^n = sum a_j x^j are the same relation.  O(n^2 log k)
+    integer operations (see _power_form).
     """
-    if k < 0:
-        raise ValueError("k must be >= 0 (backward extension is not defined)")
-    form = [Fraction(1)] + [Fraction(0)] * (spec.degree - 1)
-    for bit in bin(k)[2:]:
-        form = _reduce(_poly_mul(form, form), spec)
-        if bit == "1":
-            form = _reduce([Fraction(0)] + form, spec)
-    return SymbolicTerm(k, tuple(form))
+    form, d = _power_form(spec, k)
+    den = d**k
+    return SymbolicTerm(k, tuple(Fraction(b * d**j, den) for j, b in enumerate(form)))
 
 
 def term_at(spec: RecurrenceSpec, seeds: SeedVector, k: int) -> Fraction:
     """x_k as the linear form of symbolic_term applied to the seeds.
 
-    O(n^2 log k) exact operations (x^k mod p(x), see symbolic_term).
+    O(n^2 log k) integer operations (x^k mod p(x), see _power_form), and
+    one Fraction: x_k = sum_j b_j d^j s_j / (S d^k), seeds s_j / S.
     """
     _check_seeds(spec, seeds)
-    return symbolic_term(spec, k).evaluate(seeds)
+    form, d = _power_form(spec, k)
+    xs, den = _scale(seeds.values)
+    total = sum(b * d**j * x for j, (b, x) in enumerate(zip(form, xs)) if b)
+    return Fraction(total, den * d**k)

@@ -74,8 +74,12 @@ def build_expansion(spec: RecurrenceSpec, seeds: SeedVector, num_rows: int) -> T
     if num_rows < 1:
         raise ValueError("num_rows must be >= 1")
     _check_seeds(spec, seeds)
+    return _expand(build_genfunc(spec, seeds), spec, seeds, num_rows)
+
+
+def _expand(gf, spec: RecurrenceSpec, seeds: SeedVector, num_rows: int) -> Trapezoid:
+    """build_expansion's rows, from gf = build_genfunc(spec, seeds)."""
     n = spec.degree
-    gf = build_genfunc(spec, seeds)
     t_poly, den = _scale(gf.numerator)
     r_poly, r_den = _scale(gf.denominator_tail)
 

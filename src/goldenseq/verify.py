@@ -43,8 +43,8 @@ from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _scale, genera
 from .reports import VerificationCheck, compare
 from .roots import solve_roots, verify_symmetric_relations
 from .trapezoid import (
+    _expand,
     _row_sum_form,
-    build_expansion,
     check_closed_form,
     check_row_recurrence,
     diagonal_sum,
@@ -65,7 +65,8 @@ def verify_all(
     Statuses: "pass", "fail", "skipped" (with the reason in detail).
     The shared inputs are one `solve_roots`, one `solve_weights`, one
     `generate` of max(k_max, 60) + 2 terms (at least `rows`) and one
-    `build_expansion` of `rows` rows.  When the roots cannot be solved,
+    `build_genfunc`, whose series is checked and whose expansion of `rows`
+    rows is the trapezoid.  When the roots cannot be solved,
     every row that needs them is skipped with "roots unavailable: ...".
     """
     _check_seeds(spec, seeds)
@@ -174,7 +175,7 @@ def verify_all(
     add_scan("genfunc_series_roundtrip", series, note)
 
     # --- trapezoid ----------------------------------------------------
-    trap = build_expansion(spec, seeds, rows)
+    trap = _expand(gf, spec, seeds, rows)
     if spec.degree in (2, 3):
         add_check("trapezoid_closed_form", check_closed_form(trap))
     else:

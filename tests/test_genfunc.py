@@ -110,3 +110,63 @@ def test_series_round_trip(coeffs, data):
     )
     gf = gs.build_genfunc(spec, seeds)
     assert gs.series_coefficients(gf, 15) == gs.generate(spec, seeds, 15)
+
+
+# zeros are drawn often, so zero seeds, a0 = 0 and all-zero tails occur
+RATIONALS = st.just(Fraction(0)) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+INTEGERS = st.just(Fraction(0)) | st.integers(-4, 4).map(Fraction)
+
+
+def _series_reference(numerator, tail, count):
+    """c_k = t_k + sum_i r_i c_{k-i} in plain Fractions."""
+    out = []
+    for k in range(count):
+        c = Fraction(numerator[k]) if k < len(numerator) else Fraction(0)
+        for i in range(1, min(k, len(tail) - 1) + 1):
+            c += Fraction(tail[i]) * out[k - i]
+        out.append(c)
+    return out
+
+
+def _assert_series_equals_reference(gf, count):
+    got = gs.series_coefficients(gf, count)
+    expected = _series_reference(gf.numerator, gf.denominator_tail, count)
+    assert got == expected
+    assert repr(got) == repr(expected)
+    assert all(type(v) is Fraction for v in got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    degree=st.integers(1, 8),
+    values=st.sampled_from((INTEGERS, RATIONALS)),
+    direct=st.booleans(),
+    data=st.data(),
+)
+def test_series_equals_fraction_reference(degree, values, direct, data):
+    # series_coefficients runs on ints over E*D^k; the reference does not
+    if direct:  # any T, even longer than R, and R possibly all zero
+        numerator = data.draw(st.lists(values, max_size=degree + 4))
+        tail = [0] + data.draw(st.lists(values, max_size=degree))
+        gf = GeneratingFunction(tuple(numerator), tuple(tail))
+    else:
+        coeffs = data.draw(st.lists(values, min_size=degree, max_size=degree))
+        seeds = data.draw(st.lists(values, min_size=degree, max_size=degree))
+        gf = gs.build_genfunc(gs.make_spec(coeffs), gs.make_seeds(seeds))
+    count = data.draw(st.integers(0, degree + 2) | st.integers(degree + 3, 200))
+    _assert_series_equals_reference(gf, count)
+
+
+@pytest.mark.parametrize(
+    "numerator, tail",
+    [
+        ((), ()),  # 0 / 1
+        ((Fraction(1, 3), 0, Fraction(-2, 5), 0, 7), (0,)),  # a polynomial
+        ((1, Fraction(1, 2), 0, 0, Fraction(-3, 4), 1), (0, Fraction(2, 3), 0, 1)),
+        ((0, 0, Fraction(5, 6)), (0, 0, 0, Fraction(-1, 2))),
+    ],
+)
+def test_direct_series_edge_cases_equal_fraction_reference(numerator, tail):
+    gf = GeneratingFunction(numerator, tail)
+    for count in (0, 1, 2, 5, 8, 60):
+        _assert_series_equals_reference(gf, count)

@@ -1,5 +1,6 @@
 """Exact sequence engine: generation, fast single terms, symbolic forms."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -174,3 +175,101 @@ def test_term_at_and_symbolic_term_match_generate(coeffs, zero_a0, data, k):
     expected = gs.generate(spec, seeds, k + 1)[k]
     assert gs.term_at(spec, seeds, k) == expected
     assert gs.symbolic_term(spec, k).evaluate(seeds) == expected
+
+
+# zeros are drawn often, so a0 = 0, zero seeds and the all-zero spec occur
+RATIONALS = st.just(Fraction(0)) | st.fractions(min_value=-3, max_value=3, max_denominator=4)
+INTEGERS = st.just(Fraction(0)) | st.integers(-4, 4).map(Fraction)
+
+
+def _generate_reference(coeffs, seeds, count):
+    """The forward loop in plain Fractions."""
+    n = len(coeffs)
+    terms = [Fraction(s) for s in seeds[:count]]
+    while len(terms) < count:
+        terms.append(sum((Fraction(a) * terms[j - n] for j, a in enumerate(coeffs)), Fraction(0)))
+    return terms
+
+
+def _power_mod_reference(coeffs, k):
+    """x^k mod p(x) in plain Fractions, one multiplication by x at a time."""
+    form = [Fraction(1)] + [Fraction(0)] * (len(coeffs) - 1)
+    for _ in range(k):
+        top = form.pop()  # x * x^(n-1) = x^n = sum a_j x^j
+        form = [top * Fraction(coeffs[0])] + [f + top * Fraction(a) for f, a in zip(form, coeffs[1:])]
+    return form
+
+
+def _assert_same_fractions(got, expected):
+    assert got == expected
+    assert repr(got) == repr(expected)
+    assert all(type(v) is Fraction for v in got)
+
+
+def _check_against_reference(coeffs, seeds, count, k):
+    spec, vec = gs.make_spec(coeffs), gs.make_seeds(seeds)
+    _assert_same_fractions(gs.generate(spec, vec, count), _generate_reference(coeffs, seeds, count))
+    form = _power_mod_reference(coeffs, k)
+    term = gs.symbolic_term(spec, k)
+    assert term.k == k
+    _assert_same_fractions(list(term.seed_coeffs), form)
+    value = sum((c * Fraction(s) for c, s in zip(form, seeds)), Fraction(0))
+    _assert_same_fractions([gs.term_at(spec, vec, k)], [value])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    degree=st.integers(1, 8),
+    values=st.sampled_from((INTEGERS, RATIONALS)),
+    data=st.data(),
+)
+def test_exact_core_equals_fraction_reference(degree, values, data):
+    # generate runs on ints over S*D^k and symbolic_term/term_at on the
+    # scaled polynomial y = D*x; the reference uses neither
+    coeffs = data.draw(st.lists(values, min_size=degree, max_size=degree))
+    seeds = data.draw(st.lists(values, min_size=degree, max_size=degree))
+    count = data.draw(st.integers(0, degree + 2) | st.integers(degree + 3, 200))
+    k = data.draw(st.integers(0, degree + 2) | st.integers(degree + 3, 400))
+    _check_against_reference(coeffs, seeds, count, k)
+
+
+@pytest.mark.parametrize(
+    "coeffs, seeds",
+    [
+        ([0, 0, 0], ["1/2", -1, 3]),  # all-zero spec
+        (["1/2", "-1/3", 2], [0, 0, 0]),  # zero seeds
+        ([0, "3/4", "-2/5"], ["2/3", 0, -1]),  # a0 = 0
+        (["1/3", "2/3"], [1, 1]),  # rational spec, integer terms
+        (["-7/6"], ["5/9"]),
+    ],
+)
+def test_exact_core_edge_cases_equal_fraction_reference(coeffs, seeds):
+    for count in range(len(coeffs) + 4):
+        _check_against_reference(coeffs, seeds, count, count)
+    _check_against_reference(coeffs, seeds, 150, 333)
+
+
+def _peak_over_result(run):
+    """tracemalloc peak of run() over the size of what it returns and keeps."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = run()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(result) == 3000
+    return (peak - base) / (current - base)
+
+
+def test_long_prefixes_peak_near_their_result():
+    # Guards exact-far's peak_rss_mb: generate and series_coefficients
+    # turn their ints into Fractions in the same list, so the peak stays
+    # at the result (1.00x); holding the ints and the Fractions in two
+    # lists at once reads about 1.7x.
+    spec = gs.make_spec(["1/2", -1, "1/2", 1])
+    seeds = gs.make_seeds([1, "1/2", -2, "3/2"])
+    gf = gs.build_genfunc(spec, seeds)
+    assert _peak_over_result(lambda: gs.generate(spec, seeds, 3000)) <= 1.25
+    assert _peak_over_result(lambda: gs.series_coefficients(gf, 3000)) <= 1.25

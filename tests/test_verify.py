@@ -255,16 +255,20 @@ def test_all_zero_seeds_skip_convergence_and_recovery():
 
 
 # (module, name) pairs whose calls a verify_all run counts: the names
-# verify and analysis import, and trapezoid's own build_expansion, which
-# check_closed_form would reach.  The generate calls inside solve_weights
-# and check_cubic_closed_form are binet's and are not counted.
+# verify and analysis import, and trapezoid's own build_expansion,
+# _expand and build_genfunc, which check_closed_form would reach.  The
+# generate calls inside solve_weights and check_cubic_closed_form are
+# binet's and are not counted.
 COUNTED = [
     (verify_module, "solve_roots"),
     (analysis_module, "solve_roots"),
     (verify_module, "solve_weights"),
     (analysis_module, "solve_weights"),
-    (verify_module, "build_expansion"),
     (trapezoid_module, "build_expansion"),
+    (verify_module, "build_genfunc"),
+    (trapezoid_module, "build_genfunc"),
+    (verify_module, "_expand"),
+    (trapezoid_module, "_expand"),
     (verify_module, "generate"),
     (analysis_module, "generate"),
 ]
@@ -289,7 +293,8 @@ def test_shared_inputs_are_computed_once(monkeypatch, coeffs, seeds):
     verify_all(make_spec(coeffs), make_seeds(seeds))
     assert calls.pop("solve_roots") == 1
     assert calls.pop("solve_weights", 0) <= 1
-    assert calls == {"build_expansion": 1, "generate": 1}
+    # one generating function: the series round trip and the expansion share it
+    assert calls == {"build_genfunc": 1, "_expand": 1, "generate": 1}
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
