@@ -9,10 +9,13 @@ polynomial, in which case the system is singular and we refuse to
 solve it rather than return garbage.
 
 Degree-2 and degree-3 also get direct closed forms written entirely in
-terms of the roots and seeds.  Each is built in one step (seed count,
-premises, radical roots, inputs converted to the precision's context,
-the factors that do not depend on k) and then evaluated at a row of
-root powers, so a check over many k solves the roots once.
+terms of the roots and seeds.  Both are built from (spec, seeds) in one
+step, `_closed_form`: one seed check, one degree dispatch, the premises,
+the radical roots, the inputs converted to the precision's context and
+the factors that do not depend on k.  The form is then evaluated at a
+row of root powers, so a check over many k solves the roots once.  The
+cubic's premises are three separated roots (check_separation, a float
+test) and no root at 1 (the exact test sum(a_j) == 1).
 
 The quadratic closed form is reliable.  The cubic one reproduces a
 published formula verbatim; `check_cubic_closed_form` compares it
@@ -20,7 +23,7 @@ against the exact recurrence and reports a formula mismatch instead of
 silently trusting it (on most inputs it disagrees from k = 0, so the
 generic weights path stays authoritative).
 
-A scan over k = 0 .. K (verify's round trip and quadratic row,
+A scan over k = 0 .. K (verify's round trip and closed-form rows,
 check_cubic_closed_form) takes its root powers from `_power_rows`, one
 product per root per step; in extended precision z**k is an exact
 big-integer power of the 136-bit mantissas, rounded once, and costs far
@@ -36,7 +39,6 @@ from .recurrence import (
     RecurrenceSpec,
     SeedVector,
     _check_seeds,
-    _to_fraction,
     generate,
     make_seeds,
     make_spec,
@@ -79,16 +81,6 @@ def check_separation(rootset: RootSet) -> None:
                     "polynomial-in-k terms, which this closed form does not "
                     "carry)" % (i, j, scale)
                 )
-
-
-def _check_unit_root(rootset: RootSet) -> None:
-    scale = TOL_SEP * _separation_scale(rootset)
-    for z in rootset.roots:
-        if abs(z - 1) < scale:
-            raise UnitRootError(
-                "1 is a characteristic root; the closed form divides by "
-                "(root - 1) and is undefined here"
-            )
 
 
 def solve_weights(
@@ -204,29 +196,71 @@ def _scan(at, roots, terms, precision: str) -> FormulaCheck:
     return compare_with_terms(map(at, _power_rows(roots, len(terms))), terms, precision)
 
 
-def _quadratic_closed(alpha, beta, seeds, precision: str):
-    """Build binet_quadratic_closed once; returns (at, roots), where
-    at([phi**k, varphi**k]) is the form's value at k."""
-    if len(seeds) != 2:
-        raise SeedMismatchError("quadratic closed form needs exactly 2 seeds")
-    a, b = (_to_fraction(v, ValueError) for v in (alpha, beta))
-    disc = a * a + 4 * b
-    if disc == 0:
-        raise DegenerateSpectrumError(
-            "discriminant a^2 + 4b is zero: repeated root, closed form undefined"
-        )
-    roots = quadratic_roots(a, b, precision).roots
-    ctx = arithmetic(precision).ctx
-    sigma = ctx.sqrt(to_complex(ctx, disc))
-    x0, x1, ac = (to_complex(ctx, v) for v in (seeds[0], seeds[1], a))
-    phi = roots[0]
-    lead = ((phi - ac) * x0 + x1) / sigma
+def _closed_form(spec: RecurrenceSpec, seeds: SeedVector, precision: str):
+    """Build the degree-2 or degree-3 closed form once; returns (at, roots),
+    where at([z**k for z in roots]) is the form's value at k."""
+    _check_seeds(spec, seeds)
+    if spec.degree == 2:
+        b, a = spec.coeffs
+        disc = a * a + 4 * b
+        if disc == 0:
+            raise DegenerateSpectrumError(
+                "discriminant a^2 + 4b is zero: repeated root, closed form undefined"
+            )
+        roots = quadratic_roots(a, b, precision).roots
+        ctx = arithmetic(precision).ctx
+        sigma = ctx.sqrt(to_complex(ctx, disc))
+        x0, x1, ac = (to_complex(ctx, v) for v in (*seeds, a))
+        phi = roots[0]
+        lead = ((phi - ac) * x0 + x1) / sigma
 
-    def at(powers):
-        phi_k, varphi_k = powers
-        return lead * (phi_k - varphi_k) + varphi_k * x0
+        def at(powers):
+            phi_k, varphi_k = powers
+            return lead * (phi_k - varphi_k) + varphi_k * x0
 
-    return at, roots
+        return at, roots
+    if spec.degree == 3:
+        g, b, a = spec.coeffs
+        rootset = cubic_roots(a, b, g, precision)
+        check_separation(rootset)
+        if sum(spec.coeffs) == 1:  # p(1) = 1 - sum of a_j, exactly
+            raise UnitRootError(
+                "1 is a characteristic root; the closed form divides by "
+                "(root - 1) and is undefined here"
+            )
+        phi, varphi, psi = rootset.roots
+        ctx = arithmetic(precision).ctx
+        x0, x1, x2, ac, bc, gc = (to_complex(ctx, v) for v in (*seeds, a, b, g))
+
+        pref = (
+            (ac - varphi - psi - 1) * x2
+            + (bc + varphi * psi + varphi + psi) * x1
+            + (gc - varphi * psi) * x0
+        ) / ((phi - varphi) * (varphi - psi) * (phi - psi))
+        comb_phi = (psi - varphi) / (phi - 1)
+        comb_varphi = (psi - phi) / (varphi - 1)
+        comb_psi = (varphi - phi) / (psi - 1)
+        tail_psi = (x2 - (varphi + 1) * x1 + varphi * x0) / ((psi - 1) * (psi - varphi))
+        tail_varphi = (x2 - (psi + 1) * x1 + psi * x0) / ((varphi - 1) * (psi - varphi))
+
+        def at(powers):
+            phi_k, varphi_k, psi_k = powers
+            comb = comb_phi * phi_k - comb_varphi * varphi_k + comb_psi * psi_k
+            tail = tail_psi * psi_k - tail_varphi * varphi_k
+            return pref * comb + tail
+
+        return at, rootset.roots
+    raise ValueError(
+        "closed Binet forms exist only for degrees 2 and 3 (got degree %d)" % spec.degree
+    )
+
+
+def _at_k(coeffs, seeds, k: int, precision: str):
+    """One closed-form value: checks k, builds once, evaluates z**k."""
+    if k < 0:
+        raise ValueError("k must be >= 0")
+    at, roots = _closed_form(make_spec(coeffs), make_seeds(seeds), precision)
+    return at([z**k for z in roots])
 
 
 def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD):
@@ -236,43 +270,7 @@ def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD
     raises DegenerateSpectrumError.  The roots are solved once per build,
     and a call builds the form for its one k.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    at, roots = _quadratic_closed(alpha, beta, seeds, precision)
-    return at([z**k for z in roots])
-
-
-def _cubic_closed(alpha, beta, gamma, seeds, precision: str):
-    """Build binet_cubic_closed once; returns (at, roots), where
-    at([phi**k, varphi**k, psi**k]) is the form's value at k."""
-    if len(seeds) != 3:
-        raise SeedMismatchError("cubic closed form needs exactly 3 seeds")
-    a, b, g = (_to_fraction(v, ValueError) for v in (alpha, beta, gamma))
-    rootset = cubic_roots(a, b, g, precision)
-    check_separation(rootset)
-    _check_unit_root(rootset)
-    phi, varphi, psi = rootset.roots
-    ctx = arithmetic(precision).ctx
-    x0, x1, x2, ac, bc, gc = (to_complex(ctx, v) for v in (*seeds, a, b, g))
-
-    pref = (
-        (ac - varphi - psi - 1) * x2
-        + (bc + varphi * psi + varphi + psi) * x1
-        + (gc - varphi * psi) * x0
-    ) / ((phi - varphi) * (varphi - psi) * (phi - psi))
-    comb_phi = (psi - varphi) / (phi - 1)
-    comb_varphi = (psi - phi) / (varphi - 1)
-    comb_psi = (varphi - phi) / (psi - 1)
-    tail_psi = (x2 - (varphi + 1) * x1 + varphi * x0) / ((psi - 1) * (psi - varphi))
-    tail_varphi = (x2 - (psi + 1) * x1 + psi * x0) / ((varphi - 1) * (psi - varphi))
-
-    def at(powers):
-        phi_k, varphi_k, psi_k = powers
-        comb = comb_phi * phi_k - comb_varphi * varphi_k + comb_psi * psi_k
-        tail = tail_psi * psi_k - tail_varphi * varphi_k
-        return pref * comb + tail
-
-    return at, rootset.roots
+    return _at_k((beta, alpha), seeds, k, precision)
 
 
 def binet_cubic_closed(alpha, beta, gamma, seeds, k: int, precision: str = STANDARD):
@@ -284,10 +282,19 @@ def binet_cubic_closed(alpha, beta, gamma, seeds, k: int, precision: str = STAND
     most inputs this expression does NOT reproduce the recurrence, so use
     it only through the checking wrapper.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    at, roots = _cubic_closed(alpha, beta, gamma, seeds, precision)
-    return at([z**k for z in roots])
+    return _at_k((gamma, beta, alpha), seeds, k, precision)
+
+
+def _cubic_note(check: FormulaCheck, k_max: int) -> FormulaCheck:
+    if check.matches:
+        note = "closed form matches the recurrence for k <= %d" % k_max
+    else:
+        note = (
+            "formula mismatch: first divergence at k = %d (relative error "
+            "%.3e); falling back to the generic weights path"
+            % (check.first_mismatch, check.max_error)
+        )
+    return check.replace(note=note)
 
 
 def check_cubic_closed_form(
@@ -306,19 +313,8 @@ def check_cubic_closed_form(
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    a, b, g = (_to_fraction(v, ValueError) for v in (alpha, beta, gamma))
-    spec = make_spec([g, b, a])
-    seed_vec = seeds if isinstance(seeds, SeedVector) else make_seeds(seeds)
-    _check_seeds(spec, seed_vec)
-
+    spec = make_spec([gamma, beta, alpha])
+    seed_vec = make_seeds(seeds)
+    at, roots = _closed_form(spec, seed_vec, precision)
     terms = generate(spec, seed_vec, k_max + 1)
-    check = _scan(*_cubic_closed(a, b, g, seed_vec, precision), terms, precision)
-    if check.matches:
-        note = "closed form matches the recurrence for k <= %d" % k_max
-    else:
-        note = (
-            "formula mismatch: first divergence at k = %d (relative error "
-            "%.3e); falling back to the generic weights path"
-            % (check.first_mismatch, check.max_error)
-        )
-    return check.replace(note=note)
+    return _cubic_note(_scan(at, roots, terms, precision), k_max)

@@ -24,13 +24,7 @@ from .analysis import (
     golden_inverse_check,
     recover_cubic_conjugates,
 )
-from .binet import (
-    _quadratic_closed,
-    _scan,
-    _weighted_sum,
-    check_cubic_closed_form,
-    solve_weights,
-)
+from .binet import _closed_form, _cubic_note, _scan, _weighted_sum, solve_weights
 from .errors import (
     DegenerateSpectrumError,
     RootConvergenceError,
@@ -148,25 +142,20 @@ def verify_all(
         add_scan("recurrence_binet_roundtrip", trip, note)
 
     # --- closed Binet forms -----------------------------------------
-    if spec.degree == 2:
-        beta, alpha = spec.coeffs
+    if spec.degree in (2, 3):
+        cubic = spec.degree == 3
+        name = "binet_cubic_closed_matches" if cubic else "binet_quadratic_closed_matches"
+        span = min(k_max, 20 if cubic else 30)
         try:
-            at, closed_roots = _quadratic_closed(alpha, beta, seeds, precision)
-        except DegenerateSpectrumError as exc:
-            add("binet_quadratic_closed_matches", None, detail=str(exc))
-        else:
-            check = _scan(at, closed_roots, terms[: min(k_max, 30) + 1], precision)
-            add_scan("binet_quadratic_closed_matches", check, "")
-    if spec.degree == 3:
-        gamma, beta, alpha = spec.coeffs
-        try:
-            report = check_cubic_closed_form(
-                alpha, beta, gamma, seeds, min(k_max, 20), precision
-            )
+            at, closed_roots = _closed_form(spec, seeds, precision)
         except (DegenerateSpectrumError, UnitRootError) as exc:
-            add("binet_cubic_closed_matches", None, detail=str(exc))
+            add(name, None, detail=str(exc))
         else:
-            add_check("binet_cubic_closed_matches", report)
+            check = _scan(at, closed_roots, terms[: span + 1], precision)
+            if cubic:
+                add_check(name, _cubic_note(check, span))
+            else:
+                add_scan(name, check, "")
 
     # --- generating function ----------------------------------------
     gf = build_genfunc(spec, seeds)

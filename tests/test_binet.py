@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import goldenseq as gs
 from goldenseq.binet import (
+    TOL_SEP,
     TOL_W,
     _power_rows,
     check_cubic_closed_form,
@@ -149,18 +151,46 @@ def test_cubic_closed_form_repeated_root_refused():
 
 
 @pytest.mark.parametrize(
-    "closed_form, seeds",
+    "closed_form, seeds, message",
     [
-        (lambda seeds, k: gs.binet_quadratic_closed(1, 1, seeds, k), [0, 1, 1]),
-        (lambda seeds, k: gs.binet_cubic_closed(1, 1, 1, seeds, k), [0, 1]),
+        (
+            lambda seeds, k: gs.binet_quadratic_closed(1, 1, seeds, k),
+            [0, 1, 1],
+            "spec has degree 2 but 3 seeds were given",
+        ),
+        (
+            lambda seeds, k: gs.binet_cubic_closed(1, 1, 1, seeds, k),
+            [0, 1],
+            "spec has degree 3 but 2 seeds were given",
+        ),
     ],
     ids=("quadratic", "cubic"),
 )
-def test_closed_forms_check_k_before_the_seed_count(closed_form, seeds):
+def test_closed_forms_check_k_before_the_seed_count(closed_form, seeds, message):
     with pytest.raises(ValueError, match="k must be >= 0"):
         closed_form(gs.make_seeds(seeds), -1)
-    with pytest.raises(SeedMismatchError, match="closed form needs exactly"):
+    with pytest.raises(SeedMismatchError, match=message):
         closed_form(gs.make_seeds(seeds), 0)
+
+
+@pytest.mark.parametrize(
+    "closed_form",
+    [
+        lambda: gs.binet_quadratic_closed(1, 1, [0.5, 1], 5),
+        lambda: gs.binet_cubic_closed(1, 1, 1, [0.5, 1, 1], 5),
+    ],
+    ids=("quadratic", "cubic"),
+)
+def test_closed_forms_reject_float_seeds(closed_form):
+    with pytest.raises(SeedMismatchError, match="exact rational required"):
+        closed_form()
+
+
+@pytest.mark.parametrize("precision", gs.PRECISIONS)
+def test_cubic_closed_form_accepts_a_root_near_one(precision):
+    r = Fraction(1000000001, 1000000000)  # (x - r)(x^2 + 1): 1 is not a root
+    value = gs.binet_cubic_closed(r, -1, r, gs.make_seeds([0, 1, 2]), 5, precision)
+    assert math.isfinite(float(abs(value)))
 
 
 def test_cubic_check_rejects_negative_k_max():
@@ -238,6 +268,44 @@ def test_power_rows_agree_with_exact_powers(coeffs, precision):
         for z, power in zip(rootset.roots, row, strict=True):
             bound = 4 * k * eps * float(abs(z)) ** k
             assert float(abs(power - z**k)) <= bound, (k, z)
+
+
+@st.composite
+def _cubic_coeffs(draw):
+    # |a_j| <= 6 and denominators <= 7; half the draws put 1 as a root
+    # through a0 = 1 - a1 - a2, with a1 and a2 over one denominator d
+    # so that a0's denominator stays <= 7 too
+    def rational(d):
+        return Fraction(draw(st.integers(-6 * d, 6 * d)), d)
+
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 7))
+        a1, a2 = rational(d), rational(d)
+        a0 = 1 - a1 - a2
+        assume(abs(a0) <= 6)
+    else:
+        a0, a1, a2 = (rational(draw(st.integers(1, 7))) for _ in range(3))
+    return [a0, a1, a2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(coeffs=_cubic_coeffs(), precision=st.sampled_from(gs.PRECISIONS))
+def test_exact_unit_root_rule_agrees_with_the_roots(coeffs, precision):
+    # The cubic closed form refuses 1 as a root by the exact test Σa == 1;
+    # a float test on the roots would say the same on these specs: when
+    # Σa != 1, p(1) = 1 - Σa is a nonzero rational over a denominator of
+    # at most lcm(5, 6, 7) = 210, and |p(1)| is the product of the |1 - r|,
+    # each at most 8 (Cauchy: |r| <= 1 + 6), so every root stays at least
+    # 1/(210 * 64) from 1, far beyond the float test's 8 * TOL_SEP.
+    g, b, a = coeffs
+    rootset = gs.cubic_roots(a, b, g, precision)
+    try:
+        check_separation(rootset)
+    except DegenerateSpectrumError:
+        assume(False)
+    scale = TOL_SEP * (1 + max(abs(z) for z in rootset.roots))
+    near_one = any(abs(z - 1) < scale for z in rootset.roots)
+    assert near_one == (sum(coeffs) == 1)
 
 
 # The single-k closed forms evaluate z**k; these values pin them on

@@ -256,9 +256,10 @@ def test_all_zero_seeds_skip_convergence_and_recovery():
 
 # (module, name) pairs whose calls a verify_all run counts: the names
 # verify and analysis import, and trapezoid's own build_expansion,
-# _expand and build_genfunc, which check_closed_form would reach.  The
-# generate calls inside solve_weights and check_cubic_closed_form are
-# binet's and are not counted.
+# _expand and build_genfunc, which check_closed_form would reach.
+# binet's generate is counted apart, as "binet.generate": solve_weights
+# makes its one call there, and the closed Binet forms scan the terms
+# verify already holds.
 COUNTED = [
     (verify_module, "solve_roots"),
     (analysis_module, "solve_roots"),
@@ -290,9 +291,10 @@ def test_shared_inputs_are_computed_once(monkeypatch, coeffs, seeds):
 
     for module, name in COUNTED:
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(binet_module, "generate", counted("binet.generate", binet_module.generate))
     verify_all(make_spec(coeffs), make_seeds(seeds))
     assert calls.pop("solve_roots") == 1
-    assert calls.pop("solve_weights", 0) <= 1
+    assert calls.pop("binet.generate", 0) <= calls.pop("solve_weights", 0) <= 1
     # one generating function: the series round trip and the expansion share it
     assert calls == {"build_genfunc": 1, "_expand": 1, "generate": 1}
 
@@ -319,6 +321,17 @@ def test_shared_inputs_are_computed_once(monkeypatch, coeffs, seeds):
 def test_closed_form_without_its_premise_is_skipped(coeffs, seeds, row, detail, precision):
     named = by_name(verify_all(make_spec(coeffs), make_seeds(seeds), precision=precision))
     assert (named[row].status, named[row].residual, named[row].detail) == ("skipped", None, detail)
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_cubic_root_near_one_is_checked_not_skipped(precision):
+    # (x - r)(x^2 + 1), r = 1 + 1e-9: 1 is not a root, so the premise
+    # holds and the verbatim formula is scanned like any distinct-root cubic
+    r = Fraction(1000000001, 1000000000)
+    named = by_name(verify_all(make_spec((r, -1, r)), make_seeds((0, 1, 2)), precision=precision))
+    row = named["binet_cubic_closed_matches"]
+    assert row.status == "fail"
+    assert row.detail.startswith("formula mismatch: first divergence at k = ")
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
