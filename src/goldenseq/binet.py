@@ -9,13 +9,13 @@ polynomial, in which case the system is singular and we refuse to
 solve it rather than return garbage.
 
 Degree-2 and degree-3 also get direct closed forms written entirely in
-terms of the roots and seeds.  Both are built from (spec, seeds) in one
-step, `_closed_form`: one seed check, one degree dispatch, the premises,
-the radical roots, the inputs converted to the precision's context and
-the factors that do not depend on k.  The form is then evaluated at a
-row of root powers, so a check over many k solves the roots once.  The
-cubic's premises are three separated roots (check_separation, a float
-test) and no root at 1 (the exact test sum(a_j) == 1).
+terms of the roots and seeds.  `_closed_form` builds either from (spec,
+seeds) once: one seed check, one degree dispatch, the premises, the
+radical roots and the factors that do not depend on k, in the
+precision's context; a check over many k evaluates it at rows of root
+powers.  The cubic's premises are three separated roots (a float test),
+no root at 1 (the exact test sum(a_j) == 1) and no computed root within
+8 eps of 1, which the precision cannot tell from 1.
 
 The quadratic closed form is reliable.  The cubic one reproduces a
 published formula verbatim; `check_cubic_closed_form` compares it
@@ -28,9 +28,8 @@ check_cubic_closed_form) takes its root powers from `_power_rows`, one
 product per root per step; in extended precision z**k is an exact
 big-integer power of the 136-bit mantissas, rounded once, and costs far
 more.  The running product rounds about k times instead of about
-log2(k) times, so a scan's residual differs from the single-k one in
-the low digits.  The single-k calls (binet_eval, binet_quadratic_closed,
-binet_cubic_closed) still evaluate z**k.
+log2(k) times, so a scan's residual differs in the low digits from the
+single-k calls (binet_eval, binet_*_closed), which evaluate z**k.
 """
 
 from .errors import DegenerateSpectrumError, SeedMismatchError, UnitRootError
@@ -200,6 +199,7 @@ def _closed_form(spec: RecurrenceSpec, seeds: SeedVector, precision: str):
     """Build the degree-2 or degree-3 closed form once; returns (at, roots),
     where at([z**k for z in roots]) is the form's value at k."""
     _check_seeds(spec, seeds)
+    ctx, eps, _ = arithmetic(precision)
     if spec.degree == 2:
         b, a = spec.coeffs
         disc = a * a + 4 * b
@@ -208,7 +208,6 @@ def _closed_form(spec: RecurrenceSpec, seeds: SeedVector, precision: str):
                 "discriminant a^2 + 4b is zero: repeated root, closed form undefined"
             )
         roots = quadratic_roots(a, b, precision).roots
-        ctx = arithmetic(precision).ctx
         sigma = ctx.sqrt(to_complex(ctx, disc))
         x0, x1, ac = (to_complex(ctx, v) for v in (*seeds, a))
         phi = roots[0]
@@ -228,8 +227,14 @@ def _closed_form(spec: RecurrenceSpec, seeds: SeedVector, precision: str):
                 "1 is a characteristic root; the closed form divides by "
                 "(root - 1) and is undefined here"
             )
+        # a computed root this close to 1 leaves (root - 1) to rounding alone
+        near = 8 * eps * _separation_scale(rootset)
+        if any(abs(z - 1) < near for z in rootset.roots):
+            raise UnitRootError(
+                "a characteristic root lies within %.1e of 1, which %s precision "
+                "cannot tell from 1; the closed form divides by (root - 1)" % (near, precision)
+            )
         phi, varphi, psi = rootset.roots
-        ctx = arithmetic(precision).ctx
         x0, x1, x2, ac, bc, gc = (to_complex(ctx, v) for v in (*seeds, a, b, g))
 
         pref = (
@@ -267,8 +272,7 @@ def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD
     """Degree-2 closed form: ((phi - a) x0 + x1)/sigma * (phi^k - varphi^k) + varphi^k x0.
 
     sigma = sqrt(a^2 + 4 b) is the root gap; a repeated root (sigma = 0)
-    raises DegenerateSpectrumError.  The roots are solved once per build,
-    and a call builds the form for its one k.
+    raises DegenerateSpectrumError.
     """
     return _at_k((beta, alpha), seeds, k, precision)
 
@@ -276,9 +280,8 @@ def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD
 def binet_cubic_closed(alpha, beta, gamma, seeds, k: int, precision: str = STANDARD):
     """Degree-3 closed form, transcribed verbatim from its source.
 
-    Requires three distinct roots, none equal to 1 (the formula divides
-    by root - 1 factors); the roots are solved once per build, and a
-    call builds the form for its one k.  See check_cubic_closed_form: on
+    Requires three distinct roots, none equal to 1 or within 8 eps of it
+    (the formula divides by root - 1).  See check_cubic_closed_form: on
     most inputs this expression does NOT reproduce the recurrence, so use
     it only through the checking wrapper.
     """

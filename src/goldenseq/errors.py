@@ -14,7 +14,8 @@ class DegenerateSpectrumError(ValueError):
 
 
 class UnitRootError(ValueError):
-    """A characteristic root equals 1, so a closed form would divide by zero."""
+    """A characteristic root equals 1 (or the precision cannot tell it from
+    1), so a closed form would divide by zero."""
 
 
 class SingularSystemError(ArithmeticError):

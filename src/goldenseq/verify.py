@@ -34,7 +34,7 @@ from .errors import (
 from .genfunc import build_genfunc, series_coefficients
 from .numerics import STANDARD, arithmetic
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _scale, generate
-from .reports import VerificationCheck, compare
+from .reports import FormulaCheck, VerificationCheck, compare
 from .roots import solve_roots, verify_symmetric_relations
 from .trapezoid import (
     _expand,
@@ -45,6 +45,19 @@ from .trapezoid import (
 )
 
 TOL_RECOVERY = 1e-6
+
+
+def _quadratic_note(check: FormulaCheck, k_max: int) -> FormulaCheck:
+    if check.matches:
+        return check
+    return check.replace(note="first divergence at k = %d" % check.first_mismatch)
+
+
+# degree: (row name, largest k scanned, note writer) of the closed Binet row
+_CLOSED_BINET = {
+    2: ("binet_quadratic_closed_matches", 30, _quadratic_note),
+    3: ("binet_cubic_closed_matches", 20, _cubic_note),
+}
 
 
 def verify_all(
@@ -142,20 +155,16 @@ def verify_all(
         add_scan("recurrence_binet_roundtrip", trip, note)
 
     # --- closed Binet forms -----------------------------------------
-    if spec.degree in (2, 3):
-        cubic = spec.degree == 3
-        name = "binet_cubic_closed_matches" if cubic else "binet_quadratic_closed_matches"
-        span = min(k_max, 20 if cubic else 30)
+    if spec.degree in _CLOSED_BINET:
+        name, span, write_note = _CLOSED_BINET[spec.degree]
+        span = min(k_max, span)
         try:
             at, closed_roots = _closed_form(spec, seeds, precision)
         except (DegenerateSpectrumError, UnitRootError) as exc:
             add(name, None, detail=str(exc))
         else:
             check = _scan(at, closed_roots, terms[: span + 1], precision)
-            if cubic:
-                add_check(name, _cubic_note(check, span))
-            else:
-                add_scan(name, check, "")
+            add_check(name, write_note(check, span))
 
     # --- generating function ----------------------------------------
     gf = build_genfunc(spec, seeds)

@@ -186,11 +186,42 @@ def test_closed_forms_reject_float_seeds(closed_form):
         closed_form()
 
 
-@pytest.mark.parametrize("precision", gs.PRECISIONS)
-def test_cubic_closed_form_accepts_a_root_near_one(precision):
-    r = Fraction(1000000001, 1000000000)  # (x - r)(x^2 + 1): 1 is not a root
-    value = gs.binet_cubic_closed(r, -1, r, gs.make_seeds([0, 1, 2]), 5, precision)
-    assert math.isfinite(float(abs(value)))
+UNIT_ROOT_DETAIL = (
+    "1 is a characteristic root; the closed form divides by (root - 1) and is undefined here"
+)
+
+
+# (x - r)(x^2 + 1): 1 is not a root, but r is near it.  Where the
+# precision resolves r from 1, the verbatim formula is evaluated (these
+# are its values at k = 5); where the computed root is 1 to within 8 eps,
+# (root - 1) is rounding alone and the form is refused.
+@pytest.mark.parametrize(
+    "r, precision, expected",
+    [
+        (Fraction(1000000001, 1000000000), "standard", "(-1.000000041007432+0j)"),
+        (
+            Fraction(1000000001, 1000000000),
+            "extended",
+            "mpc(real='-1.000000004000000006000000001999969388167834', imag='0.0')",
+        ),
+        (1 + Fraction(1, 2**60), "standard", None),
+        (
+            1 + Fraction(1, 2**60),
+            "extended",
+            "mpc(real='-1.0000000000000000034694513635835478094854', imag='0.0')",
+        ),
+        (1 + Fraction(1, 2**200), "extended", None),
+    ],
+)
+def test_cubic_closed_form_with_a_root_near_one(r, precision, expected):
+    def value():
+        return gs.binet_cubic_closed(r, -1, r, gs.make_seeds([0, 1, 2]), 5, precision)
+
+    if expected is None:
+        with pytest.raises(UnitRootError, match="precision cannot tell from 1"):
+            value()
+    else:
+        assert repr(value()) == expected
 
 
 def test_cubic_check_rejects_negative_k_max():
@@ -292,7 +323,7 @@ def _cubic_coeffs(draw):
 @given(coeffs=_cubic_coeffs(), precision=st.sampled_from(gs.PRECISIONS))
 def test_exact_unit_root_rule_agrees_with_the_roots(coeffs, precision):
     # The cubic closed form refuses 1 as a root by the exact test Σa == 1;
-    # a float test on the roots would say the same on these specs: when
+    # a float test on the roots says the same on these specs: when
     # Σa != 1, p(1) = 1 - Σa is a nonzero rational over a denominator of
     # at most lcm(5, 6, 7) = 210, and |p(1)| is the product of the |1 - r|,
     # each at most 8 (Cauchy: |r| <= 1 + 6), so every root stays at least
@@ -306,6 +337,14 @@ def test_exact_unit_root_rule_agrees_with_the_roots(coeffs, precision):
     scale = TOL_SEP * (1 + max(abs(z) for z in rootset.roots))
     near_one = any(abs(z - 1) < scale for z in rootset.roots)
     assert near_one == (sum(coeffs) == 1)
+    # and the closed form refuses exactly these specs, with the unit-root detail
+    try:
+        gs.binet_cubic_closed(a, b, g, gs.make_seeds([0, 1, 2]), 0, precision)
+    except UnitRootError as exc:
+        refused = str(exc) == UNIT_ROOT_DETAIL
+    else:
+        refused = False
+    assert refused == near_one
 
 
 # The single-k closed forms evaluate z**k; these values pin them on

@@ -323,15 +323,31 @@ def test_closed_form_without_its_premise_is_skipped(coeffs, seeds, row, detail, 
     assert (named[row].status, named[row].residual, named[row].detail) == ("skipped", None, detail)
 
 
-@pytest.mark.parametrize("precision", PRECISIONS)
-def test_cubic_root_near_one_is_checked_not_skipped(precision):
-    # (x - r)(x^2 + 1), r = 1 + 1e-9: 1 is not a root, so the premise
-    # holds and the verbatim formula is scanned like any distinct-root cubic
-    r = Fraction(1000000001, 1000000000)
+R_NEAR_ONE = Fraction(1000000001, 1000000000)
+MISMATCH = "formula mismatch: first divergence at k = "
+RESOLUTION = (
+    "a characteristic root lies within %s of 1, which %s precision cannot tell "
+    "from 1; the closed form divides by (root - 1)"
+)
+
+
+# (x - r)(x^2 + 1): 1 is not a root.  At r = 1 + 1e-9 the premise holds
+# and the verbatim formula is scanned like any distinct-root cubic; where
+# the computed root is 1 to within 8 eps, (root - 1) would be rounding
+# alone and the row is skipped.
+@pytest.mark.parametrize(
+    "r, precision, status, detail",
+    [
+        (R_NEAR_ONE, "standard", "fail", MISMATCH),
+        (R_NEAR_ONE, "extended", "fail", MISMATCH),
+        (1 + Fraction(1, 2**60), "standard", "skipped", RESOLUTION % ("3.6e-15", "standard")),
+        (1 + Fraction(1, 2**200), "extended", "skipped", RESOLUTION % ("1.6e-38", "extended")),
+    ],
+)
+def test_cubic_closed_row_with_a_root_near_one(r, precision, status, detail):
     named = by_name(verify_all(make_spec((r, -1, r)), make_seeds((0, 1, 2)), precision=precision))
     row = named["binet_cubic_closed_matches"]
-    assert row.status == "fail"
-    assert row.detail.startswith("formula mismatch: first divergence at k = ")
+    assert (row.status, row.detail.startswith(detail)) == (status, True)
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
