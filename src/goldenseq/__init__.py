@@ -14,10 +14,10 @@ read coefficient-up (a0 first).  From one spec the package derives:
 
 `import goldenseq` loads only the recurrence core (recurrence, presets,
 reports, errors and the precision names).  The names of genfunc,
-trapezoid and the floating modules resolve on first use, and only the
-floating modules load mpmath.  Every record is a frozen value object
-built on `reports.Record`, not a dataclass: derive a changed copy with
-its `.replace(...)` method.
+trapezoid and the floating modules resolve on first use, and only
+extended-precision work in the floating modules loads mpmath.  Every
+record is a frozen value object built on `reports.Record`, not a
+dataclass: derive a changed copy with its `.replace(...)` method.
 """
 
 from types import ModuleType as _ModuleType
@@ -45,7 +45,7 @@ from .recurrence import (
 )
 from .reports import FormulaCheck, VerificationCheck
 
-# Imported on first use (PEP 562): the floating modules load mpmath, so a
+# Imported on first use (PEP 562): extended precision loads mpmath, so a
 # process that only touches the exact layers never loads it, and a
 # command that only needs the recurrence core never imports genfunc or
 # trapezoid.

@@ -32,6 +32,8 @@ log2(k) times, so a scan's residual differs in the low digits from the
 single-k calls (binet_eval, binet_*_closed), which evaluate z**k.
 """
 
+import math
+
 from .errors import DegenerateSpectrumError, SeedMismatchError, UnitRootError
 from .numerics import EXTENDED, STANDARD, arithmetic, solve_linear_system, to_complex
 from .recurrence import (
@@ -160,8 +162,9 @@ def nearest_integer(value) -> int:
 
     Raises ValueError when the imaginary part is larger than TOL_IM
     relative to the magnitude of the value: rounding such a value would
-    hide a real inconsistency.  Rounds in the extended context, which
-    takes a float exactly and keeps every digit of an extended value.
+    hide a real inconsistency.  A float rounds exactly with round(),
+    ties to even; an extended value rounds in the extended context,
+    which keeps every digit.  inf and nan raise ValueError.
     """
     scale = max(1.0, float(abs(value)))
     if abs(float(value.imag)) > TOL_IM * scale:
@@ -169,7 +172,12 @@ def nearest_integer(value) -> int:
             "imaginary part %.3e too large to round to an integer"
             % float(value.imag)
         )
-    return int(arithmetic(EXTENDED).ctx.nint(value.real))
+    real = value.real
+    if not isinstance(real, float):
+        return int(arithmetic(EXTENDED).ctx.nint(real))
+    if not math.isfinite(real):
+        raise ValueError("cannot convert inf or nan to int")
+    return round(real)
 
 
 def compare_with_terms(values, terms, precision: str) -> FormulaCheck:

@@ -14,11 +14,11 @@ Each command is a function of its parsed arguments that returns an
 Output: the JSON value, the CSV rows and the text lines of one result.
 It prints nothing; main renders the view that --format names, and only
 the json and csv renderers import their modules, when they run.  The
-floating commands (roots, binet, converge, verify) import their modules,
-and with them mpmath, when they run; the exact commands never load
-either.  genfunc, trapezoid and rowsum import genfunc or trapezoid the
-same way, so seq, term, presets and usage errors load only the
-recurrence core.
+floating commands (roots, binet, converge, verify) import their modules
+when they run, and mpmath only in extended precision; the exact commands
+never load either.  genfunc, trapezoid and rowsum import genfunc or
+trapezoid the same way, so seq, term, presets and usage errors load only
+the recurrence core.
 """
 
 import argparse

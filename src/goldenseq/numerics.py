@@ -2,10 +2,12 @@
 
 The exact modules (recurrence, genfunc, trapezoid) never import this.
 Root finding, Binet weights, and convergence diagnostics work in one of
-two precisions, each an mpmath context with the same interface (mpf,
-mpc, sqrt, cbrt, expj, pi, ...):
+two precisions, each a context with the same small interface (mpf, mpc,
+sqrt, cbrt, expj, pi):
 
-* "standard": mpmath.fp, i.e. Python float/complex (53-bit significand);
+* "standard": Python float/complex (53-bit significand), through a
+  small context that computes what mpmath.fp computes (both follow
+  mpmath.math2) without importing mpmath;
 * "extended": a private mpmath.MPContext at 40 significant digits
   (136 bits).  Its values carry their context, so arithmetic on them
   stays at 40 digits whatever the global mpmath.mp precision is, and
@@ -14,11 +16,13 @@ mpc, sqrt, cbrt, expj, pi, ...):
   sets the precision.
 
 `arithmetic` is the one place a precision name turns into arithmetic.
-Importing this module does not import mpmath: the first `arithmetic`
-call imports it and builds both contexts, once per process, so the
-exact layers and the CLI's exact subcommands never load it.
+Only the extended context imports mpmath, on the first `arithmetic`
+call for it, once per process: the exact layers, the CLI's exact
+subcommands and every standard-precision computation never load it.
 """
 
+import cmath
+import math
 from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
@@ -33,38 +37,60 @@ EXTENDED_DPS = 40
 class Arithmetic(NamedTuple):
     """What a precision name stands for."""
 
-    ctx: object  # mpmath.fp or the private extended context
+    ctx: object  # the standard context or the private extended one
     eps: float  # unit roundoff, used for residual noise floors
     max_condition: float  # pivot ratio past which a linear system is singular
 
 
+class _Float:
+    """The standard context: Python float and complex, computing what
+    mpmath.fp (that is, mpmath.math2) computes for the same calls."""
+
+    mpf = float
+    mpc = complex
+    pi = math.pi
+
+    @staticmethod
+    def sqrt(x):
+        return cmath.sqrt(x) if type(x) is complex or x < 0 else math.sqrt(x)
+
+    @staticmethod
+    def cbrt(x):
+        return x ** (1.0 / 3)
+
+    @staticmethod
+    def expj(x):
+        return cmath.exp(1j * x)
+
+
+_FLOAT = Arithmetic(_Float, 2.220446049250313e-16, 1e12)
+
+
 @cache
-def _arithmetics() -> dict:
+def _extended() -> Arithmetic:
     import mpmath
 
     extended = mpmath.MPContext()
     extended.dps = EXTENDED_DPS
-    return {
-        STANDARD: Arithmetic(mpmath.fp, 2.220446049250313e-16, 1e12),
-        EXTENDED: Arithmetic(extended, 10.0 ** (-EXTENDED_DPS + 1), 1e30),
-    }
+    return Arithmetic(extended, 10.0 ** (-EXTENDED_DPS + 1), 1e30)
 
 
 def arithmetic(precision: str) -> Arithmetic:
-    try:
-        return _arithmetics()[precision]
-    except KeyError:
-        raise ValueError(f"precision must be one of {PRECISIONS}, got {precision!r}") from None
+    if precision == STANDARD:
+        return _FLOAT
+    if precision == EXTENDED:
+        return _extended()
+    raise ValueError(f"precision must be one of {PRECISIONS}, got {precision!r}")
 
 
 def to_complex(ctx, value):
     """An int, Fraction, float or number of ctx as a complex number of ctx.
 
-    mpmath.fp takes a Fraction through float(), which rounds it once.  An
+    complex() takes a Fraction through float(), which rounds it once.  An
     mp context's mpf() refuses Fraction, so there it is numerator over
     denominator, one rounding too while the numerator fits 136 bits.
     """
-    if isinstance(value, Fraction) and ctx is not arithmetic(STANDARD).ctx:
+    if isinstance(value, Fraction) and ctx is not _Float:
         value = ctx.mpf(value.numerator) / value.denominator
     return ctx.mpc(value)
 

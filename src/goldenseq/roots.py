@@ -2,12 +2,18 @@
 
 Degrees 2 and 3 get the radical closed forms, including the slash and
 backslash pseudo-sign combinations that label the cubic roots; every
-degree gets a simultaneous-iteration solver. The iteration starts from a
-circle at the Cauchy radius in standard precision; extended precision
-starts from the standard-precision roots and only refines them. Both
-paths land in a RootSet carrying residuals and dominance metadata, which
-downstream Binet and convergence code relies on; imaginary parts below
-the precision's noise floor are dropped on every path.
+degree gets a simultaneous-iteration solver. The solver takes the zero
+roots out first: m leading zero coefficients give m roots that are
+exactly 0, and only the rest of the polynomial is iterated. The
+iteration starts from a circle at the Cauchy radius in standard
+precision; extended precision starts from the standard-precision roots
+and only refines them, so a well-separated root settles in one sweep. A
+root has settled when |p| is at its evaluation noise floor or its
+inclusion radius n|p|/|p'| is at the precision's eps, and the |p| of
+that test is the residual the RootSet reports. Both paths land in a
+RootSet carrying residuals and dominance metadata, which downstream
+Binet and convergence code relies on; imaginary parts below the
+precision's noise floor are dropped on every path.
 """
 
 import cmath
@@ -23,6 +29,7 @@ TOL_DOMINANCE = 1e-9  # relative modulus gap below which dominance is a tie
 TOL_SYMMETRIC = 1e-8
 MAX_ITER = 200
 STEP_TOL = 1e-14
+RADIUS_TOL = 8  # a settled root's inclusion radius, in units of eps * (1 + |root|)
 
 SLASH_FIRST = "slash-first"
 BACKSLASH_FIRST = "backslash-first"
@@ -72,11 +79,11 @@ def pseudo_sign_combine(x, s1, s2, orientation: str, precision: str = STANDARD):
     raise ValueError(f"orientation must be {SLASH_FIRST!r} or {BACKSLASH_FIRST!r}")
 
 
-def _monic_poly(spec: RecurrenceSpec, ctx):
+def _monic_poly(coeffs, ctx):
     """Dense coefficients of p(x) = x^n - a_{n-1}x^{n-1} - ... - a0."""
-    coeffs = [-to_complex(ctx, a) for a in spec.coeffs]
-    coeffs.append(ctx.mpc(1))
-    return coeffs
+    poly = [-to_complex(ctx, a) for a in coeffs]
+    poly.append(ctx.mpc(1))
+    return poly
 
 
 def _poly_eval(coeffs, z):
@@ -87,7 +94,7 @@ def _poly_eval(coeffs, z):
 
 
 def _residuals(spec: RecurrenceSpec, roots, ctx):
-    poly = _monic_poly(spec, ctx)
+    poly = _monic_poly(spec.coeffs, ctx)
     return tuple(float(abs(_poly_eval(poly, z))) for z in roots)
 
 
@@ -105,22 +112,30 @@ def _dominance(roots):
     return idx, near == 1
 
 
-def _finish(spec: RecurrenceSpec, roots, precision: str) -> RootSet:
-    ctx, eps, _ = arithmetic(precision)
+def _drop_dust(roots, ctx, eps):
     # the polynomial is real, so imaginary parts below the precision's
     # own noise floor are dust, not structure; drop them
-    roots = [
+    return [
         ctx.mpc(z.real, 0) if z.imag != 0 and abs(z.imag) <= 8 * eps * (1 + abs(z)) else z
         for z in roots
     ]
+
+
+def _rootset(roots, residuals, precision: str) -> RootSet:
     idx, unique = _dominance(roots)
     return RootSet(
         roots=tuple(roots),
-        residuals=_residuals(spec, roots, ctx),
+        residuals=residuals,
         dominant_index=idx,
         dominance_unique=unique,
         precision=precision,
     )
+
+
+def _finish(spec: RecurrenceSpec, roots, precision: str) -> RootSet:
+    ctx, eps, _ = arithmetic(precision)
+    roots = _drop_dust(roots, ctx, eps)
+    return _rootset(roots, _residuals(spec, roots, ctx), precision)
 
 
 def tol_root(rootset: RootSet) -> float:
@@ -194,47 +209,86 @@ def cubic_roots(alpha, beta, gamma, precision: str = STANDARD) -> RootSet:
 def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     """All roots by simultaneous (Aberth-style) iteration.
 
-    Standard precision starts from a perturbed circle at the Cauchy
-    radius. Extended precision starts from the standard-precision roots
-    (the best iterate when that solve gives up), each turned by 1e-9 rad,
-    and falls back to the circle when one of them is not finite. The
-    iteration stops when every correction step drops below
-    1e-14 * (1 + |root|), or when every residual reaches the evaluation
-    noise floor (which is where clustered and multiple roots stall).
+    The m leading zero coefficients of the spec make p = x^m * q: the m
+    zero roots come back exactly 0, with residual 0, and only q is
+    iterated. Standard precision starts from a perturbed circle at the
+    Cauchy radius. Extended precision starts from the standard-precision
+    roots of q (the best iterate when that solve gives up), each turned
+    by 1e-15 rad, and falls back to the circle when one of them is not
+    finite. Once every correction step drops below 1e-14 * (1 + |root|),
+    or every |p(root)| reaches the evaluation noise floor (which is
+    where clustered and multiple roots stall), each root must have
+    settled: its inclusion radius n|q|/|q'| (Bini & Fiorentino, Numer.
+    Algorithms 23, 2000) within RADIUS_TOL * eps * (1 + |root|), or
+    |q(root)| at the noise floor; otherwise the iteration sweeps again.
     Raises RootConvergenceError, carrying the best iterate, its residuals
-    and the sweeps run, if neither happens within MAX_ITER sweeps, or if a
+    and the sweeps run, if no sweep settles within MAX_ITER, or if a
     residual of the result exceeds tol_root or is not finite (the
     iteration overflowed).
     """
     ctx, eps, _ = arithmetic(precision)
-    n = spec.degree
-    if n == 1:
-        return _finish(spec, [to_complex(ctx, spec.coeffs[0])], precision)
+    coeffs = spec.coeffs
+    m = next((j for j, a in enumerate(coeffs) if a != 0), len(coeffs))
+    zeros = [ctx.mpc(0)] * m
+    roots, residuals, sweeps = _iterate(coeffs[m:], precision)
+    if residuals is None:
+        raise RootConvergenceError(
+            f"root iteration did not converge within {MAX_ITER} sweeps",
+            best_roots=roots + zeros,
+            residuals=_residuals(spec, roots + zeros, ctx),
+            iterations=MAX_ITER,
+        )
+    # |p| = |z|^m |q| on the iterated roots, and p(0) = 0 exactly
+    found = [(z, float(abs(z) ** m * r)) for z, r in zip(roots, residuals)]
+    found += [(z, 0.0) for z in zeros]
+    found.sort(key=lambda pair: (-float(abs(pair[0])), -float(pair[0].real), -float(pair[0].imag)))
+    result = _rootset([z for z, _ in found], tuple(r for _, r in found), precision)
+    gate = tol_root(result)
+    # not `max(...) > gate`: that is False when a residual is nan
+    if not all(r <= gate for r in result.residuals):
+        raise RootConvergenceError(
+            f"root residuals exceed tolerance {gate:.3e}",
+            best_roots=result.roots,
+            residuals=result.residuals,
+            iterations=sweeps,
+        )
+    return result
 
-    poly = _monic_poly(spec, ctx)
-    deriv = [poly[j] * j for j in range(1, n + 1)]
+
+def _iterate(coeffs, precision: str):
+    """Roots of q(x) = x^d - sum coeffs[j] x^j, q(0) != 0, by Aberth sweeps.
+
+    Returns (roots, |q(root)| as ctx reals, sweeps), with the residuals
+    None when no sweep settled within MAX_ITER (the roots are then the
+    last iterate).
+    """
+    ctx, eps, _ = arithmetic(precision)
+    d = len(coeffs)
+    if d <= 1:
+        return [to_complex(ctx, a) for a in coeffs], [ctx.mpf(0)] * d, 0
+
+    poly = _monic_poly(coeffs, ctx)
+    deriv = [poly[j] * j for j in range(1, d + 1)]
     moduli = [abs(c) for c in poly]
     z = None
     if precision != STANDARD:
-        try:
-            seed = general_roots(spec, STANDARD).roots
-        except RootConvergenceError as exc:
-            seed = exc.best_roots
+        seed = _iterate(coeffs, STANDARD)[0]
         if all(cmath.isfinite(w) for w in seed):
             # the turn moves real roots off the real axis and breaks
-            # conjugate pairs, as the circle's offset does below
-            turn = ctx.expj(1e-9)
+            # conjugate pairs, as the circle's offset does below; at
+            # 1e-15 rad a well-conditioned root's first step is already
+            # below STEP_TOL
+            turn = ctx.expj(1e-15)
             z = [to_complex(ctx, w) * turn for w in seed]
     if z is None:
-        radius = 1 + max(float(abs(a)) for a in spec.coeffs)
+        radius = 1 + max(float(abs(a)) for a in coeffs)
         # angular offset keeps starting points off the real axis and off
         # any symmetry axis of the root constellation
-        z = [radius * ctx.expj(2 * ctx.pi * (j + 0.5) / n + 0.4) for j in range(n)]
+        z = [radius * ctx.expj(2 * ctx.pi * (j + 0.5) / d + 0.4) for j in range(d)]
 
-    converged = False
     for sweeps in range(1, MAX_ITER + 1):
         worst_step = 0.0
-        for i in range(n):
+        for i in range(d):
             pv = _poly_eval(poly, z[i])
             if pv == 0:
                 continue
@@ -245,7 +299,7 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
                 continue
             newton = pv / dv
             repel = 0
-            for j in range(n):
+            for j in range(d):
                 if j == i:
                     continue
                 diff = z[i] - z[j]
@@ -258,41 +312,42 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
             rel = float(abs(step)) / (1 + float(abs(z[i])))
             if rel > worst_step:
                 worst_step = rel
-        if worst_step <= STEP_TOL:
-            converged = True
-            break
-        # noise-floor acceptance: |p(z)| can't drop below roundoff of
-        # its own evaluation, so clustered roots never meet STEP_TOL
-        at_floor = True
-        for zi in z:
-            r = abs(zi)
-            mag = sum(m * r**j for j, m in enumerate(moduli))
-            if abs(_poly_eval(poly, zi)) > 8 * eps * mag:
-                at_floor = False
-                break
-        if at_floor:
-            converged = True
-            break
+        # noise-floor rule: |p(z)| can't drop below roundoff of its own
+        # evaluation, so clustered roots never meet STEP_TOL
+        if worst_step > STEP_TOL and not all(
+            abs(_poly_eval(poly, w)) <= _noise_floor(moduli, abs(w), eps) for w in z
+        ):
+            continue
+        settled = _drop_dust(z, ctx, eps)
+        residuals = _settled(poly, deriv, moduli, settled, eps)
+        if residuals is not None:
+            return settled, residuals, sweeps
+    return z, None, MAX_ITER
 
-    if not converged:
-        raise RootConvergenceError(
-            f"root iteration did not converge within {MAX_ITER} sweeps",
-            best_roots=z,
-            residuals=_residuals(spec, z, ctx),
-            iterations=MAX_ITER,
-        )
-    z.sort(key=lambda w: (-float(abs(w)), -float(w.real), -float(w.imag)))
-    result = _finish(spec, z, precision)
-    gate = tol_root(result)
-    # not `max(...) > gate`: that is False when a residual is nan
-    if not all(r <= gate for r in result.residuals):
-        raise RootConvergenceError(
-            f"root residuals exceed tolerance {gate:.3e}",
-            best_roots=result.roots,
-            residuals=result.residuals,
-            iterations=sweeps,
-        )
-    return result
+
+def _noise_floor(moduli, r, eps):
+    """8 eps * sum |c_j| r^j, the roundoff of evaluating p at modulus r."""
+    return 8 * eps * _poly_eval(moduli, r)
+
+
+def _settled(poly, deriv, moduli, z, eps):
+    """The |p(w)| of every w in z when each one has settled, else None.
+
+    A root has settled when |p(w)| is at its evaluation noise floor, or
+    when its inclusion radius n|p(w)|/|p'(w)| is within RADIUS_TOL * eps
+    * (1 + |w|).
+    """
+    n = len(z)
+    values = []
+    for w in z:
+        pv = abs(_poly_eval(poly, w))
+        r = abs(w)
+        if pv > _noise_floor(moduli, r, eps) and (
+            n * pv > RADIUS_TOL * eps * (1 + r) * abs(_poly_eval(deriv, w))
+        ):
+            return None
+        values.append(pv)
+    return values
 
 
 def solve_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:

@@ -40,6 +40,9 @@ COMMANDS = {
     "converge": [],
     "verify": [],
 }
+# no preset has degree 4 or more, so these two specs are the cases that
+# reach the Aberth iteration; the second has a double zero root
+SPECS = ("--coeffs 1,1,1,1 --seeds 0,0,0,1", "--coeffs 0,0,1,1,1 --seeds 0,0,0,1,1")
 
 
 def cases():
@@ -52,6 +55,12 @@ def cases():
                     argv = [command, "--preset", preset, "--presets-file", "SAMPLE",
                             "--format", fmt, "--precision", precision] + extra
                     ids.append(" ".join(argv))
+    for command in ("roots", "binet", "verify"):
+        for spec in SPECS:
+            for fmt in FORMATS:
+                for precision in ("standard", "extended"):
+                    ids.append(" ".join([command, spec, "--format", fmt, "--precision", precision]
+                                        + COMMANDS[command]))
     for fmt in FORMATS:
         ids.append("presets --presets-file SAMPLE --format %s" % fmt)
     return ids

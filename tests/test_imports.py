@@ -2,7 +2,8 @@
 
 Importing goldenseq or goldenseq.cli, and running an exact subcommand,
 must not import mpmath or the root-finding module; the floating commands
-load both on first use and print what they printed before.  No import
+load the root-finding module on first use and print what they printed
+before, and only the extended-precision ones load mpmath.  No import
 and no command loads dataclasses or inspect, and the commands that need
 only the recurrence core (seq, term, presets, usage errors) load neither
 genfunc nor trapezoid.  Text output never loads the json or csv module:
@@ -35,7 +36,7 @@ recover_cubic_conjugates row_length row_sum series_coefficients solve_roots
 solve_weights symbolic_term term_at unit_function verify_all verify_symmetric_relations
 """.split())
 
-FLOATING_MODULES = ["goldenseq.roots", "mpmath"]
+FLOATING_MODULES = {"standard": {"goldenseq.roots"}, "extended": {"goldenseq.roots", "mpmath"}}
 LAZY_EXACT_MODULES = {"goldenseq.genfunc", "goldenseq.trapezoid"}
 
 # Imports goldenseq, then goldenseq.cli, then runs main() on each argv in
@@ -101,6 +102,7 @@ FLOATING_COMMANDS = [
     ["binet", "--preset", "fibonacci", "--k", "100", "--precision", "extended"],
     ["binet", "--preset", "pell", "--k", "30", "--format", "csv"],
     ["converge", "--preset", "lucas"],
+    ["verify", "--preset", "pell"],
     ["verify", "--preset", "pell", "--format", "json", "--precision", "extended"],
 ]
 
@@ -171,7 +173,8 @@ def test_floating_usage_errors_do_not_load_mpmath(fresh_python):
 @pytest.mark.parametrize("argv", FLOATING_COMMANDS, ids=" ".join)
 def test_floating_commands_load_the_floating_layer_and_work(fresh_python, argv):
     ((_, code, stdout, loaded),) = _run_fresh(fresh_python, [argv])[2:]
-    assert set(loaded) - LAZY_EXACT_MODULES == set(FLOATING_MODULES)
+    precision = "extended" if "extended" in argv else "standard"
+    assert set(loaded) - LAZY_EXACT_MODULES == FLOATING_MODULES[precision]
     assert code == 0
     assert stdout
     assert (code, stdout) == _in_process(argv)

@@ -11,6 +11,7 @@ import pytest
 
 import goldenseq as gs
 from goldenseq.cli import main
+from goldenseq.numerics import arithmetic
 
 BUILTINS = ("fibonacci", "lucas", "pell", "tribonacci")
 # degree 4, so its roots come from the iteration rather than a closed form
@@ -50,6 +51,30 @@ def test_nearest_integer_agrees_with_round_on_floats():
     values += [rng.uniform(-1, 1) * 2.0 ** rng.randint(0, 80) for _ in range(500)]
     for x in values:
         assert gs.nearest_integer(complex(x, 0.0)) == round(x), x
+
+
+def test_standard_context_computes_what_mpmath_fp_computes():
+    # standard precision no longer imports mpmath; its context must give
+    # the same float or complex, bit for bit, as mpmath.fp did
+    ctx = arithmetic(gs.STANDARD).ctx
+    rng = random.Random(16)
+    values = [3, -3, 0, 0.0, -0.0, 2.5, -2.5, 1e-300, -1e300, float("inf")]
+    values += [rng.uniform(-1e6, 1e6) for _ in range(500)]
+    values += [complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(500)]
+    values += [complex(rng.uniform(-5, 5), sign * 0.0) for sign in (1, -1) for _ in range(100)]
+    for name in ("sqrt", "cbrt"):
+        for x in values:
+            ours, theirs = getattr(ctx, name)(x), getattr(mpmath.fp, name)(x)
+            assert (type(ours), repr(ours)) == (type(theirs), repr(theirs)), (name, x)
+    for x in [1e-15, 0.4] + [rng.uniform(-10, 10) for _ in range(500)]:
+        assert repr(ctx.expj(x)) == repr(mpmath.fp.expj(x)), x
+    assert (ctx.pi, ctx.mpf, ctx.mpc) == (mpmath.fp.pi, mpmath.fp.mpf, mpmath.fp.mpc)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_nearest_integer_refuses_non_finite_floats(value):
+    with pytest.raises(ValueError, match="inf or nan"):
+        gs.nearest_integer(complex(value, 0.0))
 
 
 def test_unknown_precision_is_rejected():
@@ -115,6 +140,7 @@ FIRST_USE_UNDER_WORKDPS = """
 import contextlib, io, json, sys
 import mpmath
 from goldenseq.cli import main
+from goldenseq.numerics import arithmetic
 outputs = []
 with mpmath.workdps(int(sys.argv[1])):
     for argv in json.loads(sys.argv[2]):

@@ -237,12 +237,25 @@ def test_verify_command_reports_unsolved_roots_and_exits_0(roots_unavailable, ar
 def test_probe_refusal_skips_both_binet_rows():
     spec = make_spec((0, -1, -1, 0, -1))
     seeds = make_seeds((1, Fraction(2, 3), -1, Fraction(2, 3), 2))
-    with pytest.raises(DegenerateSpectrumError, match="1.132e-08 exceeds") as refusal:
+    with pytest.raises(DegenerateSpectrumError, match="4.443e-09 exceeds") as refusal:
         solve_weights(spec, seeds, solve_roots(spec))
     named = by_name(verify_all(spec, seeds))
     for name in ("binet_constant_weight", "recurrence_binet_roundtrip"):
         assert named[name].status == "skipped"
         assert named[name].detail == str(refusal.value)
+
+
+def test_zero_root_spec_passes_symmetric_relations_and_skips_the_tie():
+    # x (x + 1)^2 (x^2 - x + 1): the exact zero root keeps the elementary
+    # symmetric polynomials within tolerance, and -1 ties the pair on the
+    # unit circle for the largest modulus
+    spec = make_spec((0, -1, -1, 0, -1))
+    seeds = make_seeds((1, Fraction(2, 3), -1, Fraction(2, 3), 2))
+    for precision in PRECISIONS:
+        named = by_name(verify_all(spec, seeds, precision=precision))
+        assert named["symmetric_relations"].status == "pass", precision
+        assert named["ratio_convergence"].status == "skipped", precision
+        assert "tie for largest modulus" in named["ratio_convergence"].detail
 
 
 def test_all_zero_seeds_skip_convergence_and_recovery():
