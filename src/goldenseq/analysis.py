@@ -9,7 +9,7 @@ failed when it fails, instead of just returning False.
 """
 
 from .binet import solve_weights
-from .errors import DegenerateSpectrumError, SingularSystemError
+from .errors import DegenerateSpectrumError
 from .numerics import STANDARD, arithmetic, to_complex
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _to_fraction, generate
 from .reports import FormulaCheck, Record, compare
@@ -55,7 +55,7 @@ def ratio_convergence(
     def weights():
         try:
             return solve_weights(spec, seeds, rootset)
-        except (DegenerateSpectrumError, SingularSystemError):
+        except DegenerateSpectrumError:
             return None
 
     return _ratio_report(terms, k_max, rootset, weights)

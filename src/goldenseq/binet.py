@@ -1,12 +1,17 @@
 """Closed-form (Binet-style) evaluation of recurrence terms.
 
-The generic path solves
-    x_r = w_1 r_1^r + ... + w_n r_n^r + w_{n+1},  r = 0 .. n
-for the weights w.  The extra constant weight w_{n+1} acts as a
-consistency probe: for a genuine degree-n recurrence it must come out
-as (numerically) zero unless 1 itself is a root of the characteristic
-polynomial, in which case the system is singular and we refuse to
-solve it rather than return garbage.
+The generic path writes x_k = w_1 r_1^k + ... + w_n r_n^k over the
+distinct roots of p(x) = x^n - a_{n-1} x^{n-1} - ... - a_0.  The
+generating function T(z)/(1 - R(z)) gives each weight as a residue,
+    w_i = N(r_i) / p'(r_i),  N(x) = sum of T_s x^(n-1-s),
+with T genfunc's numerator taken of x_0 .. x_{n-1}; a root at 0 or at 1
+is not a special case.  Computed from rounded roots, the residues alone
+lose a few digits on high degrees, so one step of iterative refinement
+adds the residues of the residual x_k - sum of w_i r_i^k, k < n (Higham,
+Accuracy and Stability of Numerical Algorithms, ch. 12).  The equation
+the weights were not fitted to, k = n, is the consistency probe
+w_{n+1} = x_n - sum of w_i r_i^n: it must come out (numerically) zero,
+and solve_weights refuses the weights when it does not.
 
 Degree-2 and degree-3 also get direct closed forms written entirely in
 terms of the roots and seeds.  `_closed_form` builds either from (spec,
@@ -35,7 +40,7 @@ single-k calls (binet_eval, binet_*_closed), which evaluate z**k.
 import math
 
 from .errors import DegenerateSpectrumError, SeedMismatchError, UnitRootError
-from .numerics import EXTENDED, STANDARD, arithmetic, solve_linear_system, to_complex
+from .numerics import EXTENDED, STANDARD, arithmetic, to_complex
 from .recurrence import (
     RecurrenceSpec,
     SeedVector,
@@ -45,17 +50,18 @@ from .recurrence import (
     make_spec,
 )
 from .reports import FormulaCheck, Record, compare
-from .roots import RootSet, cubic_roots, quadratic_roots
+from .roots import RootSet, _monic_poly, _poly_eval, cubic_roots, quadratic_roots
 
 # Tolerances are relative to the scale of the data they gate.
-TOL_W = 1e-9  # |w_{n+1}| must stay below TOL_W * max(1, max |seed term|)
+TOL_W = 1e-9  # the probe must stay below TOL_W * max(1, max |x_k| for k <= n)
 TOL_IM = 1e-9  # imaginary part allowed when rounding to an integer
 TOL_BINET = 1e-6  # relative agreement demanded from closed forms
 TOL_SEP = 1e-8  # pairwise root separation, scaled by (1 + max |root|)
 
 
 class BinetWeights(Record):
-    """Solved weights; weights[-1] is the constant probe w_{n+1}."""
+    """Solved weights w_1 .. w_n, one per root of the root set, then the
+    probe weights[-1] = x_n - sum of w_i r_i^n, which is not a term."""
 
     weights: tuple
     degree: int
@@ -89,16 +95,16 @@ def solve_weights(
     seeds: SeedVector,
     rootset: RootSet,
 ) -> BinetWeights:
-    """Solve the (n+1)x(n+1) weight system for the generic closed form.
+    """The weights w_i = N(r_i)/p'(r_i) of x_k = sum of w_i r_i^k, with
+    one refinement step, and the probe x_n - sum of w_i r_i^n.
 
     The weights are in the precision of the root set.  Raises
-    DegenerateSpectrumError for (near-)repeated roots and
-    SingularSystemError when the linear system is unsolvable, which is
-    exactly what happens when 1 is a characteristic root: the constant
-    column collides with a root column.
+    DegenerateSpectrumError for (near-)repeated roots, where p'(r) is
+    (nearly) zero, and when the probe exceeds TOL_W times the largest
+    |x_k|, k <= n: then the roots do not reproduce the seeds' next term.
     """
     _check_seeds(spec, seeds)
-    ctx, _, max_condition = arithmetic(rootset.precision)
+    ctx = arithmetic(rootset.precision).ctx
     if rootset.degree != spec.degree:
         raise SeedMismatchError(
             "root set has degree %d but the recurrence has degree %d"
@@ -107,21 +113,33 @@ def solve_weights(
     check_separation(rootset)
 
     n = spec.degree
-    terms = generate(spec, seeds, n + 1)
-    one = ctx.mpc(1)
-    rows = [powers + [one] for powers in _power_rows(rootset.roots, n + 1)]
-    rhs = [to_complex(ctx, t) for t in terms]
-    solution = solve_linear_system(rows, rhs, max_condition)
+    roots = rootset.roots
+    poly = _monic_poly(spec.coeffs, ctx)  # -a_0, ..., -a_{n-1}, 1
+    deriv = [j * c for j, c in enumerate(poly)][1:]
+    slopes = [_poly_eval(deriv, z) for z in roots]  # p'(r_i), once per root
+
+    def residues(v):
+        # N(r_i)/p'(r_i) for T_d = v_d - sum_{j<d} a_{n-1-j} v_{d-1-j},
+        # genfunc's numerator taken of v
+        t = [v[d] + sum(poly[n - 1 - j] * v[d - 1 - j] for j in range(d)) for d in range(n)]
+        return [_poly_eval(t[::-1], z) / s for z, s in zip(roots, slopes)]
+
+    rhs = [to_complex(ctx, t) for t in generate(spec, seeds, n + 1)]
+    *rows, last = _power_rows(roots, n + 1)
+    w = residues(rhs)
+    # one step of iterative refinement on the n fitted equations
+    fix = residues([x - _weighted_sum(w, row) for x, row in zip(rhs, rows)])
+    w = [u + c for u, c in zip(w, fix)]
+    probe = rhs[n] - _weighted_sum(w, last)
 
     scale = max(1.0, max(float(abs(v)) for v in rhs))
-    probe = float(abs(solution[-1]))
-    if probe > TOL_W * scale:
+    if float(abs(probe)) > TOL_W * scale:
         raise DegenerateSpectrumError(
-            "constant probe weight %.3e exceeds %.1e * %.3g; the seed data "
-            "is inconsistent with a pure power-sum closed form"
-            % (probe, TOL_W, scale)
+            "probe |x_n - sum of w_i r_i^n| = %.3e exceeds %.1e * %.3g; the "
+            "seed data is inconsistent with a pure power-sum closed form"
+            % (float(abs(probe)), TOL_W, scale)
         )
-    return BinetWeights(tuple(solution), n, rootset.precision)
+    return BinetWeights((*w, probe), n, rootset.precision)
 
 
 def _power_rows(roots, count: int):
@@ -134,16 +152,15 @@ def _power_rows(roots, count: int):
         yield row
 
 
-def _weighted_sum(weights: BinetWeights, powers):
-    """w_{n+1} + sum of w_j * powers[j], in that order."""
-    total = weights.weights[-1]
-    for w, p in zip(weights.weights[:-1], powers):
-        total = total + w * p
-    return total
+def _weighted_sum(weights, powers):
+    """sum of w_j * powers[j], in that order; zip stops at the last root,
+    so a BinetWeights's probe weights[-1] is not a term."""
+    return sum(w * p for w, p in zip(weights, powers))
 
 
 def binet_eval(weights: BinetWeights, rootset: RootSet, k: int):
-    """Evaluate sum of w_j root_j^k (+ constant probe) at integer k >= 0.
+    """Evaluate sum of w_j root_j^k at integer k >= 0 (the probe is not
+    a term).
 
     The weights and roots are numbers of their precision's context, so
     the sum runs in that precision."""
@@ -207,7 +224,7 @@ def _closed_form(spec: RecurrenceSpec, seeds: SeedVector, precision: str):
     """Build the degree-2 or degree-3 closed form once; returns (at, roots),
     where at([z**k for z in roots]) is the form's value at k."""
     _check_seeds(spec, seeds)
-    ctx, eps, _ = arithmetic(precision)
+    ctx, eps = arithmetic(precision)
     if spec.degree == 2:
         b, a = spec.coeffs
         disc = a * a + 4 * b

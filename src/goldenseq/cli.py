@@ -27,7 +27,7 @@ import sys
 from typing import NamedTuple
 
 from . import __version__
-from .errors import RootConvergenceError, SingularSystemError
+from .errors import RootConvergenceError
 from .numerics import PRECISIONS, STANDARD
 from .presets import BUILTIN_PRESETS, load_presets, parse_rational_list
 from .recurrence import _check_seeds, generate, make_seeds, make_spec, term_at
@@ -433,7 +433,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         out = args.handler(args)
-    except (CLIError, ValueError, OverflowError, SingularSystemError, RootConvergenceError) as exc:
+    except (CLIError, ValueError, OverflowError, RootConvergenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     _render(out, args.format)

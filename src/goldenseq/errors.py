@@ -19,7 +19,10 @@ class UnitRootError(ValueError):
 
 
 class SingularSystemError(ArithmeticError):
-    """A linear solve collapsed; carries a crude condition estimate."""
+    """A linear solve collapsed; carries a crude condition estimate.
+
+    Kept for compatibility only: the package no longer raises it, since
+    the Binet weights are residues and solve no linear system."""
 
     def __init__(self, message: str, condition_estimate: float | None = None):
         super().__init__(message)

@@ -1,9 +1,10 @@
 """Floating-point plumbing for the approximate layers.
 
 The exact modules (recurrence, genfunc, trapezoid) never import this.
-Root finding, Binet weights, and convergence diagnostics work in one of
+Root finding, Binet weights (residues N(r)/p'(r) at the roots with one
+refinement step, see binet), and convergence diagnostics work in one of
 two precisions, each a context with the same small interface (mpf, mpc,
-sqrt, cbrt, expj, pi):
+sqrt, cbrt, expj, pi) and a unit roundoff eps:
 
 * "standard": Python float/complex (53-bit significand), through a
   small context that computes what mpmath.fp computes (both follow
@@ -39,7 +40,6 @@ class Arithmetic(NamedTuple):
 
     ctx: object  # the standard context or the private extended one
     eps: float  # unit roundoff, used for residual noise floors
-    max_condition: float  # pivot ratio past which a linear system is singular
 
 
 class _Float:
@@ -63,7 +63,7 @@ class _Float:
         return cmath.exp(1j * x)
 
 
-_FLOAT = Arithmetic(_Float, 2.220446049250313e-16, 1e12)
+_FLOAT = Arithmetic(_Float, 2.220446049250313e-16)
 
 
 @cache
@@ -72,7 +72,7 @@ def _extended() -> Arithmetic:
 
     extended = mpmath.MPContext()
     extended.dps = EXTENDED_DPS
-    return Arithmetic(extended, 10.0 ** (-EXTENDED_DPS + 1), 1e30)
+    return Arithmetic(extended, 10.0 ** (-EXTENDED_DPS + 1))
 
 
 def arithmetic(precision: str) -> Arithmetic:
@@ -93,46 +93,3 @@ def to_complex(ctx, value):
     if isinstance(value, Fraction) and ctx is not _Float:
         value = ctx.mpf(value.numerator) / value.denominator
     return ctx.mpc(value)
-
-
-def solve_linear_system(matrix, rhs, max_condition: float):
-    """Gaussian elimination with partial pivoting over complex scalars.
-
-    Generic over the numbers of either context. Returns the solution
-    list. The ratio of the largest to the smallest pivot magnitude serves
-    as a cheap condition estimate; past max_condition the system is
-    treated as singular.
-    """
-    from .errors import SingularSystemError
-
-    n = len(matrix)
-    aug = [list(row) + [rhs[i]] for i, row in enumerate(matrix)]
-    pivot_sizes = []
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        pivot = aug[pivot_row][col]
-        size = abs(pivot)
-        if size == 0:
-            raise SingularSystemError(
-                "linear system is singular (zero pivot)", condition_estimate=float("inf")
-            )
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot_sizes.append(size)
-        for r in range(col + 1, n):
-            factor = aug[r][col] / pivot
-            if factor != 0:
-                for c in range(col, n + 1):
-                    aug[r][c] -= factor * aug[col][c]
-    condition = float(max(pivot_sizes) / min(pivot_sizes))
-    if condition > max_condition:
-        raise SingularSystemError(
-            f"linear system is numerically singular (condition estimate {condition:.3e})",
-            condition_estimate=condition,
-        )
-    solution = [None] * n
-    for r in range(n - 1, -1, -1):
-        acc = aug[r][n]
-        for c in range(r + 1, n):
-            acc -= aug[r][c] * solution[c]
-        solution[r] = acc / aug[r][r]
-    return solution

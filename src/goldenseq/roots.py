@@ -133,7 +133,7 @@ def _rootset(roots, residuals, precision: str) -> RootSet:
 
 
 def _finish(spec: RecurrenceSpec, roots, precision: str) -> RootSet:
-    ctx, eps, _ = arithmetic(precision)
+    ctx, eps = arithmetic(precision)
     roots = _drop_dust(roots, ctx, eps)
     return _rootset(roots, _residuals(spec, roots, ctx), precision)
 
@@ -226,7 +226,7 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     residual of the result exceeds tol_root or is not finite (the
     iteration overflowed).
     """
-    ctx, eps, _ = arithmetic(precision)
+    ctx, eps = arithmetic(precision)
     coeffs = spec.coeffs
     m = next((j for j, a in enumerate(coeffs) if a != 0), len(coeffs))
     zeros = [ctx.mpc(0)] * m
@@ -262,7 +262,7 @@ def _iterate(coeffs, precision: str):
     None when no sweep settled within MAX_ITER (the roots are then the
     last iterate).
     """
-    ctx, eps, _ = arithmetic(precision)
+    ctx, eps = arithmetic(precision)
     d = len(coeffs)
     if d <= 1:
         return [to_complex(ctx, a) for a in coeffs], [ctx.mpf(0)] * d, 0

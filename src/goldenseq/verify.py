@@ -25,12 +25,7 @@ from .analysis import (
     recover_cubic_conjugates,
 )
 from .binet import _closed_form, _cubic_note, _scan, _weighted_sum, solve_weights
-from .errors import (
-    DegenerateSpectrumError,
-    RootConvergenceError,
-    SingularSystemError,
-    UnitRootError,
-)
+from .errors import DegenerateSpectrumError, RootConvergenceError, UnitRootError
 from .genfunc import build_genfunc, series_coefficients
 from .numerics import STANDARD, arithmetic
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _scale, generate
@@ -114,7 +109,7 @@ def verify_all(
     else:
         try:
             weights = solve_weights(spec, seeds, rootset)
-        except (DegenerateSpectrumError, SingularSystemError) as exc:
+        except DegenerateSpectrumError as exc:
             weight_note = str(exc)
 
     # --- root-level identities -------------------------------------
@@ -138,7 +133,9 @@ def verify_all(
         for name in ("binet_constant_weight", "recurrence_binet_roundtrip"):
             add(name, None, detail=weight_note)
     else:
-        # solve_weights refuses a probe over its bound, so it passes here
+        # the probe is the residual x_n - sum of w_i r_i^n, the one
+        # equation the weights were not fitted to; solve_weights refuses
+        # a probe over its bound, so it passes here
         add(
             "binet_constant_weight",
             True,

@@ -17,7 +17,7 @@ from goldenseq.binet import (
     check_separation,
     compare_with_terms,
 )
-from goldenseq.numerics import arithmetic
+from goldenseq.numerics import arithmetic, to_complex
 from goldenseq.reports import compare
 from goldenseq.errors import (
     DegenerateSpectrumError,
@@ -42,6 +42,38 @@ def test_fibonacci_weights():
     assert w.weights[0] == pytest.approx(INV_SQRT5, abs=1e-12)
     assert w.weights[1] == pytest.approx(-INV_SQRT5, abs=1e-12)
     assert abs(w.weights[2]) < 1e-12
+
+
+def test_fibonacci_standard_weights_are_correctly_rounded():
+    spec, seeds, rs = _setup([1, 1], [0, 1])
+    w = gs.solve_weights(spec, seeds, rs)
+    assert w.weights[:2] == (INV_SQRT5, -INV_SQRT5)
+
+
+# x^11 = 3x^10 + 3x^9 + 2x^7 - 2x^6 - x^5 + 2x^4 - x^2 - 2x + 1: here the
+# residues N(r)/p'(r) alone are off by up to 6e5 eps (standard) and 2e4
+# eps (extended), and the refinement step brings both below 4 eps
+ACCURACY_SPEC = ([1, -2, -1, 0, 2, -1, -2, 2, 0, 3, 3], [3, -2, -2, 0, -2, 1, -1, -2, -2, -2, 0])
+
+
+@pytest.mark.parametrize("precision", gs.PRECISIONS)
+def test_weights_match_an_80_digit_reference(precision):
+    import mpmath
+
+    ref = mpmath.MPContext()
+    ref.dps = 80
+    coeffs, seeds = ACCURACY_SPEC
+    n = len(coeffs)
+    roots = ref.polyroots([1] + [-c for c in reversed(coeffs)], maxsteps=400, extraprec=400)
+    vandermonde = ref.matrix([[r**k for r in roots] for k in range(n)])
+    exact = ref.lu_solve(vandermonde, ref.matrix(seeds))
+    spec, vec, rs = _setup(coeffs, seeds, precision)
+    w = gs.solve_weights(spec, vec, rs)
+    eps = arithmetic(precision).eps
+    for z, weight in zip(rs.roots, w.weights, strict=False):
+        j = min(range(n), key=lambda j: abs(roots[j] - ref.mpc(z.real, z.imag)))
+        error = abs(ref.mpc(weight.real, weight.imag) - exact[j])
+        assert error <= 64 * eps * abs(exact[j]), (z, weight)
 
 
 def test_lucas_weights_are_unit():
@@ -80,11 +112,24 @@ def test_repeated_root_is_rejected():
         gs.solve_weights(spec, seeds, rs)
 
 
-def test_unit_root_makes_the_system_singular():
-    # roots {1, 0}: the all-ones column duplicates the root-1 column
-    spec, seeds, rs = _setup([0, 1], [0, 1])
-    with pytest.raises(SingularSystemError):
-        gs.solve_weights(spec, seeds, rs)
+@pytest.mark.parametrize("precision", gs.PRECISIONS)
+@pytest.mark.parametrize(
+    "coeffs, seeds, expected",
+    [
+        ([0, 1], [0, 1], (1, -1)),  # roots 1 and 0
+        ([Fraction(1, 2), Fraction(1, 2)], [1, 2], (Fraction(5, 3), Fraction(-2, 3))),  # 1 and -1/2
+    ],
+    ids=("zero-and-one", "half-weighted"),
+)
+def test_unit_root_specs_solve_and_round_trip(coeffs, seeds, expected, precision):
+    spec, vec, rs = _setup(coeffs, seeds, precision)
+    w = gs.solve_weights(spec, vec, rs)
+    ctx, eps = arithmetic(precision)
+    for weight, exact in zip(w.weights, expected, strict=False):
+        assert abs(weight - to_complex(ctx, exact)) <= 4 * eps
+    assert abs(w.weights[-1]) <= 4 * eps
+    values = [gs.binet_eval(w, rs, k) for k in range(41)]
+    assert compare_with_terms(values, gs.generate(spec, vec, 41), precision).matches
 
 
 def test_constant_probe_small_on_random_solvable_specs():
@@ -258,6 +303,39 @@ def test_weights_respect_scale_tolerance():
     spec, seeds, rs = _setup([1, 1], [10**6, -(10**6)])
     w = gs.solve_weights(spec, seeds, rs)
     assert abs(w.weights[-1]) <= TOL_W * 10**6
+
+
+@st.composite
+def _distinct_root_specs(draw):
+    # degree 1-8; a third of the draws put a root at 0 (a0 = 0) and a
+    # third put one at 1 (a0 = 1 - a1 - ... - a_{n-1}, so that sum(a) = 1)
+    n = draw(st.integers(1, 8))
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    coeffs = draw(st.lists(rational, min_size=n, max_size=n))
+    root = draw(st.sampled_from((None, 0, 1)))
+    if root == 0:
+        coeffs[0] = Fraction(0)
+    elif root == 1:
+        coeffs[0] = 1 - sum(coeffs[1:])
+    return coeffs, draw(st.lists(rational, min_size=n, max_size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_distinct_root_specs(), precision=st.sampled_from(gs.PRECISIONS))
+def test_residue_weights_round_trip_on_random_specs(case, precision):
+    # the roots must be distinct, 1e-3 apart relative to their scale
+    try:
+        spec, seeds, rs = _setup(*case, precision)
+    except gs.RootConvergenceError:
+        assume(False)
+    roots = rs.roots
+    gap = min((abs(a - b) for i, a in enumerate(roots) for b in roots[i + 1 :]), default=1)
+    assume(gap > 1e-3 * (1 + max(abs(z) for z in roots)))
+    w = gs.solve_weights(spec, seeds, rs)
+    ctx, eps = arithmetic(precision)
+    for k, exact in enumerate(gs.generate(spec, seeds, 3 * spec.degree + 1)):
+        error = abs(gs.binet_eval(w, rs, k) - to_complex(ctx, exact))
+        assert float(error) <= 1e5 * eps * max(1.0, float(abs(exact))), k
 
 
 @pytest.mark.parametrize("precision", gs.PRECISIONS)

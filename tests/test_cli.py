@@ -141,6 +141,19 @@ def test_binet_json(capsys):
     assert abs(payload["constant"]["re"]) < 1e-9
 
 
+def test_binet_unit_root_prints_its_weights(capsys):
+    # x^2 = x has the distinct roots 1 and 0: x_k = 1^k - 0^k
+    code, out, err = run(capsys, "binet", "--coeffs", "0,1", "--seeds", "0,1", "--k", "5")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "w[0] = 1.0",
+        "w[1] = -1.0",
+        "constant probe = 0.0",
+        "value(k=5) = 1.0",
+        "rounded = 1",
+    ]
+
+
 # ----------------------------------------------------------------- genfunc
 
 
@@ -319,7 +332,6 @@ def test_presets_file_flows_through(capsys, tmp_path):
         ("seq", "--preset", "fibonacci", "--coeffs", "1,1"),
         ("seq", "--preset", "fibonacci", "--count", "-1"),
         ("term", "--preset", "fibonacci", "--k", "-3"),
-        ("binet", "--coeffs", "0,1", "--seeds", "0,1"),  # unit root
         ("binet", "--coeffs=-1,2", "--seeds", "1,1"),  # repeated root
         ("trapezoid", "--coeffs", "1,1,1,1", "--seeds", "0,1,1,2", "--method", "closed"),
         ("verify", "--preset", "fibonacci", "--k", "0"),

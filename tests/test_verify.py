@@ -79,9 +79,9 @@ def test_degenerate_spec_skips_instead_of_failing():
     named = by_name(checks)
     assert named["golden_identity_inverse"].status == "skipped"
     assert "constant coefficient is 0" in named["golden_identity_inverse"].detail
-    assert named["binet_constant_weight"].status == "skipped"
-    assert "singular" in named["binet_constant_weight"].detail
-    assert named["recurrence_binet_roundtrip"].status == "skipped"
+    # the roots 1 and 0 are distinct, so the residue weights exist
+    assert named["binet_constant_weight"].status == "pass"
+    assert named["recurrence_binet_roundtrip"].status == "pass"
     # everything that still applies passes
     assert named["ratio_convergence"].status == "pass"
     assert named["genfunc_series_roundtrip"].status == "pass"
@@ -237,7 +237,7 @@ def test_verify_command_reports_unsolved_roots_and_exits_0(roots_unavailable, ar
 def test_probe_refusal_skips_both_binet_rows():
     spec = make_spec((0, -1, -1, 0, -1))
     seeds = make_seeds((1, Fraction(2, 3), -1, Fraction(2, 3), 2))
-    with pytest.raises(DegenerateSpectrumError, match="4.443e-09 exceeds") as refusal:
+    with pytest.raises(DegenerateSpectrumError, match="1.380e-01 exceeds") as refusal:
         solve_weights(spec, seeds, solve_roots(spec))
     named = by_name(verify_all(spec, seeds))
     for name in ("binet_constant_weight", "recurrence_binet_roundtrip"):
