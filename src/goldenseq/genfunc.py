@@ -11,12 +11,14 @@ that is, T is (1 - R(z)) times the seed polynomial, cut to degree n-1.
 Series extraction never divides polynomials: the coefficients come out
 of the convolution c_k = t_k + sum_i r_i c_{k-i}, exactly, on ints over
 common denominators (recurrence._scale): coefficient k is over E*D^k, T
-over E and R over D.  They still leave as Fractions.
+over E and R over D.  Past T and R the convolution is a recurrence of
+its last deg R values, so they leave as Fractions in lowest terms
+through the kernel of recurrence.generate (recurrence._lowest_terms).
 """
 
 from fractions import Fraction
 
-from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, _scale, _to_fraction, _unscale
+from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _lowest_terms, _poly_mul, _scale, _to_fraction
 from .reports import Record
 
 
@@ -98,7 +100,8 @@ def build_genfunc(spec: RecurrenceSpec, seeds: SeedVector) -> GeneratingFunction
 
 
 def series_coefficients(gf: GeneratingFunction, count: int) -> list:
-    """First `count` exact series coefficients of gf around z = 0.
+    """First `count` exact series coefficients of gf around z = 0, in
+    lowest terms.
 
     On ints: w_k = tau_k D^k + sum_i rho_i D^(i-1) w_{k-i}, w_k = E*D^k*c_k.
     """
@@ -107,8 +110,8 @@ def series_coefficients(gf: GeneratingFunction, count: int) -> list:
     t, den = _scale(gf.numerator)
     r, d = _scale(gf.denominator_tail)
     weights = [(i, rho * d ** (i - 1)) for i, rho in enumerate(r) if rho]  # r[0] == 0
-    out = []
-    for k in range(count):
+    head = []
+    for k in range(min(count, max(len(r) - 1, len(t)))):
         w = t[k] * d**k if k < len(t) else 0
-        out.append(w + sum([rho * out[k - i] for i, rho in weights if i <= k]))
-    return _unscale(out, den, d)
+        head.append(w + sum([rho * head[k - i] for i, rho in weights if i <= k]))
+    return _lowest_terms(head, weights, den, d, count)

@@ -18,8 +18,12 @@ forward loop so that checks have a side which does not use it.
 Both run on ints over common denominators (_scale), with D the lcm of the
 coefficient denominators and c_j = D*a_j: generate keeps z_k = S*D^k*x_k
 (seeds over S), and _power_form keeps y^k mod q(y), y = D*x, whose
-coefficient of y^j is D^(k-j) times that of x^j.  Values still leave as
-Fractions, built once each at the end.
+coefficient of y^j is D^(k-j) times that of x^j.  Values leave as
+Fractions in lowest terms.  term_at and symbolic_term build theirs with
+Fraction's constructor.  generate and genfunc.series_coefficients share
+_lowest_terms, which holds a window of ints and, once the running
+denominator is long, reduces each term by the primes of S*D instead of
+a gcd.
 """
 
 import math
@@ -99,22 +103,20 @@ def _check_seeds(spec: RecurrenceSpec, seeds: SeedVector):
 
 
 def generate(spec: RecurrenceSpec, seeds: SeedVector, count: int) -> list[Fraction]:
-    """First `count` terms of the sequence, exactly.
+    """First `count` terms of the sequence, exactly, in lowest terms.
 
     Plain O(count * n) iteration; use term_at for a single far-out index.
-    On ints: z_{k+n} = sum_j c_j D^(n-1-j) z_{k+j}, z_k = S*D^k*x_k.
+    On ints: z_{k+n} = sum_j c_j D^(n-1-j) z_{k+j}, z_k = S*D^k*x_k, reduced
+    by _lowest_terms.
     """
     _check_seeds(spec, seeds)
     if count < 0:
         raise ValueError("count must be >= 0")
     n = spec.degree
     coeffs, d = _scale(spec.coeffs)
-    weights = [(j, c * d ** (n - 1 - j)) for j, c in enumerate(coeffs) if c]
+    weights = [(n - j, c * d ** (n - 1 - j)) for j, c in enumerate(coeffs) if c]
     xs, den = _scale(seeds.values)
-    terms = [x * d**i for i, x in enumerate(xs[:count])]
-    for k in range(count - len(terms)):
-        terms.append(sum([w * terms[k + j] for j, w in weights]))
-    return _unscale(terms, den, d)
+    return _lowest_terms([x * d**i for i, x in enumerate(xs[:count])], weights, den, d, count)
 
 
 def _poly_mul(a, b):
@@ -135,6 +137,36 @@ def _scale(values):
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
+_TRIAL = 1 << 12  # trial divisors; a cofactor left below _TRIAL**2 is prime
+_GCD_BITS = 1024  # below this many bits of running denominator, Fraction's gcd is the cheaper reduction
+
+if hasattr(Fraction, "_from_coprime_ints"):  # 3.12+
+    _coprime = Fraction._from_coprime_ints
+else:  # 3.10-3.11
+
+    def _coprime(num, den):
+        return Fraction(num, den, _normalize=False)
+
+
+def _primes(*ns):
+    """The primes dividing any of ns, by trial division up to _TRIAL; None
+    when it leaves a cofactor that it cannot certify as prime."""
+    found = set()
+    for n in ns:
+        p = 2
+        while p * p <= n:
+            if p > _TRIAL:
+                return None
+            if not n % p:
+                found.add(p)
+                while not n % p:
+                    n //= p
+            p += 1 if p == 2 else 2
+        if n > 1:
+            found.add(n)
+    return found
+
+
 def _unscale(ints, den, d):
     """ints[k] / (den * d^k) as Fractions, in place, so that the ints and
     the Fractions are never held as two whole lists at once."""
@@ -142,6 +174,68 @@ def _unscale(ints, den, d):
         ints[k] = Fraction(v, den)
         den *= d
     return ints
+
+
+def _lowest_terms(head, weights, s, d, count):
+    """The first `count` terms t_k / (s * d^k) as Fractions in lowest
+    terms: t_k = head[k], and past the head t_k = sum w * t_(k-i) over
+    (i, w) in weights.
+
+    While the running denominator is below _GCD_BITS bits, where the gcd
+    is cheap, the terms go through Fraction's constructor (_unscale).
+    Past that, if trial division finds every prime p of s and d, only a
+    window of the last max(i) ints is kept and no gcd runs per term: one
+    gcd takes out what the window and the denominator share, then a term
+    and its denominator are divided by each p while p divides both,
+    which leaves them coprime.  When p divides the whole window (as far
+    as those counts show), it is divided out of the window and of the
+    running denominator, and the linear recurrence carries that on to
+    every later term, so the ints stay near the size of the reduced
+    terms.
+    """
+    width = max((i for i, _ in weights), default=0)
+    start = len(head)
+    if d > 1:  # the first k with s * d^k of about _GCD_BITS bits
+        start = max(start, math.ceil((_GCD_BITS - math.log2(s)) / math.log2(d)))
+    elif s.bit_length() < _GCD_BITS:
+        start = count
+    primes = _primes(s, d) if start < count else None
+    if primes is None:
+        start = count
+    out = head[:start]
+    for k in range(len(out), start):
+        out.append(sum([w * out[k - i] for i, w in weights]))
+    win = out[len(out) - width :]
+    _unscale(out, s, d)
+    if start == count:
+        return out
+    den = s * d**start
+    g = math.gcd(den, *win)  # what the window and the denominator share so far
+    win = [t // g for t in win]
+    den //= g
+    vals = [(p, [0] * width) for p in primes]  # how often p divides each window entry (lower bounds)
+    for _ in range(start, count):
+        y = sum([w * win[-i] for i, w in weights])
+        win.append(y)
+        del win[0]
+        num, low, g = y, den if y else 1, 1
+        for p, pv in vals:
+            v = 0 if y else math.inf  # 0 is 0/1, and every power of p divides it
+            while not num % p and not low % p:
+                num //= p
+                low //= p
+                v += 1
+            pv.append(v)
+            del pv[0]
+            if v and 0 < (m := min(pv, default=0)) < math.inf:  # inf: the window is 0, and so is every later term
+                g *= p**m
+                pv[:] = [u - m for u in pv]
+        if g > 1:
+            win = [t // g for t in win]
+            den //= g
+        out.append(_coprime(num, low))
+        den *= d
+    return out
 
 
 def _reduce(poly, low):

@@ -1,5 +1,6 @@
 """Exact sequence engine: generation, fast single terms, symbolic forms."""
 
+import pickle
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 import goldenseq as gs
 from goldenseq.errors import InvalidSpecError, SeedMismatchError
+from goldenseq.recurrence import _coprime, _primes
 
 FIB = gs.make_spec([1, 1])
 FIB_SEEDS = gs.make_seeds([0, 1])
@@ -233,20 +235,38 @@ def test_exact_core_equals_fraction_reference(degree, values, data):
     _check_against_reference(coeffs, seeds, count, k)
 
 
+# Denominators whose primes trial division cannot certify: their prefixes
+# keep Fraction's constructor.
+MERSENNE_61 = 2**61 - 1
+TWO_PRIMES = 65537 * 65539
+
+
 @pytest.mark.parametrize(
-    "coeffs, seeds",
+    "coeffs, seeds, count",
     [
-        ([0, 0, 0], ["1/2", -1, 3]),  # all-zero spec
-        (["1/2", "-1/3", 2], [0, 0, 0]),  # zero seeds
-        ([0, "3/4", "-2/5"], ["2/3", 0, -1]),  # a0 = 0
-        (["1/3", "2/3"], [1, 1]),  # rational spec, integer terms
-        (["-7/6"], ["5/9"]),
+        ([0, 0, 0], ["1/2", -1, 3], 150),  # all-zero spec; its denominator never grows
+        (["1/2", "-1/3", 2], [0, 0, 0], 400),  # zero seeds
+        ([0, "3/4", "-2/5"], ["2/3", 0, -1], 400),  # a0 = 0
+        (["1/3", "2/3"], [1, 1], 900),  # rational spec, integer terms: high 3-adic valuations
+        (["-7/6"], ["5/9"], 500),
+        (["1/5", "-3/7"], [1, "2/49"], 250),
+        (["2/49", "1/7", "-1/5"], ["1/5", 0, 1], 250),
+        ([f"1/{2**40}", 1], [1, "1/2"], 60),
+        (["3/65537", "-1/2", 1], [1, 0, "1/65537"], 120),  # a prime that trial division certifies
+        ([f"1/{MERSENNE_61}", 1], [1, 1], 60),
+        ([f"2/{TWO_PRIMES}", "1/3"], ["1/2", 1], 60),
+        (["1/7", 0, 0], [0, 0, 1], 600),  # runs of two zero terms
+        ([0, "1/6"], [1, 0], 400),  # zero from k = 1 on
+        ([0, 0], [f"1/{2**1030}", 3], 40),  # all-zero spec, zero from k = 2 on, its seeds past the switch
     ],
 )
-def test_exact_core_edge_cases_equal_fraction_reference(coeffs, seeds):
-    for count in range(len(coeffs) + 4):
-        _check_against_reference(coeffs, seeds, count, count)
-    _check_against_reference(coeffs, seeds, 150, 333)
+def test_exact_core_edge_cases_equal_fraction_reference(coeffs, seeds, count):
+    # each count but the first takes the running denominator S*D^k past
+    # recurrence._GCD_BITS, where generate switches to its gcd-free kernel
+    # unless trial division cannot certify the primes of S and D
+    for short in range(len(coeffs) + 4):
+        _check_against_reference(coeffs, seeds, short, short)
+    _check_against_reference(coeffs, seeds, count, 333)
 
 
 def _peak_over_result(run):
@@ -265,11 +285,47 @@ def _peak_over_result(run):
 
 def test_long_prefixes_peak_near_their_result():
     # Guards exact-far's peak_rss_mb: generate and series_coefficients
-    # turn their ints into Fractions in the same list, so the peak stays
-    # at the result (1.00x); holding the ints and the Fractions in two
-    # lists at once reads about 1.7x.
-    spec = gs.make_spec(["1/2", -1, "1/2", 1])
-    seeds = gs.make_seeds([1, "1/2", -2, "3/2"])
-    gf = gs.build_genfunc(spec, seeds)
-    assert _peak_over_result(lambda: gs.generate(spec, seeds, 3000)) <= 1.25
-    assert _peak_over_result(lambda: gs.series_coefficients(gf, 3000)) <= 1.25
+    # turn their ints into Fractions in place below the size switch and
+    # keep only a window of ints past it, so the peak stays at the result;
+    # holding all the ints and the Fractions in two lists at once reads
+    # about 1.7x.  Every term of the second spec is 1, while x_k scaled to
+    # S*D^k = 3^k is a k-bit int: holding all those ints peaked at 6.3x.
+    for coeffs, seeds in (
+        (["1/2", -1, "1/2", 1], [1, "1/2", -2, "3/2"]),
+        (["1/3", "2/3"], [1, 1]),
+    ):
+        spec, vec = gs.make_spec(coeffs), gs.make_seeds(seeds)
+        gf = gs.build_genfunc(spec, vec)
+        assert _peak_over_result(lambda: gs.generate(spec, vec, 3000)) <= 1.25
+        assert _peak_over_result(lambda: gs.series_coefficients(gf, 3000)) <= 1.25
+
+
+@pytest.mark.parametrize(
+    "ns, primes",
+    [
+        ((1, 1), set()),
+        ((6**400, 49), {2, 3, 7}),
+        ((2**40, 65537), {2, 65537}),  # 65537 < _TRIAL**2 with no divisor up to its root: prime
+        ((3, 2**61 - 1), None),
+        ((65537 * 65539, 2), None),  # a composite that trial division cannot split
+    ],
+)
+def test_trial_division_certifies_only_what_it_can(ns, primes):
+    # None sends a prefix to Fraction's constructor
+    assert _primes(*ns) == primes
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [(0, 1), (1, 1), (-3, 7), (5, 2**40), (3**500, 2**600 * 5**9), (-(7**300), MERSENNE_61**20)],
+)
+def test_gcd_free_fraction_is_the_constructors(num, den):
+    # recurrence._coprime skips the gcd through Fraction internals that
+    # differ between Python versions; it must build the same value
+    got, expected = _coprime(num, den), Fraction(num, den)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (num, den)
+    assert got == expected and hash(got) == hash(expected) and repr(got) == repr(expected)
+    again = pickle.loads(pickle.dumps(got))
+    assert type(again) is Fraction and (again.numerator, again.denominator) == (num, den)
+    assert got + Fraction(1, 3) == expected + Fraction(1, 3)
