@@ -22,8 +22,8 @@ coefficient of y^j is D^(k-j) times that of x^j.  Values leave as
 Fractions in lowest terms.  term_at and symbolic_term build theirs with
 Fraction's constructor.  generate and genfunc.series_coefficients share
 _lowest_terms, which holds a window of ints and, once the running
-denominator is long, reduces each term by the primes of S*D instead of
-a gcd.
+denominator is long, reduces each term by gcds with the short S*D
+instead of a gcd with that denominator.
 """
 
 import math
@@ -137,7 +137,6 @@ def _scale(values):
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
 
 
-_TRIAL = 1 << 12  # trial divisors; a cofactor left below _TRIAL**2 is prime
 _GCD_BITS = 1024  # below this many bits of running denominator, Fraction's gcd is the cheaper reduction
 
 if hasattr(Fraction, "_from_coprime_ints"):  # 3.12+
@@ -146,25 +145,6 @@ else:  # 3.10-3.11
 
     def _coprime(num, den):
         return Fraction(num, den, _normalize=False)
-
-
-def _primes(*ns):
-    """The primes dividing any of ns, by trial division up to _TRIAL; None
-    when it leaves a cofactor that it cannot certify as prime."""
-    found = set()
-    for n in ns:
-        p = 2
-        while p * p <= n:
-            if p > _TRIAL:
-                return None
-            if not n % p:
-                found.add(p)
-                while not n % p:
-                    n //= p
-            p += 1 if p == 2 else 2
-        if n > 1:
-            found.add(n)
-    return found
 
 
 def _unscale(ints, den, d):
@@ -183,15 +163,16 @@ def _lowest_terms(head, weights, s, d, count):
 
     While the running denominator is below _GCD_BITS bits, where the gcd
     is cheap, the terms go through Fraction's constructor (_unscale).
-    Past that, if trial division finds every prime p of s and d, only a
-    window of the last max(i) ints is kept and no gcd runs per term: one
-    gcd takes out what the window and the denominator share, then a term
-    and its denominator are divided by each p while p divides both,
-    which leaves them coprime.  When p divides the whole window (as far
-    as those counts show), it is divided out of the window and of the
-    running denominator, and the linear recurrence carries that on to
-    every later term, so the ints stay near the size of the reduced
-    terms.
+    Past that, only a window of the last max(i) ints is kept, and each
+    term y is reduced by gcds with the short r = s * d instead of one
+    with its long denominator.  Every prime of the running denominator
+    divides r, so gcd(gcd(y, r), den) is what y shares with it up to the
+    powers in r; repeating on what is left with that factor in place of
+    r takes out the rest.  With f the factor y gave up, the window's
+    common content is gcd(f, *window): it is divided out of the window
+    and of the running denominator, and the linear recurrence carries
+    that on to every later term, so the ints stay near the size of the
+    reduced terms.
     """
     width = max((i for i, _ in weights), default=0)
     start = len(head)
@@ -199,9 +180,7 @@ def _lowest_terms(head, weights, s, d, count):
         start = max(start, math.ceil((_GCD_BITS - math.log2(s)) / math.log2(d)))
     elif s.bit_length() < _GCD_BITS:
         start = count
-    primes = _primes(s, d) if start < count else None
-    if primes is None:
-        start = count
+    start = min(start, count)
     out = head[:start]
     for k in range(len(out), start):
         out.append(sum([w * out[k - i] for i, w in weights]))
@@ -213,24 +192,19 @@ def _lowest_terms(head, weights, s, d, count):
     g = math.gcd(den, *win)  # what the window and the denominator share so far
     win = [t // g for t in win]
     den //= g
-    vals = [(p, [0] * width) for p in primes]  # how often p divides each window entry (lower bounds)
+    r = s * d
     for _ in range(start, count):
         y = sum([w * win[-i] for i, w in weights])
         win.append(y)
         del win[0]
-        num, low, g = y, den if y else 1, 1
-        for p, pv in vals:
-            v = 0 if y else math.inf  # 0 is 0/1, and every power of p divides it
-            while not num % p and not low % p:
-                num //= p
-                low //= p
-                v += 1
-            pv.append(v)
-            del pv[0]
-            if v and 0 < (m := min(pv, default=0)) < math.inf:  # inf: the window is 0, and so is every later term
-                g *= p**m
-                pv[:] = [u - m for u in pv]
-        if g > 1:
+        num, low, f = (y, den, 1) if y else (0, 1, den)  # 0 is 0/1: it gives up all of den
+        g = math.gcd(math.gcd(num, r), low)
+        while g > 1:  # only the primes of g can still be shared
+            num //= g
+            low //= g
+            f *= g
+            g = math.gcd(math.gcd(num, g), low)
+        if f > 1 and (g := math.gcd(f, *win)) > 1:
             win = [t // g for t in win]
             den //= g
         out.append(_coprime(num, low))

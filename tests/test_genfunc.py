@@ -167,16 +167,18 @@ def test_series_equals_fraction_reference(degree, values, direct, data):
         ((1, Fraction(1, 3)), (0, Fraction(2, 3), Fraction(1, 3)), 900),  # every coefficient 1
         ((Fraction(2, 49), 1), (0, Fraction(1, 5), Fraction(-3, 7)), 250),
         ((1, Fraction(1, 2**40)), (0, 1, Fraction(1, 2**40)), 60),
-        ((Fraction(1, 65537), 0, 1), (0, 1, Fraction(-1, 2), Fraction(3, 65537)), 120),  # certified prime
-        ((1, 0), (0, 1, Fraction(1, 2**61 - 1)), 60),  # primes that trial division
-        ((Fraction(1, 2), 1), (0, Fraction(1, 3), Fraction(2, 65537 * 65539)), 60),  # cannot certify
+        ((Fraction(1, 65537), 0, 1), (0, 1, Fraction(-1, 2), Fraction(3, 65537)), 120),  # large primes in D,
+        ((1, 0), (0, 1, Fraction(1, 2**61 - 1)), 60),  # reduced by gcds with E*D
+        ((Fraction(1, 2), 1), (0, Fraction(1, 3), Fraction(2, 65537 * 65539)), 60),  # without factoring it
         ((0, 0, 1), (0, 0, 0, Fraction(1, 7)), 600),  # runs of two zero coefficients
         ((1, Fraction(-1, 6)), (0, Fraction(1, 6)), 400),  # zero from z^1 on
+        ((Fraction(1, 2**1100), Fraction(1, 3**700)), (0, 1, 1), 200),  # D = 1 and E past the switch
     ],
 )
 def test_direct_series_edge_cases_equal_fraction_reference(numerator, tail, count):
     # the last count takes the running denominator E*D^k past
-    # recurrence._GCD_BITS, except where R has integer coefficients
+    # recurrence._GCD_BITS, except where R has integer coefficients and E
+    # is short
     gf = GeneratingFunction(numerator, tail)
     for short in (0, 1, 2, 5, 8, count):
         _assert_series_equals_reference(gf, short)

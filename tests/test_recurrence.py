@@ -1,7 +1,9 @@
 """Exact sequence engine: generation, fast single terms, symbolic forms."""
 
+import math
 import pickle
 import tracemalloc
+import types
 from fractions import Fraction
 
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 import goldenseq as gs
 from goldenseq.errors import InvalidSpecError, SeedMismatchError
-from goldenseq.recurrence import _coprime, _primes
+from goldenseq import recurrence
+from goldenseq.recurrence import _coprime
 
 FIB = gs.make_spec([1, 1])
 FIB_SEEDS = gs.make_seeds([0, 1])
@@ -235,8 +238,8 @@ def test_exact_core_equals_fraction_reference(degree, values, data):
     _check_against_reference(coeffs, seeds, count, k)
 
 
-# Denominators whose primes trial division cannot certify: their prefixes
-# keep Fraction's constructor.
+# Denominators with large prime factors: past the switch the kernel
+# reduces their prefixes by gcds with S*D, without factoring it.
 MERSENNE_61 = 2**61 - 1
 TWO_PRIMES = 65537 * 65539
 
@@ -252,18 +255,19 @@ TWO_PRIMES = 65537 * 65539
         (["1/5", "-3/7"], [1, "2/49"], 250),
         (["2/49", "1/7", "-1/5"], ["1/5", 0, 1], 250),
         ([f"1/{2**40}", 1], [1, "1/2"], 60),
-        (["3/65537", "-1/2", 1], [1, 0, "1/65537"], 120),  # a prime that trial division certifies
+        (["3/65537", "-1/2", 1], [1, 0, "1/65537"], 120),
         ([f"1/{MERSENNE_61}", 1], [1, 1], 60),
         ([f"2/{TWO_PRIMES}", "1/3"], ["1/2", 1], 60),
         (["1/7", 0, 0], [0, 0, 1], 600),  # runs of two zero terms
         ([0, "1/6"], [1, 0], 400),  # zero from k = 1 on
         ([0, 0], [f"1/{2**1030}", 3], 40),  # all-zero spec, zero from k = 2 on, its seeds past the switch
+        ([1, 1], [f"1/{2**1100}", f"1/{3**700}"], 200),  # D = 1 and S past the switch: the kernel runs from k = n
+        ([2, 2], [f"1/{2**1100}", f"1/{3**700}"], 200),  # and terms that share ever more powers of 2 with S
     ],
 )
 def test_exact_core_edge_cases_equal_fraction_reference(coeffs, seeds, count):
     # each count but the first takes the running denominator S*D^k past
-    # recurrence._GCD_BITS, where generate switches to its gcd-free kernel
-    # unless trial division cannot certify the primes of S and D
+    # recurrence._GCD_BITS, where generate switches to its windowed kernel
     for short in range(len(coeffs) + 4):
         _check_against_reference(coeffs, seeds, short, short)
     _check_against_reference(coeffs, seeds, count, 333)
@@ -300,19 +304,27 @@ def test_long_prefixes_peak_near_their_result():
         assert _peak_over_result(lambda: gs.series_coefficients(gf, 3000)) <= 1.25
 
 
-@pytest.mark.parametrize(
-    "ns, primes",
-    [
-        ((1, 1), set()),
-        ((6**400, 49), {2, 3, 7}),
-        ((2**40, 65537), {2, 65537}),  # 65537 < _TRIAL**2 with no divisor up to its root: prime
-        ((3, 2**61 - 1), None),
-        ((65537 * 65539, 2), None),  # a composite that trial division cannot split
-    ],
-)
-def test_trial_division_certifies_only_what_it_can(ns, primes):
-    # None sends a prefix to Fraction's constructor
-    assert _primes(*ns) == primes
+def test_window_division_keeps_the_kernels_gcds_short(monkeypatch):
+    # Every term of coeffs 1/3,2/3 with seeds 1,1 is 1.  Past the switch
+    # the first gcd takes the window's content out of S*D^k; from then on
+    # dividing the window's common content out at every term keeps the
+    # running denominator at 3 or 9, so every later gcd sees short ints.
+    # Without that division the ints would grow as 3^k.
+    seen = []
+
+    def gcd(*ns):
+        seen.append(max(abs(v).bit_length() for v in ns))
+        return math.gcd(*ns)
+
+    monkeypatch.setattr(recurrence, "math", types.SimpleNamespace(**{**vars(math), "gcd": gcd}))
+    spec, vec = gs.make_spec(["1/3", "2/3"]), gs.make_seeds([1, 1])
+    gf = gs.build_genfunc(spec, vec)
+    for run in (lambda: gs.generate(spec, vec, 1500), lambda: gs.series_coefficients(gf, 1500)):
+        seen.clear()
+        terms = run()
+        assert [(t.numerator, t.denominator) for t in terms] == [(1, 1)] * 1500
+        assert seen[0] > recurrence._GCD_BITS - 8 and len(seen) > 800
+        assert max(seen[1:]) < 8
 
 
 @pytest.mark.parametrize(
