@@ -173,6 +173,7 @@ def test_series_equals_fraction_reference(degree, values, direct, data):
         ((0, 0, 1), (0, 0, 0, Fraction(1, 7)), 600),  # runs of two zero coefficients
         ((1, Fraction(-1, 6)), (0, Fraction(1, 6)), 400),  # zero from z^1 on
         ((Fraction(1, 2**1100), Fraction(1, 3**700)), (0, 1, 1), 200),  # D = 1 and E past the switch
+        ((Fraction(1, 2**1100), Fraction(1, 3**700)), (0, 2, 2), 200),  # and coefficients that share ever more powers of 2 with E
     ],
 )
 def test_direct_series_edge_cases_equal_fraction_reference(numerator, tail, count):

@@ -304,7 +304,8 @@ def test_long_prefixes_peak_near_their_result():
         assert _peak_over_result(lambda: gs.series_coefficients(gf, 3000)) <= 1.25
 
 
-def test_window_division_keeps_the_kernels_gcds_short(monkeypatch):
+@pytest.mark.parametrize("kind", ["generate", "series_coefficients"])
+def test_window_division_keeps_the_kernels_gcds_short(monkeypatch, kind):
     # Every term of coeffs 1/3,2/3 with seeds 1,1 is 1.  Past the switch
     # the first gcd takes the window's content out of S*D^k; from then on
     # dividing the window's common content out at every term keeps the
@@ -316,15 +317,13 @@ def test_window_division_keeps_the_kernels_gcds_short(monkeypatch):
         seen.append(max(abs(v).bit_length() for v in ns))
         return math.gcd(*ns)
 
-    monkeypatch.setattr(recurrence, "math", types.SimpleNamespace(**{**vars(math), "gcd": gcd}))
     spec, vec = gs.make_spec(["1/3", "2/3"]), gs.make_seeds([1, 1])
     gf = gs.build_genfunc(spec, vec)
-    for run in (lambda: gs.generate(spec, vec, 1500), lambda: gs.series_coefficients(gf, 1500)):
-        seen.clear()
-        terms = run()
-        assert [(t.numerator, t.denominator) for t in terms] == [(1, 1)] * 1500
-        assert seen[0] > recurrence._GCD_BITS - 8 and len(seen) > 800
-        assert max(seen[1:]) < 8
+    monkeypatch.setattr(recurrence, "math", types.SimpleNamespace(**{**vars(math), "gcd": gcd}))
+    terms = gs.generate(spec, vec, 1500) if kind == "generate" else gs.series_coefficients(gf, 1500)
+    assert [(t.numerator, t.denominator) for t in terms] == [(1, 1)] * 1500
+    assert seen[0] > recurrence._GCD_BITS - 8 and len(seen) > 800
+    assert max(seen[1:]) < 8
 
 
 @pytest.mark.parametrize(
