@@ -4,14 +4,15 @@ The generic path writes x_k = w_1 r_1^k + ... + w_n r_n^k over the
 distinct roots of p(x) = x^n - a_{n-1} x^{n-1} - ... - a_0.  The
 generating function T(z)/(1 - R(z)) gives each weight as a residue,
     w_i = N(r_i) / p'(r_i),  N(x) = sum of T_s x^(n-1-s),
-with T genfunc's numerator taken of x_0 .. x_{n-1}; a root at 0 or at 1
-is not a special case.  Computed from rounded roots, the residues alone
-lose a few digits on high degrees, so one step of iterative refinement
-adds the residues of the residual x_k - sum of w_i r_i^k, k < n (Higham,
-Accuracy and Stability of Numerical Algorithms, ch. 12).  The equation
-the weights were not fitted to, k = n, is the consistency probe
-w_{n+1} = x_n - sum of w_i r_i^n: it must come out (numerically) zero,
-and solve_weights refuses the weights when it does not.
+with T genfunc's numerator (recurrence._numerator) taken of x_0 ..
+x_{n-1}; a root at 0 or at 1 is not a special case.  Computed from
+rounded roots, the residues alone lose a few digits on high degrees, so
+one step of iterative refinement adds the residues of the residual
+x_k - sum of w_i r_i^k, k < n (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 12).  The equation the weights were not fitted
+to, k = n, is the consistency probe w_{n+1} = x_n - sum of w_i r_i^n:
+it must come out (numerically) zero, and solve_weights refuses the
+weights when it does not.
 
 Degree-2 and degree-3 also get direct closed forms written entirely in
 terms of the roots and seeds.  `_closed_form` builds either from (spec,
@@ -45,12 +46,14 @@ from .recurrence import (
     RecurrenceSpec,
     SeedVector,
     _check_seeds,
+    _numerator,
+    _poly_eval,
     generate,
     make_seeds,
     make_spec,
 )
 from .reports import FormulaCheck, Record, compare
-from .roots import RootSet, _monic_poly, _poly_eval, cubic_roots, quadratic_roots
+from .roots import RootSet, _monic_poly, cubic_roots, quadratic_roots
 
 # Tolerances are relative to the scale of the data they gate.
 TOL_W = 1e-9  # the probe must stay below TOL_W * max(1, max |x_k| for k <= n)
@@ -118,10 +121,8 @@ def solve_weights(
     deriv = [j * c for j, c in enumerate(poly)][1:]
     slopes = [_poly_eval(deriv, z) for z in roots]  # p'(r_i), once per root
 
-    def residues(v):
-        # N(r_i)/p'(r_i) for T_d = v_d - sum_{j<d} a_{n-1-j} v_{d-1-j},
-        # genfunc's numerator taken of v
-        t = [v[d] + sum(poly[n - 1 - j] * v[d - 1 - j] for j in range(d)) for d in range(n)]
+    def residues(v):  # N(r_i)/p'(r_i), T genfunc's numerator taken of v
+        t = _numerator(poly[::-1], v)
         return [_poly_eval(t[::-1], z) / s for z, s in zip(roots, slopes)]
 
     rhs = [to_complex(ctx, t) for t in generate(spec, seeds, n + 1)]

@@ -431,12 +431,16 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # print exact values of any length; restored in finally
     try:
         out = args.handler(args)
+        _render(out, args.format)
     except (CLIError, ValueError, OverflowError, RootConvergenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    _render(out, args.format)
+    finally:
+        sys.set_int_max_str_digits(digits)
     return out.code
 
 

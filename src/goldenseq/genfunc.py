@@ -6,19 +6,19 @@ and T(z) (degree <= n-1) absorbs the seeds:
 
     T_d = x_d - sum_{j=0}^{d-1} a_{n-1-j} x_{d-1-j}   (d >= 1),  T_0 = x_0,
 
-that is, T is (1 - R(z)) times the seed polynomial, cut to degree n-1.
+that is, T is (1 - R(z)) times the seeds, cut to degree n-1 (recurrence._numerator).
 
 Series extraction never divides polynomials: the coefficients come out
 of the convolution c_k = t_k + sum_i r_i c_{k-i}, exactly, on ints over
 common denominators (recurrence._scale): coefficient k is over E*D^k, T
 over E and R over D.  Past T and R the convolution is a recurrence of
-its last deg R values, so they leave as Fractions in lowest terms
-through the kernel of recurrence.generate (recurrence._lowest_terms).
+its last deg R values (recurrence._lags), so they leave as Fractions in
+lowest terms through generate's kernel (recurrence._lowest_terms).
 """
 
 from fractions import Fraction
 
-from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _lowest_terms, _poly_mul, _scale, _to_fraction
+from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _lags, _lowest_terms, _numerator, _scale, _to_fraction
 from .reports import Record
 
 
@@ -95,8 +95,7 @@ def build_genfunc(spec: RecurrenceSpec, seeds: SeedVector) -> GeneratingFunction
     """Generating function of the sequence defined by spec and seeds."""
     _check_seeds(spec, seeds)
     tail = (Fraction(0),) + spec.coeffs[::-1]
-    numerator = _poly_mul([Fraction(1)] + [-c for c in tail[1:]], seeds.values)
-    return GeneratingFunction(tuple(numerator[: spec.degree]), tail)
+    return GeneratingFunction(tuple(_numerator([1] + [-c for c in tail[1:]], seeds.values)), tail)
 
 
 def series_coefficients(gf: GeneratingFunction, count: int) -> list:
@@ -108,10 +107,9 @@ def series_coefficients(gf: GeneratingFunction, count: int) -> list:
     if count < 0:
         raise ValueError("count must be >= 0")
     t, den = _scale(gf.numerator)
-    r, d = _scale(gf.denominator_tail)
-    weights = [(i, rho * d ** (i - 1)) for i, rho in enumerate(r) if rho]  # r[0] == 0
+    weights, d = _lags(gf.denominator_tail[:0:-1])
     head = []
-    for k in range(min(count, max(len(r) - 1, len(t)))):
+    for k in range(min(count, max(len(gf.denominator_tail) - 1, len(t)))):
         w = t[k] * d**k if k < len(t) else 0
         head.append(w + sum([rho * head[k - i] for i, rho in weights if i <= k]))
     return _lowest_terms(head, weights, den, d, count)

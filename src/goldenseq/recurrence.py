@@ -15,15 +15,15 @@ seeds has the coefficients of x^k mod p(x).  symbolic_term and term_at
 compute that remainder by squaring, O(n^2 log k); generate stays a plain
 forward loop so that checks have a side which does not use it.
 
-Both run on ints over common denominators (_scale), with D the lcm of the
-coefficient denominators and c_j = D*a_j: generate keeps z_k = S*D^k*x_k
-(seeds over S), and _power_form keeps y^k mod q(y), y = D*x, whose
-coefficient of y^j is D^(k-j) times that of x^j.  Values leave as
-Fractions in lowest terms.  term_at and symbolic_term build theirs with
-Fraction's constructor.  generate and genfunc.series_coefficients share
-_lowest_terms, which holds a window of ints and, once the running
-denominator is long, reduces each term by gcds with the short S*D
-instead of a gcd with that denominator.
+Both run on ints through the exact polynomial layer every module shares:
+_scale (ints over a common denominator), _lags (R on ints, D the lcm of
+the coefficient denominators), _numerator (T over 1 - R), _poly_mul,
+_poly_eval (Horner) and _reduce (a fold by R's lags).  generate keeps
+z_k = S*D^k*x_k (seeds over S), _power_form y^k mod q(y) for y = D*x.
+Values leave as Fractions in lowest terms: term_at and symbolic_term
+through Fraction's constructor, generate and genfunc.series_coefficients
+through _lowest_terms, which holds a window of ints and, once the running
+denominator is long, reduces each term by gcds with the short S*D.
 """
 
 import math
@@ -106,15 +106,12 @@ def generate(spec: RecurrenceSpec, seeds: SeedVector, count: int) -> list[Fracti
     """First `count` terms of the sequence, exactly, in lowest terms.
 
     Plain O(count * n) iteration; use term_at for a single far-out index.
-    On ints: z_{k+n} = sum_j c_j D^(n-1-j) z_{k+j}, z_k = S*D^k*x_k, reduced
-    by _lowest_terms.
+    On ints: z_k = S*D^k*x_k steps by _lags, reduced by _lowest_terms.
     """
     _check_seeds(spec, seeds)
     if count < 0:
         raise ValueError("count must be >= 0")
-    n = spec.degree
-    coeffs, d = _scale(spec.coeffs)
-    weights = [(n - j, c * d ** (n - 1 - j)) for j, c in enumerate(coeffs) if c]
+    weights, d = _lags(spec.coeffs)
     xs, den = _scale(seeds.values)
     return _lowest_terms([x * d**i for i, x in enumerate(xs[:count])], weights, den, d, count)
 
@@ -135,6 +132,25 @@ def _scale(values):
     """(ints, lcm) with values[k] == ints[k] / lcm, lcm the common denominator."""
     lcm = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (lcm // v.denominator) for v in values], lcm
+
+
+def _lags(coeffs):
+    """R on ints, (lags, d): (n - j, c_j * d^(n-1-j)) for each c_j = d * coeffs[j] != 0."""
+    n = len(coeffs)
+    ints, d = _scale(coeffs)
+    return [(n - j, c * d ** (n - 1 - j)) for j, c in enumerate(ints) if c], d
+
+
+def _numerator(q, v):
+    """T of v over q = 1 - R: T_d = v_d + sum_{j<d} q_(j+1) v_(d-1-j), d < deg q."""
+    return [v[d] + sum(q[j + 1] * v[d - 1 - j] for j in range(d)) for d in range(len(q) - 1)]
+
+
+def _poly_eval(coeffs, z):
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * z + c
+    return acc
 
 
 _GCD_BITS = 1024  # below this many bits of running denominator, Fraction's gcd is the cheaper reduction
@@ -212,16 +228,14 @@ def _lowest_terms(head, weights, s, d, count):
     return out
 
 
-def _reduce(poly, low):
-    """poly mod y^n - sum low[j] y^j, in place: fold each y^d, d >= n."""
-    n = len(low)
+def _reduce(poly, weights, n):
+    """poly mod y^n - sum w y^(n-i) over the lags (i, w), in place: fold each y^d, d >= n."""
     while len(poly) > n:
         c = poly.pop()  # coefficient of y^d, d = len(poly) after the pop
         if c:
-            base = len(poly) - n
-            for j, a in enumerate(low):
-                if a:
-                    poly[base + j] += c * a
+            d = len(poly)
+            for i, w in weights:
+                poly[d - i] += c * w
     return poly
 
 
@@ -232,13 +246,12 @@ def _power_form(spec: RecurrenceSpec, k: int):
     if k < 0:
         raise ValueError("k must be >= 0 (backward extension is not defined)")
     n = spec.degree
-    coeffs, d = _scale(spec.coeffs)
-    low = [c * d ** (n - 1 - j) for j, c in enumerate(coeffs)]
+    weights, d = _lags(spec.coeffs)
     form = [1] + [0] * (n - 1)
     for bit in bin(k)[2:]:
-        form = _reduce(_poly_mul(form, form), low)
+        form = _reduce(_poly_mul(form, form), weights, n)
         if bit == "1":
-            form = _reduce([0] + form, low)
+            form = _reduce([0] + form, weights, n)
     return form, d
 
 

@@ -21,7 +21,7 @@ import math
 
 from .errors import RootConvergenceError
 from .numerics import STANDARD, arithmetic, to_complex
-from .recurrence import RecurrenceSpec, _to_fraction, make_spec
+from .recurrence import RecurrenceSpec, _poly_eval, _to_fraction, make_spec
 from .reports import FormulaCheck, Record, compare
 
 TOL_ROOT_BASE = 1e-10
@@ -84,13 +84,6 @@ def _monic_poly(coeffs, ctx):
     poly = [-to_complex(ctx, a) for a in coeffs]
     poly.append(ctx.mpc(1))
     return poly
-
-
-def _poly_eval(coeffs, z):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
 
 
 def _residuals(spec: RecurrenceSpec, roots, ctx):

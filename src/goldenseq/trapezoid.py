@@ -9,7 +9,7 @@ rows obey
     C_{i+1, j+n-1} = sum_k a_k C_{i, j+k}        (k = 0 .. n-1)
 
 with out-of-range entries read as zero, the diagonal sums reproduce the
-sequence itself, and each row sums to a fixed multiple of (sum a_k)^i.
+sequence itself, and row i sums to T(1)*R(1)^i, R(1) = sum a_k.
 
 Degrees 2 and 3 additionally have direct per-entry closed forms built
 from binomial coefficients.  The form is built once per spec (seed count
@@ -236,27 +236,17 @@ def check_row_recurrence(trapezoid: Trapezoid) -> list:
     return violations
 
 
-def _row_sum_form(spec: RecurrenceSpec, seeds: SeedVector):
-    """Build the closed-form row sum once; returns i -> combination * (sum a_k)^i."""
-    _check_seeds(spec, seeds)
-    n = spec.degree
-    coeffs = spec.coeffs
-    inner = Fraction(0)
-    for r in range(n):
-        weight = Fraction(1) - sum(
-            (coeffs[n + r - l - 1] for l in range(r, n - 1)), Fraction(0)
-        )
-        inner += weight * seeds[r]
-    total = sum(coeffs, Fraction(0))
-    return lambda i: inner * total**i
+def _row_sum_form(gf):
+    """Build the row sums of gf's trapezoid once; returns i -> T(1) * R(1)^i."""
+    t, r = sum(gf.numerator), sum(gf.denominator_tail)
+    return lambda i: t * r**i
 
 
 def row_sum(i: int, spec: RecurrenceSpec, seeds: SeedVector) -> Fraction:
-    """Closed-form sum of row i: a fixed seed combination times (sum a_k)^i.
-    A call builds the form for its one row."""
+    """Closed-form sum of row i, T(1) * R(1)^i; a call builds the form for its one row."""
     if i < 0:
         raise ValueError("row index must be >= 0")
-    return _row_sum_form(spec, seeds)(i)
+    return _row_sum_form(build_genfunc(spec, seeds))(i)
 
 
 def diagonal_sum(trapezoid: Trapezoid, i: int) -> Fraction:

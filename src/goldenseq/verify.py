@@ -3,16 +3,18 @@ independent computation of the same quantity.
 
 `verify_all` computes three inputs once and shares them between the
 checks: the root set with the seeds' Binet weights, the exact terms, and
-the trapezoid expansion.  Sharing them joins no oracle pair; these pairs
-stay independent: roots vs. coefficients (symmetric relations, defining
-identity), weights and roots vs. exact terms (round trip), the closed
-Binet forms (which solve their own radical roots, once per check) vs.
-exact terms, series vs. exact terms, per-entry closed forms (built once
-per check) and closed-form row sums vs. the expansion, its diagonal sums
-vs. exact terms, and exact term ratios vs. the dominant root.  Checks
-that do not apply to the given input — repeated roots, degenerate specs,
-degrees without closed forms, roots that cannot be solved — report
-status "skipped" with the reason, never a fake pass.
+the generating function with its trapezoid expansion.  Sharing them
+joins no oracle pair; these pairs stay independent: roots vs.
+coefficients (symmetric relations, defining identity), weights and roots
+vs. exact terms (round trip), the closed Binet forms (which solve their
+own radical roots, once per check) vs. exact terms, series vs. exact
+terms, per-entry closed forms (built once per check) vs. the expansion,
+its diagonal sums vs. exact terms, and exact term ratios vs. the
+dominant root.  The row sums T(1)*R(1)^i share gf's T and R with the
+expansion, so they check its products; series and diagonals check T.
+Checks that do not apply to the given input — repeated roots, degenerate
+specs, degrees without closed forms, roots that cannot be solved —
+report status "skipped" with the reason, never a fake pass.
 """
 
 from fractions import Fraction
@@ -188,9 +190,8 @@ def verify_all(
         if not violations
         else "first violation at (i, j) = (%d, %d)" % violations[0][:2],
     )
-    row_sum = _row_sum_form(spec, seeds)
     sums = compare(
-        ((i, row_sum(i)) for i in range(rows)),
+        enumerate(map(_row_sum_form(gf), range(rows))),
         (Fraction(sum(ints), den) for ints, den in map(_scale, trap.rows)),
     )
     note = "closed-form row sums vs. direct sums (exact)"

@@ -3,9 +3,11 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
+import goldenseq as gs
 from goldenseq.cli import main
 
 
@@ -75,6 +77,39 @@ def test_term_json(capsys):
     assert code == 0
     assert payload["k"] == 100
     assert payload["term"] == "354224848179261915075"
+
+
+@pytest.fixture
+def int_str_limit():
+    """Python's default limit on int-to-str digits, restored afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(old)
+
+
+def test_term_prints_exact_values_of_any_length(capsys, int_str_limit):
+    # F_30000 has 6,270 digits, past the limit
+    code, out, err = run(capsys, "term", "--preset", "fibonacci", "--k", "30000")
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == int_str_limit
+    assert len(out) == 6271
+    value = gs.term_at(gs.make_spec([1, 1]), gs.make_seeds([0, 1]), 30000)
+    sys.set_int_max_str_digits(0)  # to print the reference; the fixture restores the limit
+    assert out == "%s\n" % value
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("term", "--preset", "fibonacci", "--k", "-3"), 2),
+        (("seq", "--preset", "nope"), 2),
+        (("verify", "--preset", "tribonacci"), 1),
+    ],
+)
+def test_main_leaves_the_int_str_limit_as_it_found_it(capsys, int_str_limit, argv, expected):
+    assert run(capsys, *argv)[0] == expected
+    assert sys.get_int_max_str_digits() == int_str_limit
 
 
 # ----------------------------------------------------------------- roots

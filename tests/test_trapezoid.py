@@ -367,6 +367,36 @@ def test_row_sums_random_specs():
             assert gs.row_sum(i, spec, seeds) == sum(t.rows[i])
 
 
+def _row_sum_reference(coeffs, seeds):
+    """The paper's per-seed row sum in plain Fractions: i -> the seeds
+    weighted by 1 - (a partial sum of the a_k), times (sum a_k)^i."""
+    n = len(coeffs)
+    inner = Fraction(0)
+    for r in range(n):
+        weight = Fraction(1) - sum(
+            (coeffs[n + r - l - 1] for l in range(r, n - 1)), Fraction(0)
+        )
+        inner += weight * seeds[r]
+    total = sum(coeffs, Fraction(0))
+    return lambda i: inner * total**i
+
+
+@settings(max_examples=80, deadline=None)
+@given(degree=st.integers(1, 8), zero=st.sampled_from((None, "a0", "R(1)")), data=st.data())
+def test_row_sums_equal_fraction_sums_of_expansion_rows(degree, zero, data):
+    # RATIONALS draws 0 often, so zero seeds and all-zero seed vectors come up
+    values = st.lists(RATIONALS, min_size=degree, max_size=degree)
+    coeffs, seeds = data.draw(values), data.draw(values)
+    if zero == "a0":
+        coeffs[0] = Fraction(0)
+    elif zero == "R(1)":  # sum a_k = 0: every row past the first sums to 0
+        coeffs[0] = -sum(coeffs[1:], Fraction(0))
+    spec, vec = gs.make_spec(coeffs), gs.make_seeds(seeds)
+    paper = _row_sum_reference(coeffs, seeds)
+    for i, row in enumerate(gs.build_expansion(spec, vec, 8).rows):
+        assert gs.row_sum(i, spec, vec) == sum(row, Fraction(0)) == paper(i)
+
+
 def test_diagonal_sums_recover_sequence():
     rng = random.Random(47)
     for _ in range(15):

@@ -152,7 +152,7 @@ def test_has_failures_helper():
         (
             verify_module,
             "_row_sum_form",
-            lambda f: lambda spec, seeds: lambda i, form=f(spec, seeds): form(i) + (i == 5),
+            lambda f: lambda gf: lambda i, form=f(gf): form(i) + (i == 5),
             "trapezoid_row_sums",
             None,
             "first divergence at row 5",
