@@ -28,7 +28,6 @@ from .errors import (
     PresetError,
     RootConvergenceError,
     SeedMismatchError,
-    SingularSystemError,
     UnitRootError,
 )
 from .numerics import EXTENDED, PRECISIONS, STANDARD

@@ -8,6 +8,8 @@ the experiment with exact rational arithmetic and reports why it
 failed when it fails, instead of just returning False.
 """
 
+import math
+
 from .binet import solve_weights
 from .errors import DegenerateSpectrumError
 from .numerics import STANDARD, arithmetic, to_complex
@@ -157,12 +159,18 @@ def golden_inverse_check(spec: RecurrenceSpec, rootset: RootSet) -> FormulaCheck
     generalization of 1/phi = phi - 1) at both roots.
 
     Raises ValueError for a degree other than 2, and when a_0 = 0, where
-    the identity divides by zero.
+    the identity divides by zero.  With a_0 != 0, 0 is not a root, so a
+    computed root that is exactly 0 is wrong: the check fails at it, with
+    an unbounded max_error.
     """
     if spec.degree != 2:
         raise ValueError("the reciprocal identity is stated for degree 2 only")
     if spec.coeffs[0] == 0:
         raise ValueError("constant coefficient is 0, so 1/r = (r - a_1)/a_0 divides by zero")
+    zero = next((i for i, z in enumerate(rootset.roots) if z == 0), None)
+    if zero is not None:
+        note = "root %d is exactly 0, which has no reciprocal; a_0 != 0, so 0 is not a root" % zero
+        return FormulaCheck(False, zero, math.inf, tol_root(rootset), note)
     return _identity_check(
         spec, rootset, lambda z, a: (1 / z, (z - a[1]) / a[0]),
         "1/r = (r - a_1)/a_0 at both roots",

@@ -18,17 +18,6 @@ class UnitRootError(ValueError):
     1), so a closed form would divide by zero."""
 
 
-class SingularSystemError(ArithmeticError):
-    """A linear solve collapsed; carries a crude condition estimate.
-
-    Kept for compatibility only: the package no longer raises it, since
-    the Binet weights are residues and solve no linear system."""
-
-    def __init__(self, message: str, condition_estimate: float | None = None):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
-
-
 class RootConvergenceError(RuntimeError):
     """Iterative root refinement gave up; carries its best iterate."""
 

@@ -7,17 +7,16 @@ roots out first: m leading zero coefficients give m roots that are
 exactly 0, and only the rest of the polynomial is iterated. The
 iteration starts from a circle at the Cauchy radius in standard
 precision; extended precision starts from the standard-precision roots
-and only refines them, so a well-separated root settles in one sweep. A
-root has settled when |p| is at its evaluation noise floor or its
-inclusion radius n|p|/|p'| is at the precision's eps, and the |p| of
-that test is the residual the RootSet reports. Both paths land in a
-RootSet carrying residuals and dominance metadata, which downstream
-Binet and convergence code relies on; imaginary parts below the
-precision's noise floor are dropped on every path.
+and only refines them. The sweeps stop after the first one that leaves
+every root settled: |p| at its evaluation noise floor or the inclusion
+radius n|p|/|p'| at the precision's eps. The |p| of that test is the
+residual the RootSet reports. Both paths land in a RootSet carrying
+residuals and dominance metadata, which downstream Binet and convergence
+code relies on; imaginary parts below the precision's noise floor are
+dropped on every path.
 """
 
 import cmath
-import math
 
 from .errors import RootConvergenceError
 from .numerics import STANDARD, arithmetic, to_complex
@@ -28,7 +27,6 @@ TOL_ROOT_BASE = 1e-10
 TOL_DOMINANCE = 1e-9  # relative modulus gap below which dominance is a tie
 TOL_SYMMETRIC = 1e-8
 MAX_ITER = 200
-STEP_TOL = 1e-14
 RADIUS_TOL = 8  # a settled root's inclusion radius, in units of eps * (1 + |root|)
 
 SLASH_FIRST = "slash-first"
@@ -208,12 +206,12 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     Cauchy radius. Extended precision starts from the standard-precision
     roots of q (the best iterate when that solve gives up), each turned
     by 1e-15 rad, and falls back to the circle when one of them is not
-    finite. Once every correction step drops below 1e-14 * (1 + |root|),
-    or every |p(root)| reaches the evaluation noise floor (which is
-    where clustered and multiple roots stall), each root must have
-    settled: its inclusion radius n|q|/|q'| (Bini & Fiorentino, Numer.
-    Algorithms 23, 2000) within RADIUS_TOL * eps * (1 + |root|), or
-    |q(root)| at the noise floor; otherwise the iteration sweeps again.
+    finite. After every sweep each root is tested: it has settled when
+    its inclusion radius n|q|/|q'| (Bini & Fiorentino, Numer. Algorithms
+    23, 2000) is within RADIUS_TOL * eps * (1 + |root|), or |q(root)| is
+    at the evaluation noise floor (where clustered and multiple roots
+    stall). The first sweep that leaves every root settled ends the
+    iteration.
     Raises RootConvergenceError, carrying the best iterate, its residuals
     and the sweeps run, if no sweep settles within MAX_ITER, or if a
     residual of the result exceeds tol_root or is not finite (the
@@ -269,8 +267,8 @@ def _iterate(coeffs, precision: str):
         if all(cmath.isfinite(w) for w in seed):
             # the turn moves real roots off the real axis and breaks
             # conjugate pairs, as the circle's offset does below; at
-            # 1e-15 rad a well-conditioned root's first step is already
-            # below STEP_TOL
+            # 1e-15 rad it is about the standard roots' own error, so a
+            # well-conditioned root still settles in one sweep
             turn = ctx.expj(1e-15)
             z = [to_complex(ctx, w) * turn for w in seed]
     if z is None:
@@ -280,7 +278,6 @@ def _iterate(coeffs, precision: str):
         z = [radius * ctx.expj(2 * ctx.pi * (j + 0.5) / d + 0.4) for j in range(d)]
 
     for sweeps in range(1, MAX_ITER + 1):
-        worst_step = 0.0
         for i in range(d):
             pv = _poly_eval(poly, z[i])
             if pv == 0:
@@ -288,7 +285,6 @@ def _iterate(coeffs, precision: str):
             dv = _poly_eval(deriv, z[i])
             if dv == 0:
                 z[i] = z[i] + 1e-6 * (1 + abs(z[i]))
-                worst_step = math.inf
                 continue
             newton = pv / dv
             repel = 0
@@ -302,15 +298,6 @@ def _iterate(coeffs, precision: str):
             denom = 1 - newton * repel
             step = newton if denom == 0 else newton / denom
             z[i] = z[i] - step
-            rel = float(abs(step)) / (1 + float(abs(z[i])))
-            if rel > worst_step:
-                worst_step = rel
-        # noise-floor rule: |p(z)| can't drop below roundoff of its own
-        # evaluation, so clustered roots never meet STEP_TOL
-        if worst_step > STEP_TOL and not all(
-            abs(_poly_eval(poly, w)) <= _noise_floor(moduli, abs(w), eps) for w in z
-        ):
-            continue
         settled = _drop_dust(z, ctx, eps)
         residuals = _settled(poly, deriv, moduli, settled, eps)
         if residuals is not None:
@@ -318,24 +305,20 @@ def _iterate(coeffs, precision: str):
     return z, None, MAX_ITER
 
 
-def _noise_floor(moduli, r, eps):
-    """8 eps * sum |c_j| r^j, the roundoff of evaluating p at modulus r."""
-    return 8 * eps * _poly_eval(moduli, r)
-
-
 def _settled(poly, deriv, moduli, z, eps):
     """The |p(w)| of every w in z when each one has settled, else None.
 
-    A root has settled when |p(w)| is at its evaluation noise floor, or
-    when its inclusion radius n|p(w)|/|p'(w)| is within RADIUS_TOL * eps
-    * (1 + |w|).
+    A root has settled when |p(w)| is at its evaluation noise floor
+    8 eps * sum |c_j| |w|^j (the roundoff of evaluating p there), or when
+    its inclusion radius n|p(w)|/|p'(w)| is within RADIUS_TOL * eps *
+    (1 + |w|).
     """
     n = len(z)
     values = []
     for w in z:
         pv = abs(_poly_eval(poly, w))
         r = abs(w)
-        if pv > _noise_floor(moduli, r, eps) and (
+        if pv > 8 * eps * _poly_eval(moduli, r) and (
             n * pv > RADIUS_TOL * eps * (1 + r) * abs(_poly_eval(deriv, w))
         ):
             return None

@@ -17,6 +17,7 @@ specs, degrees without closed forms, roots that cannot be solved —
 report status "skipped" with the reason, never a fake pass.
 """
 
+import math
 from fractions import Fraction
 
 from .analysis import (
@@ -125,10 +126,14 @@ def verify_all(
         add_check("golden_identity_defining", golden_identity_check(spec, rootset))
         if spec.degree == 2:
             try:
-                add_check("golden_identity_inverse", golden_inverse_check(spec, rootset))
+                check = golden_inverse_check(spec, rootset)
             except ValueError as exc:
                 note = "reciprocal identity skipped: %s" % exc
                 add("golden_identity_inverse", None, detail=note)
+            else:
+                # a root at exactly 0 has an unbounded error, which JSON cannot hold
+                residual = None if check.max_error == math.inf else check.max_error
+                add("golden_identity_inverse", check.matches, residual, check.note)
 
     # --- Binet weights and round trip -------------------------------
     if weights is None:

@@ -32,7 +32,6 @@ from goldenseq import (
 from goldenseq.errors import (
     DegenerateSpectrumError,
     RootConvergenceError,
-    SingularSystemError,
     UnitRootError,
 )
 
@@ -169,7 +168,6 @@ def test_criterion_5_binet_properties(criterion):
                 weights = solve_weights(spec, seeds, rootset)
             except (
                 DegenerateSpectrumError,
-                SingularSystemError,
                 UnitRootError,
                 RootConvergenceError,
             ):

@@ -40,9 +40,14 @@ COMMANDS = {
     "converge": [],
     "verify": [],
 }
-# no preset has degree 4 or more, so these two specs are the cases that
-# reach the Aberth iteration; the second has a double zero root
-SPECS = ("--coeffs 1,1,1,1 --seeds 0,0,0,1", "--coeffs 0,0,1,1,1 --seeds 0,0,0,1,1")
+# no preset has degree 4 or more, so these specs are the cases that reach
+# the Aberth iteration; the second has a double zero root, and the third
+# a double root at -1 whose sweeps stop on the noise-floor clause
+SPECS = (
+    "--coeffs 1,1,1,1 --seeds 0,0,0,1",
+    "--coeffs 0,0,1,1,1 --seeds 0,0,0,1,1",
+    "--coeffs 0,-1,-1,0,-1 --seeds 1,2/3,-1,2/3,2",
+)
 
 
 def cases():

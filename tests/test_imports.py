@@ -25,7 +25,7 @@ PUBLIC_NAMES = set("""
 BUILTIN_PRESETS BinetWeights ConvergenceReport DegenerateSpectrumError EXTENDED
 FormulaCheck GeneratingFunction InvalidSpecError Preset PresetError
 PRECISIONS RecurrenceSpec RootConvergenceError RootSet STANDARD SeedMismatchError
-SeedVector SingularSystemError SymbolicTerm Trapezoid
+SeedVector SymbolicTerm Trapezoid
 UnitRootError VerificationCheck binet_cubic_closed binet_eval binet_quadratic_closed
 build_closed_form build_expansion build_genfunc check_closed_form
 check_cubic_closed_form check_row_recurrence coeff_cubic coeff_quadratic cubic_roots

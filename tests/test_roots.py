@@ -344,6 +344,39 @@ def test_well_separated_extended_roots_settle_in_one_sweep(monkeypatch, coeffs):
     assert info.value.iterations == 1
 
 
+@pytest.mark.parametrize("precision", gs.PRECISIONS)
+@pytest.mark.parametrize("coeffs", [
+    [1, 1, 1, 1],
+    [0, -1, -1, 0, -1],  # x (x + 1)^2 (x^2 - x + 1): the double root stops on the noise floor
+    [1, 0, 0, 0, 0, 0, 0, 1],
+])
+def test_settle_test_is_the_only_stop_rule(monkeypatch, precision, coeffs):
+    # every sweep asks _settled once, and the iteration stops on the
+    # first sweep it accepts; the extended solve's standard seed is a
+    # call of its own
+    iterate, settled = roots_module._iterate, roots_module._settled
+    running, finished = [], []
+
+    def spy_iterate(coeffs, precision):
+        running.append([])
+        roots, residuals, sweeps = iterate(coeffs, precision)
+        verdicts = running.pop()
+        assert len(verdicts) == sweeps
+        assert verdicts[:-1] == [False] * (sweeps - 1) and verdicts[-1]
+        finished.append(precision)
+        return roots, residuals, sweeps
+
+    def spy_settled(*args):
+        values = settled(*args)
+        running[-1].append(values is not None)
+        return values
+
+    monkeypatch.setattr(roots_module, "_iterate", spy_iterate)
+    monkeypatch.setattr(roots_module, "_settled", spy_settled)
+    gs.general_roots(gs.make_spec(coeffs), precision)
+    assert finished == ([gs.STANDARD] if precision == gs.STANDARD else [gs.STANDARD, gs.EXTENDED])
+
+
 def test_tiny_root_settles_on_its_inclusion_radius(monkeypatch):
     # (x - s)(x^4 - x - 1), s = 1e-20: near s the noise floor of p is
     # about 8 eps * 2e-20, far below 8 eps * (1 + |s|), so the radius rule

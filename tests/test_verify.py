@@ -3,6 +3,7 @@ inputs it computes once."""
 
 import contextlib
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -256,6 +257,34 @@ def test_zero_root_spec_passes_symmetric_relations_and_skips_the_tie():
         assert named["symmetric_relations"].status == "pass", precision
         assert named["ratio_convergence"].status == "skipped", precision
         assert "tie for largest modulus" in named["ratio_convergence"].detail
+
+
+@pytest.mark.parametrize("precision, digits", [("standard", 21), ("extended", 50)])
+def test_a_computed_zero_root_fails_the_inverse_identity(precision, digits):
+    # x^2 = -x - 10^-digits: the radical (alpha + sigma)/2 cancels to
+    # exactly 0, though 0 is not a root; the reciprocal 1/r is undefined
+    # there, so the row fails instead of raising ZeroDivisionError
+    coeffs = "-1/1%s,-1" % ("0" * digits)
+    spec = make_spec(coeffs.split(","))
+    rootset = solve_roots(spec, precision)
+    assert rootset.roots[0] == 0
+    check = analysis_module.golden_inverse_check(spec, rootset)
+    assert (check.matches, check.first_mismatch) == (False, 0)
+    detail = "root 0 is exactly 0, which has no reciprocal; a_0 != 0, so 0 is not a root"
+    row = by_name(verify_all(spec, make_seeds((1, 1)), precision=precision))["golden_identity_inverse"]
+    assert (row.status, row.residual, row.detail) == ("fail", None, detail)
+
+    out = io.StringIO()
+    argv = ["verify", "--coeffs=" + coeffs, "--seeds=1,1", "--precision", precision, "--format", "json"]
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    assert code == 1
+
+    def no_constant(name):
+        raise ValueError("not strict JSON: %s" % name)
+
+    rows = json.loads(out.getvalue(), parse_constant=no_constant)
+    assert {"check": "golden_identity_inverse", "status": "fail", "residual": None, "detail": detail} in rows
 
 
 def test_all_zero_seeds_skip_convergence_and_recovery():
