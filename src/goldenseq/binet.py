@@ -5,11 +5,15 @@ distinct roots of p(x) = x^n - a_{n-1} x^{n-1} - ... - a_0.  The
 generating function T(z)/(1 - R(z)) gives each weight as a residue,
     w_i = N(r_i) / p'(r_i),  N(x) = sum of T_s x^(n-1-s),
 with T genfunc's numerator (recurrence._numerator) taken of x_0 ..
-x_{n-1}; a root at 0 or at 1 is not a special case.  Computed from
-rounded roots, the residues alone lose a few digits on high degrees, so
-one step of iterative refinement adds the residues of the residual
-x_k - sum of w_i r_i^k, k < n (Higham, Accuracy and Stability of
-Numerical Algorithms, ch. 12).  The equation the weights were not fitted
+x_{n-1}; a root at 0 or at 1 is not a special case.  N and p' are
+evaluated through numerics.horner; in extended precision T is the exact
+T of the seeds, and N(r_i) and p'(r_i) are exact at the rounded root
+until one final rounding.  Computed from rounded roots, the residues
+alone lose a few digits on high degrees, so one step of iterative
+refinement adds the residues of the residual x_k - sum of w_i r_i^k,
+k < n (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
+That residual is a number of the precision, so its T is computed in the
+precision's arithmetic.  The equation the weights were not fitted
 to, k = n, is the consistency probe w_{n+1} = x_n - sum of w_i r_i^n:
 it must come out (numerically) zero, and solve_weights refuses the
 weights when it does not.
@@ -41,13 +45,12 @@ single-k calls (binet_eval, binet_*_closed), which evaluate z**k.
 import math
 
 from .errors import DegenerateSpectrumError, SeedMismatchError, UnitRootError
-from .numerics import EXTENDED, STANDARD, arithmetic, to_complex
+from .numerics import EXTENDED, STANDARD, arithmetic, coefficient, horner, to_complex
 from .recurrence import (
     RecurrenceSpec,
     SeedVector,
     _check_seeds,
     _numerator,
-    _poly_eval,
     generate,
     make_seeds,
     make_spec,
@@ -118,18 +121,24 @@ def solve_weights(
     n = spec.degree
     roots = rootset.roots
     poly = _monic_poly(spec.coeffs, ctx)  # -a_0, ..., -a_{n-1}, 1
-    deriv = [j * c for j, c in enumerate(poly)][1:]
-    slopes = [_poly_eval(deriv, z) for z in roots]  # p'(r_i), once per root
+    slope = horner(ctx, [j * c for j, c in enumerate(poly)][1:])
+    slopes = [slope(z) for z in roots]  # p'(r_i), once per root
 
-    def residues(v):  # N(r_i)/p'(r_i), T genfunc's numerator taken of v
-        t = _numerator(poly[::-1], v)
-        return [_poly_eval(t[::-1], z) / s for z, s in zip(roots, slopes)]
+    def residues(q, v):  # N(r_i)/p'(r_i), T genfunc's numerator taken of v over q
+        n_at = horner(ctx, _numerator(q, v)[::-1])
+        return [n_at(z) / s for z, s in zip(roots, slopes)]
 
-    rhs = [to_complex(ctx, t) for t in generate(spec, seeds, n + 1)]
+    terms = generate(spec, seeds, n + 1)
+    rhs = [to_complex(ctx, t) for t in terms]
     *rows, last = _power_rows(roots, n + 1)
-    w = residues(rhs)
-    # one step of iterative refinement on the n fitted equations
-    fix = residues([x - _weighted_sum(w, row) for x, row in zip(rhs, rows)])
+    # T of the seeds is exact in extended precision
+    w = residues(poly[::-1], [coefficient(ctx, t) for t in terms])
+    # one step of iterative refinement on the n fitted equations; the
+    # residuals are numbers of ctx, so q is rounded to ctx for them
+    fix = residues(
+        [to_complex(ctx, c) for c in poly[::-1]],
+        [x - _weighted_sum(w, row) for x, row in zip(rhs, rows)],
+    )
     w = [u + c for u, c in zip(w, fix)]
     probe = rhs[n] - _weighted_sum(w, last)
 

@@ -20,13 +20,31 @@ sqrt, cbrt, expj, pi) and a unit roundoff eps:
 Only the extended context imports mpmath, on the first `arithmetic`
 call for it, once per process: the exact layers, the CLI's exact
 subcommands and every standard-precision computation never load it.
+
+Polynomials (the characteristic p, its derivative, Binet's N) are
+evaluated through `horner`, with coefficients as `coefficient` gives
+them, and there the two precisions differ:
+
+* standard: Horner's rule on the coefficients rounded to complex, about
+  1.2 us at degree 16.  Exact evaluation would cost more than that and
+  would change every standard root and residual in the last bits.
+* extended: exactly.  Every extended number is dyadic and every spec
+  coefficient rational, so with the coefficients scaled once to
+  Gaussian integers over 2^E * D (D odd) and the point split into
+  (a + ib) * 2^f from its mantissas, Horner's rule runs on Python ints,
+  and each part of the value is rounded once to the context's 136 bits.
+  That is about three times faster than Horner's rule on 40-digit mpc
+  values at degree 16, and the residual |p(r)| it gives is the true
+  one at the rounded root, not the roundoff of evaluating it.
 """
 
 import cmath
 import math
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import NamedTuple
+
+from .recurrence import _poly_eval
 
 STANDARD = "standard"
 EXTENDED = "extended"
@@ -81,6 +99,96 @@ def arithmetic(precision: str) -> Arithmetic:
     if precision == EXTENDED:
         return _extended()
     raise ValueError(f"precision must be one of {PRECISIONS}, got {precision!r}")
+
+
+def coefficient(ctx, value):
+    """A polynomial coefficient as `horner` of ctx takes it.
+
+    Standard precision rounds it with to_complex, so arithmetic on such
+    coefficients (negation, j * c, abs) is float arithmetic.  Extended
+    precision keeps an int or Fraction exact.
+    """
+    return to_complex(ctx, value) if ctx is _Float else value
+
+
+def horner(ctx, coeffs):
+    """The function z -> sum of coeffs[j] * z**j at numbers z of ctx.
+
+    Standard precision runs Horner's rule on the coefficients as given.
+    In extended precision the coefficients are ints, Fractions or
+    numbers of the context, the value is exact until each part is
+    rounded once to the context's precision, and a point that is not
+    finite raises ValueError.
+    """
+    if ctx is _Float:
+        return partial(_poly_eval, list(coeffs))
+    return _exact_horner(ctx, coeffs)
+
+
+def _exact_horner(ctx, coeffs):
+    from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
+
+    def parts(x):  # the (sign, man, exp, bc) tuples of x's real and imaginary parts
+        re, im = getattr(x, "_mpc_", None) or (x._mpf_, fzero)
+        if re[3] < 0 or im[3] < 0:  # the bit count of inf, -inf and nan
+            raise ValueError("cannot evaluate a polynomial exactly at a value that is not finite")
+        return re, im
+
+    def exact(value):  # real and imaginary part as (numerator, denominator)
+        if isinstance(value, (int, Fraction)):
+            return (value.numerator, value.denominator), (0, 1)
+        # int(): the mantissas may be gmpy mpz
+        return [
+            ((-int(m) if s else int(m)) << max(e, 0), 1 << max(-e, 0)) for s, m, e, _ in parts(value)
+        ]
+
+    pairs = [exact(c) for c in coeffs]
+    dens = {d for pair in pairs for _, d in pair}
+    den = math.lcm(*dens)
+    scale = {d: den // d for d in dens}
+    twos = (den & -den).bit_length() - 1
+    odd = den >> twos
+    # coefficient j is (p + iq) / (2^twos * odd); lead first, then j = n-1 .. 0
+    *rest, lead = [tuple(num * scale[d] for num, d in pair) for pair in pairs]
+    rest.reverse()
+    prec, rnd = ctx.prec, round_nearest
+    divisor = from_int(odd)
+
+    def rounded(man, exp):
+        if odd == 1:
+            return from_man_exp(man, exp, prec, rnd)
+        return mpf_div(from_man_exp(man, exp), divisor, prec, rnd)
+
+    def at(z):
+        (sa, a, fa, _), (sb, b, fb, _) = parts(z)
+        a = -int(a) if sa else int(a)
+        b = -int(b) if sb else int(b)
+        if not b:
+            f = fa
+        elif not a:
+            f = fb
+        else:
+            f = min(fa, fb)
+            a <<= fa - f
+            b <<= fb - f
+        if f > 0:
+            a <<= f
+            b <<= f
+            f = 0
+        # now z = (a + ib) / 2^g with g = -f >= 0, and 2^(g n) p(z) is the
+        # sum of c_j (a + ib)^j 2^(g (n-j)): Horner's rule on ints
+        x, y = lead
+        shift = 0
+        for p, q in rest:
+            shift -= f
+            x, y = x * a - y * b, x * b + y * a
+            if p:
+                x += p << shift
+            if q:
+                y += q << shift
+        return ctx.make_mpc((rounded(x, -shift - twos), rounded(y, -shift - twos)))
+
+    return at
 
 
 def to_complex(ctx, value):

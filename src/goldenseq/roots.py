@@ -8,19 +8,26 @@ exactly 0, and only the rest of the polynomial is iterated. The
 iteration starts from a circle at the Cauchy radius in standard
 precision; extended precision starts from the standard-precision roots
 and only refines them. The sweeps stop after the first one that leaves
-every root settled: |p| at its evaluation noise floor or the inclusion
-radius n|p|/|p'| at the precision's eps. The |p| of that test is the
-residual the RootSet reports. Both paths land in a RootSet carrying
-residuals and dominance metadata, which downstream Binet and convergence
-code relies on; imaginary parts below the precision's noise floor are
+every root settled: |p| at its noise floor or the inclusion radius
+n|p|/|p'| at the precision's eps. The |p| of that test is the residual
+the RootSet reports. Both paths land in a RootSet carrying residuals
+and dominance metadata, which downstream Binet and convergence code
+relies on; imaginary parts below the precision's noise floor are
 dropped on every path.
+
+p, p' and the noise floor are evaluated through numerics.horner on the
+spec's own coefficients. Standard precision runs Horner's rule in
+floats. Extended precision evaluates the exact rational coefficients
+exactly at the 136-bit point and rounds once, so an extended residual is
+the true |p(r)| at the printed root r (conjugate roots get equal ones),
+not the roundoff of computing it.
 """
 
 import cmath
 
 from .errors import RootConvergenceError
-from .numerics import STANDARD, arithmetic, to_complex
-from .recurrence import RecurrenceSpec, _poly_eval, _to_fraction, make_spec
+from .numerics import STANDARD, arithmetic, coefficient, horner, to_complex
+from .recurrence import RecurrenceSpec, _to_fraction, make_spec
 from .reports import FormulaCheck, Record, compare
 
 TOL_ROOT_BASE = 1e-10
@@ -36,11 +43,13 @@ BACKSLASH_FIRST = "backslash-first"
 class RootSet(Record):
     """All n roots plus the bookkeeping every consumer needs.
 
-    roots are complex numbers of the precision's mpmath context: builtin
-    complex in standard precision, 40-digit mpc of the private extended
-    context in extended mode (not mpmath.mpc instances, so arithmetic
-    on them keeps 40 digits whatever the global mpmath precision);
-    residuals are |p(root)| as plain floats.
+    roots are complex numbers of the precision's context
+    (numerics.arithmetic): builtin complex in standard precision,
+    40-digit mpc of the private extended context in extended mode (not
+    mpmath.mpc instances, so arithmetic on them keeps 40 digits whatever
+    the global mpmath precision); residuals are |p(root)| as plain
+    floats, evaluated in floats in standard precision and exactly at the
+    root in extended precision.
     """
 
     roots: tuple
@@ -78,15 +87,16 @@ def pseudo_sign_combine(x, s1, s2, orientation: str, precision: str = STANDARD):
 
 
 def _monic_poly(coeffs, ctx):
-    """Dense coefficients of p(x) = x^n - a_{n-1}x^{n-1} - ... - a0."""
-    poly = [-to_complex(ctx, a) for a in coeffs]
-    poly.append(ctx.mpc(1))
+    """Dense coefficients of p(x) = x^n - a_{n-1}x^{n-1} - ... - a0, as
+    numerics.coefficient gives them: exact in extended precision."""
+    poly = [-coefficient(ctx, a) for a in coeffs]
+    poly.append(coefficient(ctx, 1))
     return poly
 
 
 def _residuals(spec: RecurrenceSpec, roots, ctx):
-    poly = _monic_poly(spec.coeffs, ctx)
-    return tuple(float(abs(_poly_eval(poly, z))) for z in roots)
+    p = horner(ctx, _monic_poly(spec.coeffs, ctx))
+    return tuple(float(abs(p(z))) for z in roots)
 
 
 def _dominance(roots):
@@ -258,9 +268,10 @@ def _iterate(coeffs, precision: str):
     if d <= 1:
         return [to_complex(ctx, a) for a in coeffs], [ctx.mpf(0)] * d, 0
 
-    poly = _monic_poly(coeffs, ctx)
-    deriv = [poly[j] * j for j in range(1, d + 1)]
-    moduli = [abs(c) for c in poly]
+    coeffs_q = _monic_poly(coeffs, ctx)
+    poly = horner(ctx, coeffs_q)
+    deriv = horner(ctx, [coeffs_q[j] * j for j in range(1, d + 1)])
+    moduli = horner(ctx, [abs(c) for c in coeffs_q])
     z = None
     if precision != STANDARD:
         seed = _iterate(coeffs, STANDARD)[0]
@@ -279,10 +290,10 @@ def _iterate(coeffs, precision: str):
 
     for sweeps in range(1, MAX_ITER + 1):
         for i in range(d):
-            pv = _poly_eval(poly, z[i])
+            pv = poly(z[i])
             if pv == 0:
                 continue
-            dv = _poly_eval(deriv, z[i])
+            dv = deriv(z[i])
             if dv == 0:
                 z[i] = z[i] + 1e-6 * (1 + abs(z[i]))
                 continue
@@ -308,18 +319,23 @@ def _iterate(coeffs, precision: str):
 def _settled(poly, deriv, moduli, z, eps):
     """The |p(w)| of every w in z when each one has settled, else None.
 
-    A root has settled when |p(w)| is at its evaluation noise floor
-    8 eps * sum |c_j| |w|^j (the roundoff of evaluating p there), or when
-    its inclusion radius n|p(w)|/|p'(w)| is within RADIUS_TOL * eps *
-    (1 + |w|).
+    poly, deriv and moduli evaluate p, p' and sum |c_j| x^j.  A root has
+    settled when |p(w)| is at its noise floor 8 eps * sum |c_j| |w|^j,
+    or when its inclusion radius n|p(w)|/|p'(w)| is within RADIUS_TOL *
+    eps * (1 + |w|).  In standard precision the floor is the roundoff of
+    evaluating p at w in floats.  In extended precision p(w) is exact
+    before its one rounding, so the floor no longer models evaluation
+    roundoff: a root accurate to its last bits meets it, and it decides
+    only at clustered and multiple roots, whose radius stalls above
+    RADIUS_TOL * eps.
     """
     n = len(z)
     values = []
     for w in z:
-        pv = abs(_poly_eval(poly, w))
+        pv = abs(poly(w))
         r = abs(w)
-        if pv > 8 * eps * _poly_eval(moduli, r) and (
-            n * pv > RADIUS_TOL * eps * (1 + r) * abs(_poly_eval(deriv, w))
+        if pv > 8 * eps * moduli(r).real and (
+            n * pv > RADIUS_TOL * eps * (1 + r) * abs(deriv(w))
         ):
             return None
         values.append(pv)

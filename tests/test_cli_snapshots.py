@@ -6,7 +6,12 @@ produced when the snapshot was taken.  Standard-precision cases hold the
 output of the code before the numeric layer moved to mpmath contexts;
 extended cases hold that code's output when it ran with the global mpmath
 precision at 40 digits throughout, i.e. without any of its 15-digit
-leaks.  Any change to what the CLI prints shows up here as a diff.
+leaks, except the extended `roots`, `binet` and `verify` cases whose
+residuals, weights or repeated roots moved when extended precision began
+to evaluate p, p' and N exactly at the root (numerics.horner); those were
+regenerated then, after a comparison with the previous code confirmed
+that every other root was unchanged.  Any change to what the CLI prints
+shows up here as a diff.
 
 After an intended output change, rewrite the file with
 `PYTHONPATH=src python tests/test_cli_snapshots.py` and review the diff.

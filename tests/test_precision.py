@@ -1,17 +1,22 @@
-"""Extended precision is self-contained: exact rounding far out, and
-results that do not depend on the global mpmath precision."""
+"""Extended precision is self-contained: exact rounding far out,
+results that do not depend on the global mpmath precision, and
+polynomial values that are exact until one rounding."""
 
 import contextlib
 import io
 import json
+import math
 import random
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldenseq as gs
 from goldenseq.cli import main
-from goldenseq.numerics import arithmetic
+from goldenseq.numerics import arithmetic, horner
 
 BUILTINS = ("fibonacci", "lucas", "pell", "tribonacci")
 # degree 4, so its roots come from the iteration rather than a closed form
@@ -158,3 +163,142 @@ def test_extended_context_built_under_workdps_prints_the_same(fresh_python, dps)
     fresh = fresh_python(FIRST_USE_UNDER_WORKDPS, str(dps), json.dumps(argvs))
     reference = [list(output) for name in names for output in _cli_outputs(name)]
     assert json.loads(fresh) == reference
+
+
+# ------------------------------------------------- the exact extended Horner
+
+EXT = arithmetic(gs.EXTENDED).ctx
+
+
+def _exact(value):
+    """An int, Fraction or extended number as a (real, imaginary) pair of
+    Fractions; extended numbers are dyadic, so this is exact."""
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value), Fraction(0)
+    value = EXT.mpc(value)
+    return tuple(Fraction(*mpmath.libmp.to_rational(part)) for part in value._mpc_)
+
+
+def _exact_value(coeffs, z):
+    """sum of coeffs[j] z^j in Fractions, as a (real, imaginary) pair."""
+    zr, zi = _exact(z)
+    x, y = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        cr, ci = _exact(c)
+        x, y = x * zr - y * zi + cr, x * zi + y * zr + ci
+    return x, y
+
+
+def _round(x, bits=EXT.prec):
+    """x rounded to the nearest number of `bits` significant bits, ties to even."""
+    if x == 0:
+        return x
+    e = abs(x.numerator).bit_length() - x.denominator.bit_length()
+    if abs(x) < Fraction(2) ** e:
+        e -= 1  # now 2^e <= |x| < 2^(e+1)
+    unit = Fraction(2) ** (e + 1 - bits)
+    return round(x / unit) * unit  # round() on a Fraction ties to even
+
+
+def _extended_numbers(min_exp=-300, max_exp=300):
+    mantissa = st.integers(-(2**136), 2**136)
+    return st.builds(lambda m, e: EXT.ldexp(m, e), mantissa, st.integers(min_exp, max_exp))
+
+
+def _points():
+    part = _extended_numbers(-200, 200)
+    zero = st.just(EXT.mpc(0))
+    real = part.map(EXT.mpc)
+    imaginary = part.map(lambda y: EXT.mpc(0, y))
+    general = st.builds(EXT.mpc, part, part)
+    # parts 2^600 apart, either way round
+    apart = st.builds(
+        lambda m1, m2, e, far: EXT.mpc(EXT.ldexp(m1, e), EXT.ldexp(m2, e + far)),
+        st.integers(1, 2**136), st.integers(-(2**136), -1), st.integers(-40, 40),
+        st.sampled_from((600, -600)),
+    )
+    return st.one_of(zero, real, imaginary, general, apart)
+
+
+def _coefficients():
+    rational = st.builds(Fraction, st.integers(-(2**70), 2**70), st.integers(1, 2**61 - 1))
+    extended = st.one_of(
+        _extended_numbers().map(EXT.mpc),
+        st.builds(EXT.mpc, _extended_numbers(), _extended_numbers()),
+    )
+    coefficient = st.one_of(st.integers(-9, 9), rational, extended)
+    return st.one_of(
+        st.lists(rational, min_size=1, max_size=17),
+        st.lists(extended, min_size=1, max_size=17),
+        st.lists(coefficient, min_size=1, max_size=17),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=_coefficients(), z=_points())
+def test_extended_horner_rounds_the_exact_value_once(coeffs, z):
+    # degrees 0-16; every extended number is dyadic, so the value at z is
+    # an exact Fraction, and each part must be its correct rounding
+    value = horner(EXT, coeffs)(z)
+    x, y = _exact_value(coeffs, z)
+    assert _exact(value) == (_round(x), _round(y))
+
+
+def test_extended_horner_refuses_points_that_are_not_finite():
+    p = horner(EXT, [1, Fraction(1, 3)])
+    for z in (EXT.mpc(EXT.inf, 0), EXT.mpc(1, EXT.nan), EXT.mpc(EXT.ninf, 1)):
+        with pytest.raises(ValueError, match="not finite"):
+            p(z)
+
+
+def _sqrt_rounds_to(r, square):
+    """r == float(sqrt(square)): the exact root lies within half a unit of r."""
+    if square == 0:
+        return r == 0
+    lo = (Fraction(r) + Fraction(math.nextafter(r, 0))) / 2
+    hi = (Fraction(r) + Fraction(math.nextafter(r, math.inf))) / 2
+    return lo * lo <= square <= hi * hi
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coeffs=st.lists(
+        st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)), min_size=4, max_size=10
+    ).filter(lambda c: any(c))
+)
+def test_extended_residuals_are_the_exact_residuals_rounded(coeffs):
+    spec = gs.make_spec(coeffs)
+    try:
+        rootset = gs.solve_roots(spec, gs.EXTENDED)
+    except gs.RootConvergenceError:
+        return
+    monic = [-a for a in coeffs] + [1]
+    for root, residual in zip(rootset.roots, rootset.residuals):
+        x, y = _exact_value(monic, root)
+        assert _sqrt_rounds_to(residual, x * x + y * y), (root, residual)
+
+
+def _extended_cli(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([*argv, "--precision", "extended"])
+    assert code == 0
+    return out.getvalue().splitlines()
+
+
+def test_extended_tetranacci_binet_prints_real_values():
+    # N(r) and p'(r) are exact at the roots, so the real root's weight,
+    # the probe and the value carry no imaginary dust
+    lines = _extended_cli("binet", "--coeffs", "1,1,1,1", "--seeds", "0,0,0,1", "--k", "100")
+    assert "value(k=100) = 2505471397838180985096739296.0" in lines
+    probe = [line for line in lines if line.startswith("constant probe = ")]
+    assert len(probe) == 1 and not probe[0].endswith("i"), probe
+
+
+def test_extended_residual_of_an_exact_root_pair_is_its_true_value():
+    # 0.5 +- 0.866...i are roots of x^2 - x + 1, a factor of the spec's
+    # polynomial; the printed 136-bit points are not roots, so |p| > 0
+    lines = _extended_cli("roots", "--coeffs", "0,-1,-1,0,-1")
+    pair = [line for line in lines if line.startswith(("root[0] = 0.5 ", "root[1] = 0.5 "))]
+    assert len(pair) == 2, lines
+    assert all(line.split("(residual ")[1].startswith("4.636e-42)") for line in pair), pair

@@ -295,14 +295,14 @@ PINNED_ROOTS = {
     ((0, 1, 1, 1), "standard"): "((1.8392867552141612+0j), (-0.4196433776070806+0.6062907292071994j), "
     "(-0.41964337760708054-0.6062907292071994j), 0j)",
     ((0, 1, 1, 1), "extended"): "(mpc(real='1.839286755214161132551852564653286600424173', imag='0.0'), "
-    "mpc(real='-0.4196433776070805662759262823266433002120924', imag='0.6062907292071993692593421970280230029495676'), "
+    "mpc(real='-0.4196433776070805662759262823266433002120867', imag='0.6062907292071993692593421970280230029495676'), "
     "mpc(real='-0.4196433776070805662759262823266433002120867', imag='-0.6062907292071993692593421970280230029495676'), "
     "mpc(real='0.0', imag='0.0'))",
     ((6, -11, 3, 3), "standard"): "((3+0j), (-2+0j), (1.0000000296444607+1.4074504488456444e-08j), "
     "(0.9999999851165506-7.0105931142095965e-09j))",
     ((6, -11, 3, 3), "extended"): "(mpc(real='3.0', imag='0.0'), mpc(real='-2.0', imag='0.0'), "
-    "mpc(real='1.000000000000000000108094800541797153661593', imag='5.109649263283281778061642650752854795791393e-20'), "
-    "mpc(real='0.9999999999999999999459206844346957404247231', imag='-2.553317227254594995630791793437844306177023e-20'))",
+    "mpc(real='1.000000000000000000108142738324483915368648', imag='5.10738500396122869564872440843396657240108e-20'), "
+    "mpc(real='0.9999999999999999999459286308377572317248133', imag='-2.553692501980578948884304046528434864545505e-20'))",
 }
 
 
@@ -393,3 +393,26 @@ def test_tiny_root_settles_on_its_inclusion_radius(monkeypatch):
         assert abs(info.value.best_roots[-1] - 1e-20) <= 1.8e-15
         sweeps.append(info.value.iterations)
     assert sweeps == [6, 7]
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1, 1), (1, 1, 1, 1)])
+def test_conjugate_extended_roots_report_equal_residuals(coeffs):
+    # the residual is |p| evaluated exactly at the root, and p is real
+    rootset = gs.solve_roots(gs.make_spec(coeffs), gs.EXTENDED)
+    roots, residuals = rootset.roots, rootset.residuals
+    pairs = [(i, j) for i in range(len(roots)) for j in range(i + 1, len(roots))
+             if roots[i].imag != 0 and roots[j] == roots[i].conjugate()]
+    assert len(pairs) == 1
+    for i, j in pairs:
+        assert residuals[i] == residuals[j] > 0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 15: Cardano's formula cancels on the small root of a wide-range cubic "
+    "(10^30: -1.23e-27 with residual 1.23e3; 10^120: 4.6e18), and tol_root passes both"))
+@pytest.mark.parametrize("power", [30, 120])
+def test_extended_cubic_finds_the_small_root_of_a_wide_range_spec(power):
+    # x^3 = 10^power x + 1 has a root at about -10^-power
+    rootset = gs.solve_roots(gs.make_spec([1, 10**power, 0]), gs.EXTENDED)
+    small = min(rootset.roots, key=abs)
+    assert abs(small * 10**power + 1) < 1e-20
