@@ -74,11 +74,16 @@ def _ratio_report(terms, k_max: int, rootset: RootSet, weights) -> ConvergenceRe
     BinetWeights in the root set's precision, or None when they cannot
     be solved; it is called only once the other premises hold."""
     ctx = arithmetic(rootset.precision).ctx
+    # x_{k+1}/x_k = (n1 d0) / (d1 n0), one int true division: correctly
+    # rounded, so the float of the Fraction quotient, without its gcd
+    pairs = [x.as_integer_ratio() for x in terms[: k_max + 2]]
     ratios = []
     k_used = None
-    for k in range(k_max + 1):
-        if terms[k] != 0:
-            ratios.append(float(terms[k + 1] / terms[k]))
+    for k, ((n0, d0), (n1, d1)) in enumerate(zip(pairs, pairs[1:])):
+        if n0:
+            if n0 < 0:  # a positive divisor, so a zero x_{k+1} gives 0.0, not -0.0
+                n0, n1 = -n0, -n1
+            ratios.append(n1 * d0 / (d1 * n0))
             k_used = k
     estimate = ratios[-1] if ratios else None
 

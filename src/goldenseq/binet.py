@@ -33,19 +33,23 @@ against the exact recurrence and reports a formula mismatch instead of
 silently trusting it (on most inputs it disagrees from k = 0, so the
 generic weights path stays authoritative).
 
-A scan over k = 0 .. K (verify's round trip and closed-form rows,
-check_cubic_closed_form) takes its root powers from `_power_rows`, one
-product per root per step; in extended precision z**k is an exact
-big-integer power of the 136-bit mantissas, rounded once, and costs far
-more.  The running product rounds about k times instead of about
-log2(k) times, so a scan's residual differs in the low digits from the
-single-k calls (binet_eval, binet_*_closed), which evaluate z**k.
+A scan over k = 0 .. K (verify's closed-form rows,
+check_cubic_closed_form, and verify's round trip in standard precision)
+takes its root powers from `_power_rows`, one product per root per step;
+in extended precision z**k is an exact big-integer power of the 136-bit
+mantissas, rounded once, and costs far more.  The running product
+rounds about k times instead of about log2(k) times, so a scan's
+residual differs in the low digits from the single-k calls (binet_eval,
+binet_*_closed), which evaluate z**k.  verify's round trip in extended
+precision (`_roundtrip`) is exact instead: the running products
+w_i r_i^k are integer products on the split weights and roots, and
+only each k's relative error is rounded.
 """
 
 import math
 
 from .errors import DegenerateSpectrumError, SeedMismatchError, UnitRootError
-from .numerics import EXTENDED, STANDARD, arithmetic, coefficient, horner, to_complex
+from .numerics import EXTENDED, STANDARD, arithmetic, coefficient, horner, split, to_complex
 from .recurrence import (
     RecurrenceSpec,
     SeedVector,
@@ -85,8 +89,18 @@ def check_separation(rootset: RootSet) -> None:
     """Raise DegenerateSpectrumError when two roots (nearly) coincide."""
     scale = TOL_SEP * _separation_scale(rootset)
     roots = rootset.roots
+    # A pair whose float distance is finite and over twice the float scale
+    # is at least scale apart: converting, subtracting and hypot move that
+    # distance by a few float roundoffs of max |root|, under 1e-7 * scale
+    # since TOL_SEP = 1e-8.  A part past the float range makes it inf or
+    # nan.  Only the other pairs take the test in the precision's own
+    # arithmetic; in standard the float copies are the roots.
+    near, clear = [complex(z) for z in roots], 2 * float(scale)
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
+            gap = near[i] - near[j]
+            if clear < math.hypot(gap.real, gap.imag) < math.inf:
+                continue
             if abs(roots[i] - roots[j]) < scale:
                 raise DegenerateSpectrumError(
                     "characteristic roots %d and %d coincide within %.1e; "
@@ -162,6 +176,50 @@ def _power_rows(roots, count: int):
         yield row
 
 
+def _roundtrip(weights: BinetWeights, roots, terms, precision: str) -> FormulaCheck:
+    """compare_with_terms of sum of w_i r_i^k against terms[k], every k.
+
+    Standard precision scans the power rows.  In extended precision the
+    weights and roots are split into Gaussian integers over one power of
+    two each, w_i r_i^k advances by one exact integer product per root
+    per step, and the error of the exact sum is rounded once: it is the
+    true error of the rounded weights and roots.
+    """
+    if precision == STANDARD:
+        return _scan(lambda powers: _weighted_sum(weights, powers), roots, terms, precision)
+    points, g = _gaussian(roots)
+    scaled, h = _gaussian(weights.weights[:-1])
+
+    def sums(products):  # (re, im, s) with sum of w_i r_i^k = (re + i im) / 2^s
+        for k in range(len(terms)):
+            if k:
+                products = [(x * a - y * b, x * b + y * a) for (x, y), (a, b) in zip(products, points)]
+            yield sum(x for x, _ in products), sum(y for _, y in products), h + k * g
+
+    return compare(enumerate(sums(scaled)), terms, _exact_error, TOL_BINET)
+
+
+def _gaussian(values):
+    """([(a_i, b_i)], g) with values[i] = (a_i + i b_i) / 2^g exactly."""
+    points = [split(z) for z in values]
+    g = max(f for _, _, f in points)
+    return [(a << g - f, b << g - f) for a, b, f in points], g
+
+
+def _exact_error(value, exact) -> float:
+    """|v - x| / max(1, |x|) for the exact v = (re + i im) / 2^s and the
+    rational x, each part rounded once by an int true division; inf past
+    the float range."""
+    re, im, s = value
+    n, d = exact.numerator, exact.denominator
+    # (v - x) / max(1, |x|) = (re d - n 2^s + i im d) / (2^s max(d, |n|))
+    den = max(d, abs(n)) << s
+    try:
+        return math.hypot((re * d - (n << s)) / den, im * d / den)
+    except OverflowError:
+        return math.inf
+
+
 def _weighted_sum(weights, powers):
     """sum of w_j * powers[j], in that order; zip stops at the last root,
     so a BinetWeights's probe weights[-1] is not a term."""
@@ -226,7 +284,11 @@ def compare_with_terms(values, terms, precision: str) -> FormulaCheck:
 
 
 def _scan(at, roots, terms, precision: str) -> FormulaCheck:
-    """compare_with_terms of at(row) over the power rows of roots."""
+    """compare_with_terms of at(row) over the power rows of roots.
+
+    Every product rounds in the precision's arithmetic, so the errors
+    include that roundoff; verify's extended round trip is exact instead
+    (`_roundtrip`)."""
     return compare_with_terms(map(at, _power_rows(roots, len(terms))), terms, precision)
 
 

@@ -35,7 +35,8 @@ them, and there the two precisions differ:
   and each part of the value is rounded once to the context's 136 bits.
   That is about three times faster than Horner's rule on 40-digit mpc
   values at degree 16, and the residual |p(r)| it gives is the true
-  one at the rounded root, not the roundoff of evaluating it.
+  one at the rounded root, not the roundoff of evaluating it.  `split`
+  is that splitting of a point; binet's exact round trip uses it too.
 """
 
 import cmath
@@ -125,21 +126,43 @@ def horner(ctx, coeffs):
     return _exact_horner(ctx, coeffs)
 
 
-def _exact_horner(ctx, coeffs):
-    from mpmath.libmp import from_int, from_man_exp, fzero, mpf_div, round_nearest
+def _parts(x):
+    """The (sign, man, exp, bc) tuples of the real and imaginary parts of x,
+    a number of the extended context; ValueError when x is not finite."""
+    re, im = getattr(x, "_mpc_", None) or (x._mpf_, (0, 0, 0, 0))
+    if re[3] < 0 or im[3] < 0:  # the bit count of inf, -inf and nan
+        raise ValueError("cannot compute exactly with a value that is not finite")
+    return re, im
 
-    def parts(x):  # the (sign, man, exp, bc) tuples of x's real and imaginary parts
-        re, im = getattr(x, "_mpc_", None) or (x._mpf_, fzero)
-        if re[3] < 0 or im[3] < 0:  # the bit count of inf, -inf and nan
-            raise ValueError("cannot evaluate a polynomial exactly at a value that is not finite")
-        return re, im
+
+def split(z):
+    """(a, b, g), ints with g >= 0 and z = (a + ib) / 2^g exactly, for a
+    finite number z of the extended context (ValueError otherwise)."""
+    (sa, a, fa, _), (sb, b, fb, _) = _parts(z)
+    # int(): the mantissas may be gmpy mpz
+    a = -int(a) if sa else int(a)
+    b = -int(b) if sb else int(b)
+    if not b:
+        f = fa
+    elif not a:
+        f = fb
+    else:
+        f = min(fa, fb)
+        a <<= fa - f
+        b <<= fb - f
+    if f > 0:
+        return a << f, b << f, 0
+    return a, b, -f
+
+
+def _exact_horner(ctx, coeffs):
+    from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
     def exact(value):  # real and imaginary part as (numerator, denominator)
         if isinstance(value, (int, Fraction)):
             return (value.numerator, value.denominator), (0, 1)
-        # int(): the mantissas may be gmpy mpz
         return [
-            ((-int(m) if s else int(m)) << max(e, 0), 1 << max(-e, 0)) for s, m, e, _ in parts(value)
+            ((-int(m) if s else int(m)) << max(e, 0), 1 << max(-e, 0)) for s, m, e, _ in _parts(value)
         ]
 
     pairs = [exact(c) for c in coeffs]
@@ -160,27 +183,12 @@ def _exact_horner(ctx, coeffs):
         return mpf_div(from_man_exp(man, exp), divisor, prec, rnd)
 
     def at(z):
-        (sa, a, fa, _), (sb, b, fb, _) = parts(z)
-        a = -int(a) if sa else int(a)
-        b = -int(b) if sb else int(b)
-        if not b:
-            f = fa
-        elif not a:
-            f = fb
-        else:
-            f = min(fa, fb)
-            a <<= fa - f
-            b <<= fb - f
-        if f > 0:
-            a <<= f
-            b <<= f
-            f = 0
-        # now z = (a + ib) / 2^g with g = -f >= 0, and 2^(g n) p(z) is the
-        # sum of c_j (a + ib)^j 2^(g (n-j)): Horner's rule on ints
+        a, b, g = split(z)
+        # 2^(g n) p(z) is the sum of c_j (a + ib)^j 2^(g (n-j)): Horner's rule on ints
         x, y = lead
         shift = 0
         for p, q in rest:
-            shift -= f
+            shift += g
             x, y = x * a - y * b, x * b + y * a
             if p:
                 x += p << shift

@@ -27,7 +27,7 @@ from .analysis import (
     golden_inverse_check,
     recover_cubic_conjugates,
 )
-from .binet import _closed_form, _cubic_note, _scan, _weighted_sum, solve_weights
+from .binet import _closed_form, _cubic_note, _roundtrip, _scan, solve_weights
 from .errors import DegenerateSpectrumError, RootConvergenceError, UnitRootError
 from .genfunc import build_genfunc, series_coefficients
 from .numerics import STANDARD, arithmetic
@@ -149,12 +149,7 @@ def verify_all(
             float(abs(weights.weights[-1])),
             "constant probe weight w_{n+1} must vanish",
         )
-        trip = _scan(
-            lambda powers: _weighted_sum(weights, powers),
-            rootset.roots,
-            terms[: k_max + 1],
-            precision,
-        )
+        trip = _roundtrip(weights, rootset.roots, terms[: k_max + 1], precision)
         note = "exact terms vs. root-power evaluation for k <= %d" % k_max
         add_scan("recurrence_binet_roundtrip", trip, note)
 

@@ -1,8 +1,13 @@
 """Ratio convergence diagnostics and root identities."""
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldenseq as gs
+from goldenseq.analysis import _ratio_report
 
 GOLDEN = 1.618033988749895
 
@@ -146,3 +151,33 @@ def test_recover_cubic_conjugates_real_case():
 def test_recover_rejects_zero_limit():
     with pytest.raises(ValueError):
         gs.recover_cubic_conjugates(1, 1, 0.0)
+
+
+_TERMS = st.lists(
+    st.one_of(
+        st.integers(-5, 5).map(Fraction),
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+        # far past the float range either way
+        st.builds(Fraction, st.integers(-(10**400), 10**400), st.integers(1, 10**400)),
+    ),
+    min_size=2,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(terms=_TERMS)
+def test_ratios_are_the_floats_of_the_fraction_quotients(terms):
+    # signed zero included: a zero x_{k+1} over a negative x_k is 0.0
+    rootset = gs.solve_roots(gs.make_spec([1, 1]))
+
+    def report():
+        return _ratio_report(terms, len(terms) - 2, rootset, lambda: None)
+
+    try:
+        expected = [float(Fraction(b) / a) for a, b in zip(terms, terms[1:]) if a]
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            report()
+        return
+    assert [repr(r) for r in report().ratios] == [repr(r) for r in expected]

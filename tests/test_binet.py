@@ -462,3 +462,51 @@ def test_single_k_closed_forms_keep_their_values(precision, k):
     quadratic = gs.binet_quadratic_closed(1, 1, gs.make_seeds([0, 1]), k, precision)
     cubic = gs.binet_cubic_closed(1, 1, 1, gs.make_seeds([0, 1, 1]), k, precision)
     assert (repr(quadratic), repr(cubic)) == CLOSED_FORM_REPRS[precision, k]
+
+
+def _separated(roots, precision):
+    """check_separation's decision, and the pairwise test in the
+    precision's own arithmetic alone, on a root set of these roots."""
+    rootset = gs.RootSet(tuple(roots), (0.0,) * len(roots), 0, True, precision)
+    scale = TOL_SEP * (1 + max(abs(z) for z in roots))
+    reference = not any(
+        abs(roots[i] - roots[j]) < scale for i in range(len(roots)) for j in range(i)
+    )
+    try:
+        check_separation(rootset)
+    except DegenerateSpectrumError:
+        return False, reference
+    return True, reference
+
+
+@pytest.mark.parametrize("precision, tiny", [(gs.STANDARD, 2.0**-20), (gs.EXTENDED, 2.0**-100)])
+@pytest.mark.parametrize("direction", [(1, 0, 1), (0, 1, 1), (3, 4, 5), (-1, 0, 1)])
+@pytest.mark.parametrize("side", [-1, 1])
+def test_separation_decides_pairs_either_side_of_the_threshold(precision, tiny, direction, side):
+    # roots 10, 1 and 1 + delta with |delta| = TOL_SEP * 11 * (1 + side * tiny):
+    # in extended the two sides of the threshold round to the same floats,
+    # so the float pre-test must leave the pair to the 40-digit test
+    ctx = arithmetic(precision).ctx
+    re, im, norm = direction
+    scale = TOL_SEP * (1 + ctx.mpf(10))
+    delta = scale * (1 + side * ctx.mpf(tiny)) * ctx.mpc(re, im) / norm
+    roots = [ctx.mpc(10), ctx.mpc(1), ctx.mpc(1) + delta]
+    assert _separated(roots, precision) == (side > 0, side > 0)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        # pairs 1e-9 apart relative to roots past the float range and near
+        # it, a pair one of which complex() takes to inf, and a root set
+        # whose float differences overflow
+        [("1e400", "0"), ("1.000000001e400", "0")],
+        [("1e300", "1e300"), ("1e300", "1.000000001e300")],
+        [("1.797693138e308", "0"), ("1.7976931348623157e308", "0")],
+        [("1e308", "0"), ("1", "0"), ("-1e308", "0")],
+    ],
+)
+def test_separation_of_roots_past_the_float_range(parts):
+    ctx = arithmetic(gs.EXTENDED).ctx
+    roots = [ctx.mpc(ctx.mpf(re), ctx.mpf(im)) for re, im in parts]
+    assert _separated(roots, gs.EXTENDED) == (len(roots) == 3, len(roots) == 3)

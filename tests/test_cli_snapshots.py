@@ -10,8 +10,10 @@ leaks, except the extended `roots`, `binet` and `verify` cases whose
 residuals, weights or repeated roots moved when extended precision began
 to evaluate p, p' and N exactly at the root (numerics.horner); those were
 regenerated then, after a comparison with the previous code confirmed
-that every other root was unchanged.  Any change to what the CLI prints
-shows up here as a diff.
+that every other root was unchanged, and the extended `verify` cases
+whose recurrence_binet_roundtrip residual moved when that round trip
+became exact (binet._roundtrip); only that line changed in them.  Any
+change to what the CLI prints shows up here as a diff.
 
 After an intended output change, rewrite the file with
 `PYTHONPATH=src python tests/test_cli_snapshots.py` and review the diff.

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import goldenseq as gs
@@ -302,3 +302,52 @@ def test_extended_residual_of_an_exact_root_pair_is_its_true_value():
     pair = [line for line in lines if line.startswith(("root[0] = 0.5 ", "root[1] = 0.5 "))]
     assert len(pair) == 2, lines
     assert all(line.split("(residual ")[1].startswith("4.636e-42)") for line in pair), pair
+
+
+# ------------------------------------------ the exact extended round trip
+
+
+@st.composite
+def _roundtrip_specs(draw):
+    """Small-rational specs of degree 1-6 and their seeds; a third put an
+    exact zero root in (a0 = 0) and a third the root 1 (sum of a_j = 1)."""
+    n = draw(st.integers(1, 6))
+    small = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    coeffs = draw(st.lists(small, min_size=n, max_size=n))
+    root = draw(st.sampled_from((None, 0, 1)))
+    if root == 0:
+        coeffs[0] = Fraction(0)
+    elif root == 1:
+        coeffs[0] = 1 - sum(coeffs[1:])
+    seeds = draw(st.lists(small, min_size=n, max_size=n).filter(any))
+    return coeffs, seeds
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_roundtrip_specs())
+@example(case=([Fraction(0), Fraction(1), Fraction(1)], [Fraction(1), Fraction(2), Fraction(3)]))
+@example(case=([Fraction(1, 2), Fraction(1, 2)], [Fraction(0), Fraction(1)]))
+def test_extended_roundtrip_error_is_the_exact_error_rounded(case):
+    # max over k <= 40 of |sum of w_i r_i^k - x_k| / max(1, |x_k|), in
+    # Fractions at the rounded weights and roots; the row rounds each part
+    # of the error once and takes their hypot, within 2 ulps of the exact
+    # value
+    coeffs, seed_values = case
+    spec, seeds = gs.make_spec(coeffs), gs.make_seeds(seed_values)
+    try:
+        rootset = gs.solve_roots(spec, gs.EXTENDED)
+        weights = gs.solve_weights(spec, seeds, rootset)
+    except (gs.RootConvergenceError, gs.DegenerateSpectrumError):
+        assume(False)
+    rows = gs.verify_all(spec, seeds, precision=gs.EXTENDED)
+    residual = next(r for r in rows if r.check == "recurrence_binet_roundtrip").residual
+    roots = [_exact(z) for z in rootset.roots]
+    powers = [_exact(w) for w in weights.weights[:-1]]  # w_i r_i^k, from k = 0
+    worst = Fraction(0)  # the squared error
+    for x in gs.generate(spec, seeds, 41):
+        re = sum(p for p, _ in powers) - x
+        im = sum(q for _, q in powers)
+        worst = max(worst, (re * re + im * im) / max(1, x * x))
+        powers = [(p * a - q * b, p * b + q * a) for (p, q), (a, b) in zip(powers, roots)]
+    ulps = 2 * math.ulp(residual)
+    assert Fraction(max(residual - ulps, 0)) ** 2 <= worst <= Fraction(residual + ulps) ** 2

@@ -4,6 +4,7 @@ inputs it computes once."""
 import contextlib
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -417,3 +418,45 @@ def test_scans_take_power_rows_not_binet_eval(monkeypatch, name, precision):
     checks = verify_all(make_spec(preset.coeffs), make_seeds(preset.seeds), precision=precision)
     assert by_name(checks)["recurrence_binet_roundtrip"].status == "pass"
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "name, residual",
+    [
+        ("fibonacci", "1.0192894870430463e-15"),
+        ("lucas", "1.0536640024277679e-15"),
+        ("pell", "1.459725929829569e-15"),
+        ("tribonacci", "3.3849023988221248e-15"),
+    ],
+)
+def test_standard_roundtrip_residuals_are_pinned(name, residual):
+    # standard precision scans the running power rows in floats, bit for bit
+    preset = BUILTIN_PRESETS[name]
+    checks = verify_all(make_spec(preset.coeffs), make_seeds(preset.seeds))
+    assert repr(by_name(checks)["recurrence_binet_roundtrip"].residual) == residual
+
+
+def test_roundtrip_error_past_the_float_range_fails(monkeypatch):
+    # weights scaled by 10^400 put the extended sum's relative error past
+    # the largest float: the row fails with an infinite residual instead
+    # of raising OverflowError from the int true division
+    def inflated(*args):
+        weights = solve_weights(*args)
+        ctx = type(weights.weights[0]).context
+        big = ctx.mpf(10) ** 400
+        return weights.replace(weights=tuple(w * big for w in weights.weights))
+
+    monkeypatch.setattr(verify_module, "solve_weights", inflated)
+    preset = BUILTIN_PRESETS["pell"]
+    checks = verify_all(make_spec(preset.coeffs), make_seeds(preset.seeds), precision="extended")
+    trip = by_name(checks)["recurrence_binet_roundtrip"]
+    assert (trip.status, trip.residual) == ("fail", math.inf)
+
+
+def test_extended_roundtrip_passes_on_terms_past_the_float_range():
+    # x^2 = 10^20 x + 1: from k = 20 on the terms pass 10^400, and the
+    # exact error of the 40-digit weights and roots stays near 1e-40; a
+    # ratio of two floats here would read inf / inf, a NaN fail
+    checks = verify_all(make_spec([1, 10**20]), make_seeds([0, 1]), precision="extended")
+    trip = by_name(checks)["recurrence_binet_roundtrip"]
+    assert trip.status == "pass" and trip.residual < 1e-39
