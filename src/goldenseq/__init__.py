@@ -13,11 +13,12 @@ read coefficient-up (a0 first).  From one spec the package derives:
 * ratio-convergence diagnostics and a cross-verification battery.
 
 `import goldenseq` loads only the recurrence core (recurrence, presets,
-reports, errors and the precision names).  The names of genfunc,
-trapezoid and the floating modules resolve on first use, and only
-extended-precision work in the floating modules loads mpmath.  Every
-record is a frozen value object built on `reports.Record`, not a
-dataclass: derive a changed copy with its `.replace(...)` method.
+reports, which holds the precision names, and errors).  The names of
+genfunc, trapezoid and the floating modules resolve on first use;
+numerics loads only with a floating module, and only extended-precision
+work in those modules loads mpmath.  Every record is a frozen value
+object built on `reports.Record`, not a dataclass: derive a changed copy
+with its `.replace(...)` method.
 """
 
 from types import ModuleType as _ModuleType
@@ -30,7 +31,6 @@ from .errors import (
     SeedMismatchError,
     UnitRootError,
 )
-from .numerics import EXTENDED, PRECISIONS, STANDARD
 from .presets import BUILTIN_PRESETS, Preset, load_presets, parse_rational
 from .recurrence import (
     RecurrenceSpec,
@@ -42,7 +42,7 @@ from .recurrence import (
     symbolic_term,
     term_at,
 )
-from .reports import FormulaCheck, VerificationCheck
+from .reports import EXTENDED, PRECISIONS, STANDARD, FormulaCheck, VerificationCheck
 
 # Imported on first use (PEP 562): extended precision loads mpmath, so a
 # process that only touches the exact layers never loads it, and a

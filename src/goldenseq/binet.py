@@ -49,7 +49,7 @@ only each k's relative error is rounded.
 import math
 
 from .errors import DegenerateSpectrumError, SeedMismatchError, UnitRootError
-from .numerics import EXTENDED, STANDARD, arithmetic, coefficient, horner, split, to_complex
+from .numerics import EXTENDED, STANDARD, arithmetic, coefficient, gaussian, horner, to_complex
 from .recurrence import (
     RecurrenceSpec,
     SeedVector,
@@ -187,8 +187,8 @@ def _roundtrip(weights: BinetWeights, roots, terms, precision: str) -> FormulaCh
     """
     if precision == STANDARD:
         return _scan(lambda powers: _weighted_sum(weights, powers), roots, terms, precision)
-    points, g = _gaussian(roots)
-    scaled, h = _gaussian(weights.weights[:-1])
+    points, g = gaussian(roots)
+    scaled, h = gaussian(weights.weights[:-1])
 
     def sums(products):  # (re, im, s) with sum of w_i r_i^k = (re + i im) / 2^s
         for k in range(len(terms)):
@@ -197,13 +197,6 @@ def _roundtrip(weights: BinetWeights, roots, terms, precision: str) -> FormulaCh
             yield sum(x for x, _ in products), sum(y for _, y in products), h + k * g
 
     return compare(enumerate(sums(scaled)), terms, _exact_error, TOL_BINET)
-
-
-def _gaussian(values):
-    """([(a_i, b_i)], g) with values[i] = (a_i + i b_i) / 2^g exactly."""
-    points = [split(z) for z in values]
-    g = max(f for _, _, f in points)
-    return [(a << g - f, b << g - f) for a, b, f in points], g
 
 
 def _exact_error(value, exact) -> float:
@@ -278,7 +271,10 @@ def compare_with_terms(values, terms, precision: str) -> FormulaCheck:
 
     def relative_error(value, exact):
         ref = to_complex(ctx, exact)
-        return float(abs(value - ref)) / max(1.0, float(abs(ref)))
+        size = float(abs(ref))
+        if size == math.inf:  # an extended x_k past the float range: divide first
+            return float(abs(value - ref) / abs(ref))
+        return float(abs(value - ref)) / max(1.0, size)
 
     return compare(enumerate(values), terms, relative_error, TOL_BINET)
 

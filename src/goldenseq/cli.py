@@ -28,9 +28,9 @@ from typing import NamedTuple
 
 from . import __version__
 from .errors import RootConvergenceError
-from .numerics import PRECISIONS, STANDARD
 from .presets import BUILTIN_PRESETS, load_presets, parse_rational_list
 from .recurrence import _check_seeds, generate, make_seeds, make_spec, term_at
+from .reports import PRECISIONS, STANDARD
 
 _MP_DIGITS = 30  # shown for extended-precision values
 

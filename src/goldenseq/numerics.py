@@ -1,6 +1,8 @@
 """Floating-point plumbing for the approximate layers.
 
-The exact modules (recurrence, genfunc, trapezoid) never import this.
+The exact modules (recurrence, genfunc, trapezoid) never import this,
+and neither do the package's `__init__` nor the CLI module: the
+precision names live in reports, so an exact process never loads it.
 Root finding, Binet weights (residues N(r)/p'(r) at the roots with one
 refinement step, see binet), and convergence diagnostics work in one of
 two precisions, each a context with the same small interface (mpf, mpc,
@@ -36,7 +38,9 @@ them, and there the two precisions differ:
   That is about three times faster than Horner's rule on 40-digit mpc
   values at degree 16, and the residual |p(r)| it gives is the true
   one at the rounded root, not the roundoff of evaluating it.  `split`
-  is that splitting of a point; binet's exact round trip uses it too.
+  is that splitting of a point, and `gaussian` splits a list over one
+  shared power of two; binet's exact round trip and the extended Aberth
+  repulsion in roots use them too.
 """
 
 import cmath
@@ -46,10 +50,7 @@ from functools import cache, partial
 from typing import NamedTuple
 
 from .recurrence import _poly_eval
-
-STANDARD = "standard"
-EXTENDED = "extended"
-PRECISIONS = (STANDARD, EXTENDED)
+from .reports import EXTENDED, PRECISIONS, STANDARD
 
 EXTENDED_DPS = 40
 
@@ -153,6 +154,14 @@ def split(z):
     if f > 0:
         return a << f, b << f, 0
     return a, b, -f
+
+
+def gaussian(values):
+    """([(a_i, b_i)], g) with values[i] = (a_i + i b_i) / 2^g exactly: the
+    `split` of every value, over one shared power of two."""
+    points = [split(z) for z in values]
+    g = max(f for _, _, f in points)
+    return [(a << g - f, b << g - f) for a, b, f in points], g
 
 
 def _exact_horner(ctx, coeffs):

@@ -1,8 +1,15 @@
 """Record, the frozen value-object base of every record in the package;
-the small shared report records; and `compare`, the one scan that checks
-computed values against an oracle.  No imports at all: every module
-builds its records on this one, so importing the package loads neither
-`dataclasses` nor `inspect`."""
+the small shared report records; `compare`, the one scan that checks
+computed values against an oracle; and the precision names that the
+floating records carry.  No imports at all: every module builds its
+records on this one, so importing the package loads neither
+`dataclasses` nor `inspect`, and the precision names cost an exact
+process nothing (numerics, which turns them into arithmetic, stays
+unloaded there)."""
+
+STANDARD = "standard"
+EXTENDED = "extended"
+PRECISIONS = (STANDARD, EXTENDED)
 
 
 class Record:

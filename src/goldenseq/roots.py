@@ -21,12 +21,20 @@ floats. Extended precision evaluates the exact rational coefficients
 exactly at the 136-bit point and rounds once, so an extended residual is
 the true |p(r)| at the printed root r (conjugate roots get equal ones),
 not the roundoff of computing it.
+
+A standard Aberth sweep is float arithmetic throughout. In an extended
+sweep p(z) and p'(z) are exact until their one rounding; the repulsion
+sum over j != i of 1/(z_i - z_j) takes exact differences of the split
+points and sums their reciprocals in fixed point at the context's
+precision, rounded once (`_repulsion`); the Newton quotient, the
+correction and the step are 40-digit arithmetic.
 """
 
 import cmath
+import math
 
 from .errors import RootConvergenceError
-from .numerics import STANDARD, arithmetic, coefficient, horner, to_complex
+from .numerics import STANDARD, arithmetic, coefficient, gaussian, horner, split, to_complex
 from .recurrence import RecurrenceSpec, _to_fraction, make_spec
 from .reports import FormulaCheck, Record, compare
 
@@ -140,9 +148,13 @@ def _finish(spec: RecurrenceSpec, roots, precision: str) -> RootSet:
 
 
 def tol_root(rootset: RootSet) -> float:
-    """Residual gate 1e-10 * max(1, max|root|)^n for this root set."""
+    """Residual gate 1e-10 * max(1, max|root|)^n for this root set; inf
+    when that is past the float range."""
     scale = max(1.0, max(float(abs(z)) for z in rootset.roots))
-    return TOL_ROOT_BASE * scale ** rootset.degree
+    try:
+        return TOL_ROOT_BASE * scale ** rootset.degree
+    except OverflowError:
+        return math.inf
 
 
 def quadratic_roots(alpha, beta, precision: str = STANDARD) -> RootSet:
@@ -245,8 +257,8 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     found.sort(key=lambda pair: (-float(abs(pair[0])), -float(pair[0].real), -float(pair[0].imag)))
     result = _rootset([z for z, _ in found], tuple(r for _, r in found), precision)
     gate = tol_root(result)
-    # not `max(...) > gate`: that is False when a residual is nan
-    if not all(r <= gate for r in result.residuals):
+    # a residual that is not finite fails even an infinite gate
+    if not all(math.isfinite(r) and r <= gate for r in result.residuals):
         raise RootConvergenceError(
             f"root residuals exceed tolerance {gate:.3e}",
             best_roots=result.roots,
@@ -259,9 +271,11 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
 def _iterate(coeffs, precision: str):
     """Roots of q(x) = x^d - sum coeffs[j] x^j, q(0) != 0, by Aberth sweeps.
 
-    Returns (roots, |q(root)| as ctx reals, sweeps), with the residuals
-    None when no sweep settled within MAX_ITER (the roots are then the
-    last iterate).
+    Each sweep moves every root in turn by N / (1 - N S), N = q/q' and S
+    its repulsion from the others (`_repulsion`), on the roots as moved
+    so far.  Returns (roots, |q(root)| as ctx reals, sweeps), with the
+    residuals None when no sweep settled within MAX_ITER (the roots are
+    then the last iterate).
     """
     ctx, eps = arithmetic(precision)
     d = len(coeffs)
@@ -288,6 +302,7 @@ def _iterate(coeffs, precision: str):
         # any symmetry axis of the root constellation
         z = [radius * ctx.expj(2 * ctx.pi * (j + 0.5) / d + 0.4) for j in range(d)]
 
+    repel = _repulsion(z, precision)
     for sweeps in range(1, MAX_ITER + 1):
         for i in range(d):
             pv = poly(z[i])
@@ -298,15 +313,7 @@ def _iterate(coeffs, precision: str):
                 z[i] = z[i] + 1e-6 * (1 + abs(z[i]))
                 continue
             newton = pv / dv
-            repel = 0
-            for j in range(d):
-                if j == i:
-                    continue
-                diff = z[i] - z[j]
-                if diff == 0:
-                    diff = 1e-12 * (1 + abs(z[i]))
-                repel += 1 / diff
-            denom = 1 - newton * repel
+            denom = 1 - newton * repel(i)
             step = newton if denom == 0 else newton / denom
             z[i] = z[i] - step
         settled = _drop_dust(z, ctx, eps)
@@ -314,6 +321,72 @@ def _iterate(coeffs, precision: str):
         if residuals is not None:
             return settled, residuals, sweeps
     return z, None, MAX_ITER
+
+
+def _repulsion(z, precision: str):
+    """The function i -> sum over j != i of 1/(z[i] - z[j]), taken of the
+    list z as it stands at each call; a z[j] exactly equal to z[i] counts
+    as 1e-12 * (1 + |z[i]|) away.
+
+    Standard precision sums the reciprocals in floats.  Extended precision
+    keeps every point split into a Gaussian integer over one shared power
+    of two, 2^-g, splitting a point again only after it has moved, so each
+    difference a + ib is exact.  Each part of its reciprocal
+    (a - ib) 2^g / (a^2 + b^2) is an int floor division at `shift` = prec
+    + L/2 bits, L the bit length of the largest a^2 + b^2: even the
+    smallest term then keeps the context's prec bits, so the d - 1
+    truncations add less than 2^-prec times the sum of the terms' moduli,
+    and each part of the sum is rounded once into the context.
+    """
+    if precision == STANDARD:
+
+        def floats(i):
+            total = 0
+            for j in range(len(z)):
+                if j == i:
+                    continue
+                diff = z[i] - z[j]
+                if diff == 0:
+                    diff = 1e-12 * (1 + abs(z[i]))
+                total += 1 / diff
+            return total
+
+        return floats
+
+    from mpmath.libmp import from_man_exp, round_nearest
+
+    ctx = arithmetic(precision).ctx
+    prec, rnd = ctx.prec, round_nearest
+    split_of = list(z)
+    points, g = gaussian(split_of)
+
+    def fixed(i):
+        nonlocal g
+        for j, w in enumerate(z):
+            if w is not split_of[j]:  # moved since it was split
+                a, b, f = split(w)
+                if f > g:  # a finer power of two for every point
+                    points[:] = [(u << f - g, v << f - g) for u, v in points]
+                    g = f
+                points[j] = a << g - f, b << g - f
+                split_of[j] = w
+        x, y = points[i]
+        diffs = [(x - a, y - b) for a, b in points[:i] + points[i + 1 :]]
+        norms = [a * a + b * b for a, b in diffs]
+        shift = prec + (max(norms).bit_length() + 1) // 2
+        re = im = 0
+        for (a, b), n in zip(diffs, norms):
+            if n:
+                re += (a << shift) // n
+                im -= (b << shift) // n
+        exp = g - shift
+        total = ctx.make_mpc((from_man_exp(re, exp, prec, rnd), from_man_exp(im, exp, prec, rnd)))
+        equal = norms.count(0)
+        if equal:
+            total += equal / (1e-12 * (1 + abs(z[i])))
+        return total
+
+    return fixed
 
 
 def _settled(poly, deriv, moduli, z, eps):

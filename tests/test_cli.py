@@ -399,6 +399,16 @@ def test_overflowed_roots_exit_2(capsys, command, precision):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("precision, shown", [("standard", "1e+100"), ("extended", "1.0e+100")])
+def test_roots_past_the_float_range_of_the_gate_are_printed(capsys, precision, shown):
+    # x^4 = 10^100 x^3: the roots 10^100, 0, 0, 0 are exact, and the gate
+    # 1e-10 * (10^100)^4 is past the float range, so it is inf, not an error
+    coeffs = "--coeffs=0,0,0,%d" % 10**100
+    code, out, err = run(capsys, "roots", coeffs, "--precision", precision)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "root[0] = %s  (residual 0.000e+00)  <- dominant" % shown
+
+
 def test_unknown_preset_lists_known_names(capsys):
     code, _, err = run(capsys, "seq", "--preset", "nope")
     assert code == 2

@@ -1,9 +1,10 @@
 """The import boundary: exact work never loads the floating layer.
 
 Importing goldenseq or goldenseq.cli, and running an exact subcommand,
-must not import mpmath or the root-finding module; the floating commands
-load the root-finding module on first use and print what they printed
-before, and only the extended-precision ones load mpmath.  No import
+must not import mpmath, numerics or the root-finding module; the
+floating commands load numerics and the root-finding module on first use
+and print what they printed before, and only the extended-precision ones
+load mpmath.  No import
 and no command loads dataclasses or inspect, and the commands that need
 only the recurrence core (seq, term, presets, usage errors) load neither
 genfunc nor trapezoid.  Text output never loads the json or csv module:
@@ -36,7 +37,10 @@ recover_cubic_conjugates row_length row_sum series_coefficients solve_roots
 solve_weights symbolic_term term_at unit_function verify_all verify_symmetric_relations
 """.split())
 
-FLOATING_MODULES = {"standard": {"goldenseq.roots"}, "extended": {"goldenseq.roots", "mpmath"}}
+FLOATING_MODULES = {
+    "standard": {"goldenseq.numerics", "goldenseq.roots"},
+    "extended": {"goldenseq.numerics", "goldenseq.roots", "mpmath"},
+}
 LAZY_EXACT_MODULES = {"goldenseq.genfunc", "goldenseq.trapezoid"}
 
 # Imports goldenseq, then goldenseq.cli, then runs main() on each argv in
@@ -45,8 +49,8 @@ LAZY_EXACT_MODULES = {"goldenseq.genfunc", "goldenseq.trapezoid"}
 RUN_COMMANDS = """
 import contextlib, io, json, sys
 
-WATCHED = ("dataclasses", "inspect", "mpmath", "goldenseq.genfunc", "goldenseq.roots",
-           "goldenseq.trapezoid")
+WATCHED = ("dataclasses", "inspect", "mpmath", "goldenseq.genfunc", "goldenseq.numerics",
+           "goldenseq.roots", "goldenseq.trapezoid")
 
 def loaded():
     return sorted(m for m in WATCHED if m in sys.modules)

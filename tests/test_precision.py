@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import goldenseq as gs
 from goldenseq.cli import main
 from goldenseq.numerics import arithmetic, horner
+from goldenseq.roots import _repulsion
 
 BUILTINS = ("fibonacci", "lucas", "pell", "tribonacci")
 # degree 4, so its roots come from the iteration rather than a closed form
@@ -276,6 +277,64 @@ def test_extended_residuals_are_the_exact_residuals_rounded(coeffs):
     for root, residual in zip(rootset.roots, rootset.residuals):
         x, y = _exact_value(monic, root)
         assert _sqrt_rounds_to(residual, x * x + y * y), (root, residual)
+
+
+# --------------------------------- the fixed-point extended Aberth repulsion
+
+
+def _wide_numbers():
+    # 136-bit mantissas at magnitudes from 2^-700 to 2^736
+    return _extended_numbers(-700, 600)
+
+
+@st.composite
+def _repulsion_points(draw):
+    """2-6 points with parts far apart in magnitude, plus up to two pairs
+    one ulp apart and up to two exact copies, in any order."""
+    part = _wide_numbers()
+    points = draw(st.lists(st.builds(EXT.mpc, part, part), min_size=2, max_size=6))
+    for m, e, y, imaginary in draw(st.lists(
+        st.tuples(st.integers(2**135, 2**136 - 2), st.integers(-700, 600), part, st.booleans()),
+        max_size=2,
+    )):
+        x, step = EXT.ldexp(m, e), EXT.ldexp(m + 1, e)
+        points += [EXT.mpc(y, x), EXT.mpc(y, step)] if imaginary else [EXT.mpc(x, y), EXT.mpc(step, y)]
+    points += draw(st.lists(st.sampled_from(points), max_size=2))
+    return draw(st.permutations(points))
+
+
+def _check_repulsion(z):
+    # sum over j != i of 1/(z_i - z_j) in Fractions, with the fallback
+    # distance 1e-12 * (1 + |z_i|) of the context for an exactly equal z_j;
+    # the kernel must be within 2^-130 of the sum of the terms' moduli,
+    # bounded here from below by the larger part of each term
+    repel = _repulsion(z, gs.EXTENDED)
+    exact = [_exact(w) for w in z]
+    for i, (xi, yi) in enumerate(exact):
+        re, im, size = Fraction(0), Fraction(0), Fraction(0)
+        for j, (xj, yj) in enumerate(exact):
+            if j == i:
+                continue
+            a, b = xi - xj, yi - yj
+            if a == b == 0:
+                t, u = 1 / _exact(1e-12 * (1 + abs(z[i])))[0], Fraction(0)
+            else:
+                t, u = a / (a * a + b * b), -b / (a * a + b * b)
+            re, im, size = re + t, im + u, size + max(abs(t), abs(u))
+        got = _exact(repel(i))
+        assert abs(got[0] - re) + abs(got[1] - im) <= size / 2**130, (i, z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(z=_repulsion_points(), moved=st.builds(EXT.mpc, _wide_numbers(), _wide_numbers()))
+@example(z=[EXT.mpc(1, 2)] * 3, moved=EXT.mpc(1, 2))
+@example(z=[EXT.mpc(1), EXT.mpc(1) + EXT.ldexp(1, -135), EXT.mpc(2)], moved=EXT.ldexp(1, -700))
+def test_extended_repulsion_is_the_exact_sum_within_its_bound(z, moved):
+    # each point is split again only when it moves: the second check
+    # follows a move of z[0], which may need a finer shared power of two
+    _check_repulsion(z)
+    z[0] = moved
+    _check_repulsion(z)
 
 
 def _extended_cli(*argv):

@@ -1,6 +1,7 @@
 """Characteristic roots: radical closed forms, iteration, dominance."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -265,6 +266,28 @@ def test_overflowed_roots_are_refused(precision):
         gs.solve_roots(spec, precision)
 
 
+def test_gate_past_the_float_range_is_infinite():
+    rootset = gs.general_roots(gs.make_spec([0, 0, 0, 10**100]))
+    assert rootset.residuals == (0.0,) * 4
+    assert tol_root(rootset) == math.inf
+
+
+@pytest.mark.parametrize("precision", gs.PRECISIONS)
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_residual_that_is_not_finite_fails_an_infinite_gate(monkeypatch, precision, bad):
+    iterate = roots_module._iterate
+
+    def spoiled(coeffs, precision):
+        roots, residuals, sweeps = iterate(coeffs, precision)
+        return roots, [bad, *residuals[1:]], sweeps
+
+    monkeypatch.setattr(roots_module, "_iterate", spoiled)
+    monkeypatch.setattr(roots_module, "tol_root", lambda rootset: math.inf)
+    with pytest.raises(gs.RootConvergenceError, match="exceed tolerance") as info:
+        gs.general_roots(gs.make_spec([1, 1, 1, 1]), precision)
+    assert sum(not math.isfinite(r) for r in info.value.residuals) == 1
+
+
 @pytest.mark.parametrize("precision, sweeps", [(gs.STANDARD, 5), (gs.EXTENDED, 1)])
 def test_residual_gate_refusal_reports_the_sweeps_taken(monkeypatch, precision, sweeps):
     # with a zero gate the converged roots of x^4 = x^3 + x^2 + x + 1 are
@@ -290,7 +313,9 @@ def test_symmetric_relations_name_the_first_wrong_coefficient():
 
 # One spec with the exact root 0 (a0 = 0) and one with the exact double
 # root 1, (x - 1)^2 (x + 2) (x - 3); the values pin the iteration's
-# zero tests and noise-floor acceptance.
+# zero tests and noise-floor acceptance.  The extended double root stops
+# on the noise floor, so its last digits follow the rounding of every
+# step, the fixed-point repulsion's included.
 PINNED_ROOTS = {
     ((0, 1, 1, 1), "standard"): "((1.8392867552141612+0j), (-0.4196433776070806+0.6062907292071994j), "
     "(-0.41964337760708054-0.6062907292071994j), 0j)",
@@ -301,8 +326,8 @@ PINNED_ROOTS = {
     ((6, -11, 3, 3), "standard"): "((3+0j), (-2+0j), (1.0000000296444607+1.4074504488456444e-08j), "
     "(0.9999999851165506-7.0105931142095965e-09j))",
     ((6, -11, 3, 3), "extended"): "(mpc(real='3.0', imag='0.0'), mpc(real='-2.0', imag='0.0'), "
-    "mpc(real='1.000000000000000000108142738324483915368648', imag='5.10738500396122869564872440843396657240108e-20'), "
-    "mpc(real='0.9999999999999999999459286308377572317248133', imag='-2.553692501980578948884304046528434864545505e-20'))",
+    "mpc(real='1.000000000000000000108142738324483915368648', imag='5.107385003961228695648724408433966572402325e-20'), "
+    "mpc(real='0.9999999999999999999459286308377572317248133', imag='-2.553692501980578948884304046528434864546252e-20'))",
 }
 
 

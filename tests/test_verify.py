@@ -460,3 +460,11 @@ def test_extended_roundtrip_passes_on_terms_past_the_float_range():
     checks = verify_all(make_spec([1, 10**20]), make_seeds([0, 1]), precision="extended")
     trip = by_name(checks)["recurrence_binet_roundtrip"]
     assert trip.status == "pass" and trip.residual < 1e-39
+
+
+def test_extended_quadratic_closed_form_on_terms_past_the_float_range():
+    # the same spec: x_k and its error both pass 1e308 from k = 22, and
+    # their ratio, formed in the context first, is finite
+    checks = verify_all(make_spec([1, 10**20]), make_seeds([0, 1]), precision="extended")
+    closed = by_name(checks)["binet_quadratic_closed_matches"]
+    assert closed.status == "pass" and closed.residual < 1e-39
