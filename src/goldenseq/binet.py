@@ -42,8 +42,10 @@ rounds about k times instead of about log2(k) times, so a scan's
 residual differs in the low digits from the single-k calls (binet_eval,
 binet_*_closed), which evaluate z**k.  verify's round trip in extended
 precision (`_roundtrip`) is exact instead: the running products
-w_i r_i^k are integer products on the split weights and roots, and
-only each k's relative error is rounded.
+w_i r_i^k are integer products on the weights and roots split by
+numerics.gaussian (numerics.split is the one reader of mpmath's raw
+format, numerics.rounder the one writer), and only each k's relative
+error is rounded.  `_scan` alone compares a floating value with a term.
 """
 
 import math
@@ -177,7 +179,7 @@ def _power_rows(roots, count: int):
 
 
 def _roundtrip(weights: BinetWeights, roots, terms, precision: str) -> FormulaCheck:
-    """compare_with_terms of sum of w_i r_i^k against terms[k], every k.
+    """sum of w_i r_i^k checked against terms[k], every k, as `_scan` does.
 
     Standard precision scans the power rows.  In extended precision the
     weights and roots are split into Gaussian integers over one power of
@@ -258,14 +260,14 @@ def nearest_integer(value) -> int:
     return round(real)
 
 
-def compare_with_terms(values, terms, precision: str) -> FormulaCheck:
-    """Check values[k] against the exact terms[k] for every k.
+def _scan(at, roots, terms, precision: str) -> FormulaCheck:
+    """Check at(row) over the power rows of roots against the exact
+    terms[k], every k; the note is left for the caller to write.
 
-    values is any iterable aligned with terms (a generator over a scan's
-    power rows, typically).  The error at k is |value - x_k| / max(1,
-    |x_k|), computed in the precision's context; the first k whose
-    error exceeds TOL_BINET is the mismatch.  The note is left for the
-    caller to write.
+    The error at k is |at(row_k) - x_k| / max(1, |x_k|) in the precision's
+    context, and the first k past TOL_BINET is the mismatch.  Every product
+    rounds in that arithmetic, so the errors include the roundoff;
+    verify's extended round trip is exact instead (`_roundtrip`).
     """
     ctx = arithmetic(precision).ctx
 
@@ -276,16 +278,8 @@ def compare_with_terms(values, terms, precision: str) -> FormulaCheck:
             return float(abs(value - ref) / abs(ref))
         return float(abs(value - ref)) / max(1.0, size)
 
+    values = map(at, _power_rows(roots, len(terms)))
     return compare(enumerate(values), terms, relative_error, TOL_BINET)
-
-
-def _scan(at, roots, terms, precision: str) -> FormulaCheck:
-    """compare_with_terms of at(row) over the power rows of roots.
-
-    Every product rounds in the precision's arithmetic, so the errors
-    include that roundoff; verify's extended round trip is exact instead
-    (`_roundtrip`)."""
-    return compare_with_terms(map(at, _power_rows(roots, len(terms))), terms, precision)
 
 
 def _closed_form(spec: RecurrenceSpec, seeds: SeedVector, precision: str):

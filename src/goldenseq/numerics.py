@@ -37,10 +37,12 @@ them, and there the two precisions differ:
   and each part of the value is rounded once to the context's 136 bits.
   That is about three times faster than Horner's rule on 40-digit mpc
   values at degree 16, and the residual |p(r)| it gives is the true
-  one at the rounded root, not the roundoff of evaluating it.  `split`
-  is that splitting of a point, and `gaussian` splits a list over one
-  shared power of two; binet's exact round trip and the extended Aberth
-  repulsion in roots use them too.
+  one at the rounded root, not the roundoff of evaluating it.
+
+Only this module reads or writes mpmath's raw number format.  `split`,
+the one reader, gives an extended number as a Gaussian integer over a
+power of two (`gaussian` splits a list over a shared one); `rounder`,
+the one writer, rounds an exact (x + iy) 2^e / odd into the context.
 """
 
 import cmath
@@ -49,7 +51,7 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import NamedTuple
 
-from .recurrence import _poly_eval
+from .recurrence import _poly_eval, _scale
 from .reports import EXTENDED, PRECISIONS, STANDARD
 
 EXTENDED_DPS = 40
@@ -119,27 +121,20 @@ def horner(ctx, coeffs):
     Standard precision runs Horner's rule on the coefficients as given.
     In extended precision the coefficients are ints, Fractions or
     numbers of the context, the value is exact until each part is
-    rounded once to the context's precision, and a point that is not
-    finite raises ValueError.
+    rounded once to the context's precision, and a coefficient or point
+    that is not finite raises ValueError.
     """
     if ctx is _Float:
         return partial(_poly_eval, list(coeffs))
     return _exact_horner(ctx, coeffs)
 
 
-def _parts(x):
-    """The (sign, man, exp, bc) tuples of the real and imaginary parts of x,
-    a number of the extended context; ValueError when x is not finite."""
-    re, im = getattr(x, "_mpc_", None) or (x._mpf_, (0, 0, 0, 0))
-    if re[3] < 0 or im[3] < 0:  # the bit count of inf, -inf and nan
-        raise ValueError("cannot compute exactly with a value that is not finite")
-    return re, im
-
-
 def split(z):
     """(a, b, g), ints with g >= 0 and z = (a + ib) / 2^g exactly, for a
     finite number z of the extended context (ValueError otherwise)."""
-    (sa, a, fa, _), (sb, b, fb, _) = _parts(z)
+    (sa, a, fa, ca), (sb, b, fb, cb) = getattr(z, "_mpc_", None) or (z._mpf_, (0, 0, 0, 0))
+    if ca < 0 or cb < 0:  # the bit count of inf, -inf and nan
+        raise ValueError("cannot compute exactly with a value that is not finite")
     # int(): the mantissas may be gmpy mpz
     a = -int(a) if sa else int(a)
     b = -int(b) if sb else int(b)
@@ -164,32 +159,35 @@ def gaussian(values):
     return [(a << g - f, b << g - f) for a, b, f in points], g
 
 
-def _exact_horner(ctx, coeffs):
+def rounder(ctx, odd=1):
+    """The function (x, y, e) -> (x + iy) 2^e / odd as a number of ctx, for
+    ints x, y, e, each part rounded once; make one per evaluator."""
     from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
-    def exact(value):  # real and imaginary part as (numerator, denominator)
-        if isinstance(value, (int, Fraction)):
-            return (value.numerator, value.denominator), (0, 1)
-        return [
-            ((-int(m) if s else int(m)) << max(e, 0), 1 << max(-e, 0)) for s, m, e, _ in _parts(value)
-        ]
-
-    pairs = [exact(c) for c in coeffs]
-    dens = {d for pair in pairs for _, d in pair}
-    den = math.lcm(*dens)
-    scale = {d: den // d for d in dens}
-    twos = (den & -den).bit_length() - 1
-    odd = den >> twos
-    # coefficient j is (p + iq) / (2^twos * odd); lead first, then j = n-1 .. 0
-    *rest, lead = [tuple(num * scale[d] for num, d in pair) for pair in pairs]
-    rest.reverse()
     prec, rnd = ctx.prec, round_nearest
     divisor = from_int(odd)
 
-    def rounded(man, exp):
+    def part(man, exp):
         if odd == 1:
             return from_man_exp(man, exp, prec, rnd)
         return mpf_div(from_man_exp(man, exp), divisor, prec, rnd)
+
+    return lambda x, y, e: ctx.make_mpc((part(x, e), part(y, e)))
+
+
+def _exact_horner(ctx, coeffs):
+    def parts(value):  # the real and imaginary part as exact rationals
+        if isinstance(value, (int, Fraction)):
+            return value, 0
+        a, b, g = split(value)
+        return Fraction(a, 1 << g), Fraction(b, 1 << g)
+
+    ints, den = _scale([part for c in coeffs for part in parts(c)])
+    twos = (den & -den).bit_length() - 1
+    rounded = rounder(ctx, den >> twos)
+    # coefficient j is (p + iq) / den, den = 2^twos * odd; lead first, then j = n-1 .. 0
+    *rest, lead = zip(ints[::2], ints[1::2])
+    rest.reverse()
 
     def at(z):
         a, b, g = split(z)
@@ -203,7 +201,7 @@ def _exact_horner(ctx, coeffs):
                 x += p << shift
             if q:
                 y += q << shift
-        return ctx.make_mpc((rounded(x, -shift - twos), rounded(y, -shift - twos)))
+        return rounded(x, y, -shift - twos)
 
     return at
 

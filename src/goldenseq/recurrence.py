@@ -15,10 +15,12 @@ seeds has the coefficients of x^k mod p(x).  symbolic_term and term_at
 compute that remainder by squaring, O(n^2 log k); generate stays a plain
 forward loop so that checks have a side which does not use it.
 
-Both run on ints through the exact polynomial layer every module shares:
-_scale (ints over a common denominator), _lags (R on ints, D the lcm of
-the coefficient denominators), _numerator (T over 1 - R), _poly_mul,
-_poly_eval (Horner) and _reduce (a fold by R's lags).  generate keeps
+Both run on ints through the exact polynomial layer the exact modules
+share: _scale (ints over a common denominator), _lags (R on ints, D the
+lcm of the coefficient denominators), _numerator (T over 1 - R),
+_poly_mul, _poly_eval (Horner) and _reduce (a fold by R's lags); roots
+and binet evaluate through numerics.horner, which calls _poly_eval in
+standard precision and _scale in extended.  generate keeps
 z_k = S*D^k*x_k (seeds over S), _power_form y^k mod q(y) for y = D*x.
 Values leave as Fractions in lowest terms: term_at and symbolic_term
 through Fraction's constructor, generate and genfunc.series_coefficients

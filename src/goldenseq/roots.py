@@ -27,14 +27,15 @@ sweep p(z) and p'(z) are exact until their one rounding; the repulsion
 sum over j != i of 1/(z_i - z_j) takes exact differences of the split
 points and sums their reciprocals in fixed point at the context's
 precision, rounded once (`_repulsion`); the Newton quotient, the
-correction and the step are 40-digit arithmetic.
+correction and the step are 40-digit arithmetic. The points are read
+with numerics.split and the sum written with numerics.rounder.
 """
 
 import cmath
 import math
 
 from .errors import RootConvergenceError
-from .numerics import STANDARD, arithmetic, coefficient, gaussian, horner, split, to_complex
+from .numerics import STANDARD, arithmetic, coefficient, gaussian, horner, rounder, split, to_complex
 from .recurrence import RecurrenceSpec, _to_fraction, make_spec
 from .reports import FormulaCheck, Record, compare
 
@@ -251,8 +252,15 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
             residuals=_residuals(spec, roots + zeros, ctx),
             iterations=MAX_ITER,
         )
-    # |p| = |z|^m |q| on the iterated roots, and p(0) = 0 exactly
-    found = [(z, float(abs(z) ** m * r)) for z, r in zip(roots, residuals)]
+
+    def lifted(z, r):  # |p(z)| = |z|^m |q(z)| at an iterated root, inf past the float range
+        try:
+            return float(abs(z) ** m * r) if r else 0.0
+        except OverflowError:  # a float power; an extended product converts to inf
+            return math.inf
+
+    # p(0) = 0 exactly at the zero roots
+    found = [(z, lifted(z, r)) for z, r in zip(roots, residuals)]
     found += [(z, 0.0) for z in zeros]
     found.sort(key=lambda pair: (-float(abs(pair[0])), -float(pair[0].real), -float(pair[0].imag)))
     result = _rootset([z for z, _ in found], tuple(r for _, r in found), precision)
@@ -353,10 +361,8 @@ def _repulsion(z, precision: str):
 
         return floats
 
-    from mpmath.libmp import from_man_exp, round_nearest
-
     ctx = arithmetic(precision).ctx
-    prec, rnd = ctx.prec, round_nearest
+    prec, rounded = ctx.prec, rounder(ctx)
     split_of = list(z)
     points, g = gaussian(split_of)
 
@@ -379,8 +385,7 @@ def _repulsion(z, precision: str):
             if n:
                 re += (a << shift) // n
                 im -= (b << shift) // n
-        exp = g - shift
-        total = ctx.make_mpc((from_man_exp(re, exp, prec, rnd), from_man_exp(im, exp, prec, rnd)))
+        total = rounded(re, im, g - shift)
         equal = norms.count(0)
         if equal:
             total += equal / (1e-12 * (1 + abs(z[i])))

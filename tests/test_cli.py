@@ -409,6 +409,16 @@ def test_roots_past_the_float_range_of_the_gate_are_printed(capsys, precision, s
     assert out.splitlines()[0] == "root[0] = %s  (residual 0.000e+00)  <- dominant" % shown
 
 
+@pytest.mark.parametrize("precision, shown", [("standard", "1e+200"), ("extended", "1.0e+200")])
+def test_zero_roots_beside_a_root_past_the_float_range_are_printed(capsys, precision, shown):
+    # x^4 = 10^200 x^3: |p| = |z|^3 |q| at the root 10^200, and |q| = 0
+    # there, so the residual is 0 without forming (10^200)^3 in floats
+    coeffs = "--coeffs=0,0,0,%d" % 10**200
+    code, out, err = run(capsys, "roots", coeffs, "--precision", precision)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "root[0] = %s  (residual 0.000e+00)  <- dominant" % shown
+
+
 def test_unknown_preset_lists_known_names(capsys):
     code, _, err = run(capsys, "seq", "--preset", "nope")
     assert code == 2

@@ -252,6 +252,12 @@ def test_extended_horner_refuses_points_that_are_not_finite():
             p(z)
 
 
+def test_extended_horner_refuses_coefficients_that_are_not_finite():
+    for c in (EXT.mpc(EXT.inf, 0), EXT.mpc(1, EXT.nan), EXT.mpf(EXT.ninf)):
+        with pytest.raises(ValueError, match="not finite"):
+            horner(EXT, [1, c, Fraction(1, 3)])(EXT.mpc(1))
+
+
 def _sqrt_rounds_to(r, square):
     """r == float(sqrt(square)): the exact root lies within half a unit of r."""
     if square == 0:
@@ -335,6 +341,13 @@ def test_extended_repulsion_is_the_exact_sum_within_its_bound(z, moved):
     _check_repulsion(z)
     z[0] = moved
     _check_repulsion(z)
+
+
+def test_exactly_equal_points_repel_from_the_fallback_distance():
+    # z_1 = z_0 counts as 1e-12 * (1 + |z_0|) away, in either precision
+    z = [1 + 0j, 1 + 0j, 3 + 0j]
+    assert _repulsion(z, gs.STANDARD)(0) == 1 / (1e-12 * 2) + 1 / (1 - 3)
+    _check_repulsion([EXT.mpc(w) for w in z])
 
 
 def _extended_cli(*argv):

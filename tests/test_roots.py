@@ -288,6 +288,22 @@ def test_residual_that_is_not_finite_fails_an_infinite_gate(monkeypatch, precisi
     assert sum(not math.isfinite(r) for r in info.value.residuals) == 1
 
 
+@pytest.mark.parametrize("precision", gs.PRECISIONS)
+def test_residual_lifted_past_the_float_range_fails_the_gate(monkeypatch, precision):
+    # p = x^3 q on x^4 = 10^200 x^3: a nonzero |q| at the root 10^200 makes
+    # |p| = 10^600 |q|, which is inf as a float, so the gate refuses it
+    iterate = roots_module._iterate
+
+    def spoiled(coeffs, precision):
+        roots, residuals, sweeps = iterate(coeffs, precision)
+        return roots, [1.0], sweeps
+
+    monkeypatch.setattr(roots_module, "_iterate", spoiled)
+    with pytest.raises(gs.RootConvergenceError, match="exceed tolerance") as info:
+        gs.general_roots(gs.make_spec([0, 0, 0, 10**200]), precision)
+    assert info.value.residuals == (math.inf, 0.0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("precision, sweeps", [(gs.STANDARD, 5), (gs.EXTENDED, 1)])
 def test_residual_gate_refusal_reports_the_sweeps_taken(monkeypatch, precision, sweeps):
     # with a zero gate the converged roots of x^4 = x^3 + x^2 + x + 1 are
