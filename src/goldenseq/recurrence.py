@@ -18,9 +18,8 @@ forward loop so that checks have a side which does not use it.
 Both run on ints through the exact polynomial layer the exact modules
 share: _scale (ints over a common denominator), _lags (R on ints, D the
 lcm of the coefficient denominators), _numerator (T over 1 - R),
-_poly_mul, _poly_eval (Horner) and _reduce (a fold by R's lags); roots
-and binet evaluate through numerics.horner, which calls _poly_eval in
-standard precision and _scale in extended.  generate keeps
+_poly_mul and _reduce (a fold by R's lags); roots and binet evaluate
+through numerics.horner, which imports nothing from here.  generate keeps
 z_k = S*D^k*x_k (seeds over S), _power_form y^k mod q(y) for y = D*x.
 Values leave as Fractions in lowest terms: term_at and symbolic_term
 through Fraction's constructor, generate and genfunc.series_coefficients
@@ -146,13 +145,6 @@ def _lags(coeffs):
 def _numerator(q, v):
     """T of v over q = 1 - R: T_d = v_d + sum_{j<d} q_(j+1) v_(d-1-j), d < deg q."""
     return [v[d] + sum(q[j + 1] * v[d - 1 - j] for j in range(d)) for d in range(len(q) - 1)]
-
-
-def _poly_eval(coeffs, z):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
 
 
 _GCD_BITS = 1024  # below this many bits of running denominator, Fraction's gcd is the cheaper reduction

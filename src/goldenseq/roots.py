@@ -237,8 +237,8 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     iteration.
     Raises RootConvergenceError, carrying the best iterate, its residuals
     and the sweeps run, if no sweep settles within MAX_ITER, or if a
-    residual of the result exceeds tol_root or is not finite (the
-    iteration overflowed).
+    residual of the result exceeds tol_root or is not finite; the message
+    says when an iterate itself is not finite (the iteration overflowed).
     """
     ctx, eps = arithmetic(precision)
     coeffs = spec.coeffs
@@ -267,8 +267,12 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     gate = tol_root(result)
     # a residual that is not finite fails even an infinite gate
     if not all(math.isfinite(r) and r <= gate for r in result.residuals):
+        message = f"root residuals exceed tolerance {gate:.3e}"
+        # _settled accepts a NaN iterate: every comparison with NaN is False
+        if not all(abs(z) < math.inf for z in result.roots):
+            message += "; an iterate is not finite (the iteration overflowed)"
         raise RootConvergenceError(
-            f"root residuals exceed tolerance {gate:.3e}",
+            message,
             best_roots=result.roots,
             residuals=result.residuals,
             iterations=sweeps,

@@ -12,9 +12,14 @@ terms, per-entry closed forms (built once per check) vs. the expansion,
 its diagonal sums vs. exact terms, and exact term ratios vs. the
 dominant root.  The row sums T(1)*R(1)^i share gf's T and R with the
 expansion, so they check its products; series and diagonals check T.
-Checks that do not apply to the given input — repeated roots, degenerate
-specs, degrees without closed forms, roots that cannot be solved —
-report status "skipped" with the reason, never a fake pass.
+
+The rows are one ordered table of (name, degree, row): a row applies to
+every degree or to the one given, and returns (verdict, residual,
+detail), which one loop turns into VerificationChecks.  A check that
+does not apply to the given input — repeated roots, degenerate specs,
+degrees without closed forms, roots that cannot be solved — raises
+_Skip with the reason, and its row reports status "skipped" with that
+detail, never a fake pass.
 """
 
 import math
@@ -43,19 +48,25 @@ from .trapezoid import (
 )
 
 TOL_RECOVERY = 1e-6
+_STATUS = {True: "pass", False: "fail", None: "skipped"}
 
 
-def _quadratic_note(check: FormulaCheck, k_max: int) -> FormulaCheck:
-    if check.matches:
-        return check
-    return check.replace(note="first divergence at k = %d" % check.first_mismatch)
+class _Skip(Exception):
+    """A row's premise is absent; the message is the row's detail.  Not a
+    ValueError, so it passes through a row's own ValueError handler."""
 
 
-# degree: (row name, largest k scanned, note writer) of the closed Binet row
-_CLOSED_BINET = {
-    2: ("binet_quadratic_closed_matches", 30, _quadratic_note),
-    3: ("binet_cubic_closed_matches", 20, _cubic_note),
-}
+def _checked(check: FormulaCheck):
+    """(verdict, residual, detail) of a check that wrote its own note."""
+    return check.matches, check.max_error, check.note
+
+
+def _scanned(check: FormulaCheck, note="", at="k =", residual=True):
+    """(verdict, residual, detail) of a scan: the note while it matches,
+    else where it first diverged."""
+    if not check.matches:
+        note = "first divergence at %s %d" % (at, check.first_mismatch)
+    return check.matches, check.max_error if residual else None, note
 
 
 def verify_all(
@@ -81,27 +92,6 @@ def verify_all(
     if rows < 2:
         raise ValueError("rows must be >= 2 (row checks need adjacent pairs)")
 
-    echo = {
-        "coeffs": [str(c) for c in spec.coeffs],
-        "seeds": [str(s) for s in seeds],
-        "k_max": k_max,
-        "rows": rows,
-        "precision": precision,
-    }
-    checks: list = []
-
-    def add(name, ok, residual=None, detail=""):
-        status = {True: "pass", False: "fail", None: "skipped"}[ok]
-        checks.append(VerificationCheck(name, status, residual, detail, dict(echo)))
-
-    def add_check(name, check):
-        add(name, check.matches, check.max_error, check.note)
-
-    def add_scan(name, check, note, at="k =", residual=True):
-        if not check.matches:
-            note = "first divergence at %s %d" % (at, check.first_mismatch)
-        add(name, check.matches, check.max_error if residual else None, note)
-
     conv_k = max(k_max, 60)
     terms = generate(spec, seeds, max(conv_k + 2, rows))
     rootset = weights = None
@@ -114,135 +104,134 @@ def verify_all(
             weights = solve_weights(spec, seeds, rootset)
         except DegenerateSpectrumError as exc:
             weight_note = str(exc)
+    gf = build_genfunc(spec, seeds)
+    trap = _expand(gf, spec, seeds, rows)
+    conv = None  # the ratio report, once ratio_convergence has made one
 
-    # --- root-level identities -------------------------------------
-    if rootset is None:
-        for name in ("symmetric_relations", "golden_identity_defining"):
-            add(name, None, detail=root_note)
-        if spec.degree == 2:
-            add("golden_identity_inverse", None, detail=root_note)
-    else:
-        add_check("symmetric_relations", verify_symmetric_relations(rootset, spec))
-        add_check("golden_identity_defining", golden_identity_check(spec, rootset))
-        if spec.degree == 2:
-            try:
-                check = golden_inverse_check(spec, rootset)
-            except ValueError as exc:
-                note = "reciprocal identity skipped: %s" % exc
-                add("golden_identity_inverse", None, detail=note)
-            else:
-                # a root at exactly 0 has an unbounded error, which JSON cannot hold
-                residual = None if check.max_error == math.inf else check.max_error
-                add("golden_identity_inverse", check.matches, residual, check.note)
+    def roots():
+        if rootset is None:
+            raise _Skip(root_note)
+        return rootset
 
-    # --- Binet weights and round trip -------------------------------
-    if weights is None:
-        for name in ("binet_constant_weight", "recurrence_binet_roundtrip"):
-            add(name, None, detail=weight_note)
-    else:
+    def solved_weights():
+        if weights is None:
+            raise _Skip(weight_note)
+        return weights
+
+    def inverse():
+        try:
+            check = golden_inverse_check(spec, roots())
+        except ValueError as exc:
+            raise _Skip("reciprocal identity skipped: %s" % exc) from None
+        # a root at exactly 0 has an unbounded error, which JSON cannot hold
+        residual = None if check.max_error == math.inf else check.max_error
+        return check.matches, residual, check.note
+
+    def constant_weight():
         # the probe is the residual x_n - sum of w_i r_i^n, the one
         # equation the weights were not fitted to; solve_weights refuses
         # a probe over its bound, so it passes here
-        add(
-            "binet_constant_weight",
-            True,
-            float(abs(weights.weights[-1])),
-            "constant probe weight w_{n+1} must vanish",
-        )
-        trip = _roundtrip(weights, rootset.roots, terms[: k_max + 1], precision)
-        note = "exact terms vs. root-power evaluation for k <= %d" % k_max
-        add_scan("recurrence_binet_roundtrip", trip, note)
+        probe = float(abs(solved_weights().weights[-1]))
+        return True, probe, "constant probe weight w_{n+1} must vanish"
 
-    # --- closed Binet forms -----------------------------------------
-    if spec.degree in _CLOSED_BINET:
-        name, span, write_note = _CLOSED_BINET[spec.degree]
+    def roundtrip():
+        trip = _roundtrip(solved_weights(), rootset.roots, terms[: k_max + 1], precision)
+        return _scanned(trip, "exact terms vs. root-power evaluation for k <= %d" % k_max)
+
+    def closed_binet(span):
         span = min(k_max, span)
         try:
             at, closed_roots = _closed_form(spec, seeds, precision)
         except (DegenerateSpectrumError, UnitRootError) as exc:
-            add(name, None, detail=str(exc))
-        else:
-            check = _scan(at, closed_roots, terms[: span + 1], precision)
-            add_check(name, write_note(check, span))
+            raise _Skip(str(exc)) from None
+        check = _scan(at, closed_roots, terms[: span + 1], precision)
+        return _checked(_cubic_note(check, span)) if spec.degree == 3 else _scanned(check)
 
-    # --- generating function ----------------------------------------
-    gf = build_genfunc(spec, seeds)
-    series = compare(enumerate(series_coefficients(gf, k_max + 1)), terms)
-    note = "series of %s vs. the recurrence (exact)" % gf.display()
-    add_scan("genfunc_series_roundtrip", series, note)
+    def series():
+        check = compare(enumerate(series_coefficients(gf, k_max + 1)), terms)
+        return _scanned(check, "series of %s vs. the recurrence (exact)" % gf.display())
 
-    # --- trapezoid ----------------------------------------------------
-    trap = _expand(gf, spec, seeds, rows)
-    if spec.degree in (2, 3):
-        add_check("trapezoid_closed_form", check_closed_form(trap))
-    else:
-        add(
-            "trapezoid_closed_form",
-            None,
-            detail="per-entry closed forms exist only for degrees 2 and 3",
+    def trapezoid_closed():
+        if spec.degree not in (2, 3):
+            raise _Skip("per-entry closed forms exist only for degrees 2 and 3")
+        return _checked(check_closed_form(trap))
+
+    def row_recurrence():
+        violations = check_row_recurrence(trap)
+        if violations:
+            note = "first violation at (i, j) = (%d, %d)" % violations[0][:2]
+            return False, float(len(violations)), note
+        return True, 0.0, "every adjacent row pair"
+
+    def row_sums():
+        check = compare(
+            enumerate(map(_row_sum_form(gf), range(rows))),
+            (Fraction(sum(ints), den) for ints, den in map(_scale, trap.rows)),
         )
-    violations = check_row_recurrence(trap)
-    add(
-        "trapezoid_row_recurrence",
-        not violations,
-        float(len(violations)),
-        "every adjacent row pair"
-        if not violations
-        else "first violation at (i, j) = (%d, %d)" % violations[0][:2],
-    )
-    sums = compare(
-        enumerate(map(_row_sum_form(gf), range(rows))),
-        (Fraction(sum(ints), den) for ints, den in map(_scale, trap.rows)),
-    )
-    note = "closed-form row sums vs. direct sums (exact)"
-    add_scan("trapezoid_row_sums", sums, note, "row", residual=False)
-    diagonals = compare(((i, diagonal_sum(trap, i)) for i in range(rows)), terms)
-    note = "diagonal sums reproduce the sequence (exact)"
-    add_scan("trapezoid_diagonal_sums", diagonals, note, "diagonal", residual=False)
+        note = "closed-form row sums vs. direct sums (exact)"
+        return _scanned(check, note, "row", residual=False)
 
-    # --- convergence and root recovery -------------------------------
-    conv = None
-    try:
-        _check_nonzero(seeds)
-    except ValueError as exc:
-        add("ratio_convergence", None, detail=str(exc))
-    else:
-        if rootset is None:
-            add("ratio_convergence", None, detail=root_note)
-        else:
-            conv = _ratio_report(terms, conv_k, rootset, lambda: weights)
-            add(
-                "ratio_convergence",
-                conv.converged if conv.hypothesis_met else None,  # else non-convergence is expected
-                conv.abs_error,
-                conv.reason or "ratios reach the dominant root",
-            )
-    if spec.degree == 3:
-        if conv is not None and conv.converged:
-            gamma, _, alpha = spec.coeffs
-            pair = recover_cubic_conjugates(alpha, gamma, conv.final_estimate, precision)
-            others = [
-                z
-                for j, z in enumerate(rootset.roots)
-                if j != rootset.dominant_index
-            ]
-            direct_err = max(abs(pair[0] - others[0]), abs(pair[1] - others[1]))
-            swapped_err = max(abs(pair[0] - others[1]), abs(pair[1] - others[0]))
-            err = float(min(direct_err, swapped_err))
-            add(
-                "cubic_ratio_root_recovery",
-                err <= TOL_RECOVERY,
-                err,
-                "non-dominant roots recovered from the ratio limit",
-            )
-        else:
-            add(
-                "cubic_ratio_root_recovery",
-                None,
-                detail=root_note
-                if rootset is None
-                else "needs a converged ratio limit and a solved root set",
-            )
+    def diagonals():
+        check = compare(((i, diagonal_sum(trap, i)) for i in range(rows)), terms)
+        note = "diagonal sums reproduce the sequence (exact)"
+        return _scanned(check, note, "diagonal", residual=False)
+
+    def ratios():
+        nonlocal conv
+        try:
+            _check_nonzero(seeds)
+        except ValueError as exc:
+            raise _Skip(str(exc)) from None
+        conv = _ratio_report(terms, conv_k, roots(), lambda: weights)
+        # without the hypothesis non-convergence is expected: skipped
+        verdict = conv.converged if conv.hypothesis_met else None
+        return verdict, conv.abs_error, conv.reason or "ratios reach the dominant root"
+
+    def recovery():
+        if conv is None or not conv.converged:
+            roots()  # missing roots are the reason, when they are missing
+            raise _Skip("needs a converged ratio limit and a solved root set")
+        gamma, _, alpha = spec.coeffs
+        pair = recover_cubic_conjugates(alpha, gamma, conv.final_estimate, precision)
+        others = [z for j, z in enumerate(rootset.roots) if j != rootset.dominant_index]
+        direct_err = max(abs(pair[0] - others[0]), abs(pair[1] - others[1]))
+        swapped_err = max(abs(pair[0] - others[1]), abs(pair[1] - others[0]))
+        err = float(min(direct_err, swapped_err))
+        return err <= TOL_RECOVERY, err, "non-dominant roots recovered from the ratio limit"
+
+    # (name, the one degree it applies to or None for every degree, row), in report order
+    table = (
+        ("symmetric_relations", None, lambda: _checked(verify_symmetric_relations(roots(), spec))),
+        ("golden_identity_defining", None, lambda: _checked(golden_identity_check(spec, roots()))),
+        ("golden_identity_inverse", 2, inverse),
+        ("binet_constant_weight", None, constant_weight),
+        ("recurrence_binet_roundtrip", None, roundtrip),
+        ("binet_quadratic_closed_matches", 2, lambda: closed_binet(30)),
+        ("binet_cubic_closed_matches", 3, lambda: closed_binet(20)),
+        ("genfunc_series_roundtrip", None, series),
+        ("trapezoid_closed_form", None, trapezoid_closed),
+        ("trapezoid_row_recurrence", None, row_recurrence),
+        ("trapezoid_row_sums", None, row_sums),
+        ("trapezoid_diagonal_sums", None, diagonals),
+        ("ratio_convergence", None, ratios),
+        ("cubic_ratio_root_recovery", 3, recovery),
+    )
+    echo = {
+        "coeffs": [str(c) for c in spec.coeffs],
+        "seeds": [str(s) for s in seeds],
+        "k_max": k_max,
+        "rows": rows,
+        "precision": precision,
+    }
+    checks = []
+    for name, degree, row in table:
+        if degree not in (None, spec.degree):
+            continue
+        try:
+            verdict, residual, detail = row()
+        except _Skip as skip:
+            verdict, residual, detail = None, None, str(skip)
+        checks.append(VerificationCheck(name, _STATUS[verdict], residual, detail, dict(echo)))
     return checks
 
 

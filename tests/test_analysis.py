@@ -49,6 +49,18 @@ def test_zero_dominant_weight_is_diagnosed():
     assert report.final_estimate == pytest.approx(-1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("precision", gs.PRECISIONS)
+def test_ratios_converge_where_the_weights_are_refused(precision):
+    # x^3 = 3x + 2 has roots 2, -1, -1: solve_weights refuses the double
+    # root, and without weights the ratios still reach the simple root 2
+    spec, seeds = gs.make_spec([2, 3, 0]), gs.make_seeds([0, 1, 1])
+    with pytest.raises(gs.DegenerateSpectrumError):
+        gs.solve_weights(spec, seeds, gs.solve_roots(spec, precision))
+    report = _conv([2, 3, 0], [0, 1, 1], precision=precision)
+    assert (report.converged, report.hypothesis_met, report.reason) == (True, True, None)
+    assert report.final_estimate == 2.0
+
+
 def test_all_zero_seeds_rejected():
     with pytest.raises(ValueError):
         _conv([1, 1], [0, 0])

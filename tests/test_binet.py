@@ -515,3 +515,13 @@ def test_separation_of_roots_past_the_float_range(parts):
     ctx = arithmetic(gs.EXTENDED).ctx
     roots = [ctx.mpc(ctx.mpf(re), ctx.mpf(im)) for re, im in parts]
     assert _separated(roots, gs.EXTENDED) == (len(roots) == 3, len(roots) == 3)
+
+
+def test_weights_and_evaluation_refuse_a_root_set_of_another_degree():
+    fib, seeds = gs.make_spec([1, 1]), gs.make_seeds([0, 1])
+    tribonacci_roots = gs.solve_roots(gs.make_spec([1, 1, 1]))
+    with pytest.raises(SeedMismatchError, match="root set has degree 3 but the recurrence has degree 2"):
+        gs.solve_weights(fib, seeds, tribonacci_roots)
+    weights = gs.solve_weights(fib, seeds, gs.solve_roots(fib))
+    with pytest.raises(SeedMismatchError, match="weights were solved for degree 2, root set has degree 3"):
+        gs.binet_eval(weights, tribonacci_roots, 5)

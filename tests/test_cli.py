@@ -441,6 +441,12 @@ def test_usage_error_exits_2(capsys):
     assert run(capsys, "not-a-command")[0] == 2
 
 
+def test_seeds_without_coeffs_exit_2(capsys):
+    code, out, err = run(capsys, "seq", "--seeds", "0,1")
+    assert (code, out) == (2, "")
+    assert err == "error: give --coeffs (plus --seeds) or --preset\n"
+
+
 def test_version_flag(capsys):
     code, out, _ = run(capsys, "--version")
     assert code == 0

@@ -98,6 +98,13 @@ def test_key_outside_section():
     assert "outside" in str(err.value)
 
 
+def test_line_without_equals_inside_a_section():
+    with pytest.raises(PresetError) as err:
+        parse_preset_file("[a]\ncoeffs = 1, 1\n  seeds 0, 1\n")
+    assert (err.value.line, err.value.column) == (3, 3)  # the 's' of 'seeds'
+    assert str(err.value) == "expected 'key = value' (line 3, column 3)"
+
+
 def test_unknown_and_duplicate_keys():
     with pytest.raises(PresetError) as err:
         parse_preset_file("[a]\ncolor = red\n")

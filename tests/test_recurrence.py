@@ -134,6 +134,12 @@ def test_symbolic_term_fibonacci_shape():
     assert form.evaluate(gs.make_seeds([2, 1])) == 123  # Lucas x_10
 
 
+def test_symbolic_term_refuses_the_wrong_number_of_seeds():
+    form = gs.symbolic_term(FIB, 10)
+    with pytest.raises(SeedMismatchError, match="linear form has 2 coefficients, got 3 seeds"):
+        form.evaluate(gs.make_seeds([2, 1, 0]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     coeffs=st.lists(st.integers(-4, 4), min_size=1, max_size=4),

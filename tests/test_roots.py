@@ -304,6 +304,30 @@ def test_residual_lifted_past_the_float_range_fails_the_gate(monkeypatch, precis
     assert info.value.residuals == (math.inf, 0.0, 0.0, 0.0)
 
 
+def test_refusal_names_an_iterate_that_overflowed():
+    # x^4 = 10^80 x^3 + x^2 + x + 1: the first standard sweep overflows to
+    # NaN, which settles because every comparison with NaN is False; the
+    # gate refuses it after that sweep and says why
+    with pytest.raises(gs.RootConvergenceError, match="exceed tolerance") as info:
+        gs.general_roots(gs.make_spec([1, 1, 1, 10**80]))
+    assert str(info.value) == (
+        "root residuals exceed tolerance 1.000e-10; an iterate is not finite (the iteration overflowed)"
+    )
+    assert info.value.iterations == 1
+
+
+@pytest.mark.parametrize("precision", gs.PRECISIONS)
+def test_refusal_of_a_finite_iterate_blames_only_the_tolerance(monkeypatch, precision):
+    # the root 10^200 is finite; only its lifted residual is past the float range
+    iterate = roots_module._iterate
+    monkeypatch.setattr(
+        roots_module, "_iterate", lambda coeffs, p: (iterate(coeffs, p)[0], [1.0], 1)
+    )
+    with pytest.raises(gs.RootConvergenceError) as info:
+        gs.general_roots(gs.make_spec([0, 0, 0, 10**200]), precision)
+    assert str(info.value) == "root residuals exceed tolerance inf"
+
+
 @pytest.mark.parametrize("precision, sweeps", [(gs.STANDARD, 5), (gs.EXTENDED, 1)])
 def test_residual_gate_refusal_reports_the_sweeps_taken(monkeypatch, precision, sweeps):
     # with a zero gate the converged roots of x^4 = x^3 + x^2 + x + 1 are
@@ -325,6 +349,12 @@ def test_symmetric_relations_name_the_first_wrong_coefficient():
     report = gs.verify_symmetric_relations(wrong, spec)
     assert (report.matches, report.first_mismatch) == (False, 1)
     assert report.max_error == pytest.approx(1e-6, rel=1e-6)
+
+
+def test_symmetric_relations_refuse_a_root_set_of_another_degree():
+    rootset = gs.solve_roots(gs.make_spec([1, 1, 1]))
+    with pytest.raises(ValueError, match="rootset and spec have different degrees"):
+        gs.verify_symmetric_relations(rootset, gs.make_spec([1, 1]))
 
 
 # One spec with the exact root 0 (a0 = 0) and one with the exact double

@@ -414,6 +414,19 @@ def test_diagonal_sum_needs_enough_rows():
         gs.diagonal_sum(t, 3)
 
 
+@pytest.mark.parametrize("build", [gs.build_expansion, gs.build_closed_form])
+def test_zero_rows_are_refused(build):
+    with pytest.raises(ValueError, match="num_rows must be >= 1"):
+        build(FIB, FIB_SEEDS, 0)
+
+
+def test_negative_row_and_diagonal_indices_are_refused():
+    with pytest.raises(ValueError, match="row index must be >= 0"):
+        gs.row_sum(-1, FIB, FIB_SEEDS)
+    with pytest.raises(ValueError, match="diagonal index must be >= 0"):
+        gs.diagonal_sum(gs.build_expansion(FIB, FIB_SEEDS, 3), -1)
+
+
 def test_zero_coefficient_spec_still_tabulates():
     spec = gs.make_spec([0, 0])  # x_{k+2} = 0
     seeds = gs.make_seeds([3, 5])
