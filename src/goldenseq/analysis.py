@@ -11,7 +11,7 @@ failed when it fails, instead of just returning False.
 import math
 
 from .binet import solve_weights
-from .errors import DegenerateSpectrumError
+from .errors import DegenerateSpectrumError, PremiseError
 from .numerics import STANDARD, arithmetic, to_complex
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _to_fraction, generate
 from .reports import FormulaCheck, Record, compare
@@ -65,7 +65,7 @@ def ratio_convergence(
 
 def _check_nonzero(seeds) -> None:
     if all(v == 0 for v in seeds):
-        raise ValueError("all seeds are zero: the sequence is identically zero")
+        raise PremiseError("all seeds are zero: the sequence is identically zero")
 
 
 def _ratio_report(terms, k_max: int, rootset: RootSet, weights) -> ConvergenceReport:
@@ -163,15 +163,15 @@ def golden_inverse_check(spec: RecurrenceSpec, rootset: RootSet) -> FormulaCheck
     """Check the degree-2 reciprocal identity 1/r = (r - a_1)/a_0 (the
     generalization of 1/phi = phi - 1) at both roots.
 
-    Raises ValueError for a degree other than 2, and when a_0 = 0, where
-    the identity divides by zero.  With a_0 != 0, 0 is not a root, so a
-    computed root that is exactly 0 is wrong: the check fails at it, with
-    an unbounded max_error.
+    Raises ValueError for a degree other than 2, and PremiseError when
+    a_0 = 0, where the identity divides by zero.  With a_0 != 0, 0 is not
+    a root, so a computed root that is exactly 0 is wrong: the check fails
+    at it, with an unbounded max_error.
     """
     if spec.degree != 2:
         raise ValueError("the reciprocal identity is stated for degree 2 only")
     if spec.coeffs[0] == 0:
-        raise ValueError("constant coefficient is 0, so 1/r = (r - a_1)/a_0 divides by zero")
+        raise PremiseError("constant coefficient is 0, so 1/r = (r - a_1)/a_0 divides by zero")
     zero = next((i for i, z in enumerate(rootset.roots) if z == 0), None)
     if zero is not None:
         note = "root %d is exactly 0, which has no reciprocal; a_0 != 0, so 0 is not a root" % zero

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  A PremiseError is raised
+where a premise is decided, and verify reports it as a skipped row."""
 
 
 class InvalidSpecError(ValueError):
@@ -9,11 +10,21 @@ class SeedMismatchError(ValueError):
     """A seed vector does not fit the spec it is used with."""
 
 
-class DegenerateSpectrumError(ValueError):
+class PremiseError(ValueError):
+    """A well-formed input lacks the premise of the quantity asked for
+    (repeated roots, a root at 1, an identically zero sequence); residual
+    is what the raiser measured before refusing, or None."""
+
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message)
+        self.residual = residual
+
+
+class DegenerateSpectrumError(PremiseError):
     """Repeated characteristic roots rule out the distinct-root Binet form."""
 
 
-class UnitRootError(ValueError):
+class UnitRootError(PremiseError):
     """A characteristic root equals 1 (or the precision cannot tell it from
     1), so a closed form would divide by zero."""
 

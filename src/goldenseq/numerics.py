@@ -45,7 +45,7 @@ them, and there the two precisions differ:
 Only this module reads or writes mpmath's raw number format.  `split`,
 the one reader, gives an extended number as a Gaussian integer over a
 power of two (`gaussian` splits a list over a shared one); `rounder`,
-the one writer, rounds an exact (x + iy) 2^e / odd into the context.
+the one writer, rounds an exact (x + iy) 2^e / den into the context.
 """
 
 import cmath
@@ -161,18 +161,21 @@ def gaussian(values):
     return [(a << g - f, b << g - f) for a, b, f in points], g
 
 
-def rounder(ctx, odd=1):
-    """The function (x, y, e) -> (x + iy) 2^e / odd as a number of ctx, for
-    ints x, y, e, each part rounded once; make one per evaluator."""
+def rounder(ctx, den=1):
+    """The function (x, y, e) -> (x + iy) 2^e / den as a number of ctx, for
+    ints x, y, e and den > 0, each part rounded once; make one per
+    evaluator.  den's power of two goes into the exponent."""
     from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
     prec, rnd = ctx.prec, round_nearest
+    twos = (den & -den).bit_length() - 1
+    odd = den >> twos
     divisor = from_int(odd)
 
     def part(man, exp):
         if odd == 1:
-            return from_man_exp(man, exp, prec, rnd)
-        return mpf_div(from_man_exp(man, exp), divisor, prec, rnd)
+            return from_man_exp(man, exp - twos, prec, rnd)
+        return mpf_div(from_man_exp(man, exp - twos), divisor, prec, rnd)
 
     return lambda x, y, e: ctx.make_mpc((part(x, e), part(y, e)))
 
@@ -193,9 +196,8 @@ def _exact_horner(ctx, coeffs):
 
     scaled = list(map(parts, coeffs))
     den = math.lcm(*(d for _, _, d in scaled))
-    twos = (den & -den).bit_length() - 1
-    rounded = rounder(ctx, den >> twos)
-    # coefficient j is (p + iq) / den, den = 2^twos * odd; lead first, then j = n-1 .. 0
+    rounded = rounder(ctx, den)
+    # coefficient j is (p + iq) / den; lead first, then j = n-1 .. 0
     *rest, lead = [(p * (den // d), q * (den // d)) for p, q, d in scaled]
     rest.reverse()
 
@@ -211,7 +213,7 @@ def _exact_horner(ctx, coeffs):
                 x += p << shift
             if q:
                 y += q << shift
-        return rounded(x, y, -shift - twos)
+        return rounded(x, y, -shift)
 
     return at
 
@@ -220,9 +222,9 @@ def to_complex(ctx, value):
     """An int, Fraction, float or number of ctx as a complex number of ctx.
 
     complex() takes a Fraction through float(), which rounds it once.  An
-    mp context's mpf() refuses Fraction, so there it is numerator over
-    denominator, one rounding too while the numerator fits 136 bits.
+    mp context's mpf() refuses Fraction, so there `rounder` rounds the
+    exact numerator / denominator once, however wide the numerator.
     """
     if isinstance(value, Fraction) and ctx is not _Float:
-        value = ctx.mpf(value.numerator) / value.denominator
+        return rounder(ctx, value.denominator)(value.numerator, 0, 0)
     return ctx.mpc(value)

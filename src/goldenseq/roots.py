@@ -12,8 +12,9 @@ every root settled: |p| at its noise floor or the inclusion radius
 n|p|/|p'| at the precision's eps. The |p| of that test is the residual
 the RootSet reports. Both paths land in a RootSet carrying residuals
 and dominance metadata, which downstream Binet and convergence code
-relies on; imaginary parts below the precision's noise floor are
-dropped on every path.
+relies on, through `_rootset`, which refuses a residual past tol_root;
+imaginary parts below the precision's noise floor are dropped on every
+path.
 
 p, p' and the noise floor are evaluated through numerics.horner on the
 spec's own coefficients. Standard precision runs Horner's rule in
@@ -131,15 +132,28 @@ def _drop_dust(roots, ctx, eps):
     ]
 
 
-def _rootset(roots, residuals, precision: str) -> RootSet:
+def _rootset(roots, residuals, precision: str, sweeps: int = 0) -> RootSet:
+    """The RootSet of every solver, refused with RootConvergenceError when
+    a residual exceeds tol_root or is not finite (that fails even an
+    infinite gate); the message says when a root itself is not finite."""
     idx, unique = _dominance(roots)
-    return RootSet(
+    result = RootSet(
         roots=tuple(roots),
         residuals=residuals,
         dominant_index=idx,
         dominance_unique=unique,
         precision=precision,
     )
+    gate = tol_root(result)
+    if not all(math.isfinite(r) and r <= gate for r in residuals):
+        message = f"root residuals exceed tolerance {gate:.3e}"
+        # _settled accepts a NaN iterate: every comparison with NaN is False
+        if not all(abs(z) < math.inf for z in result.roots):
+            message += "; an iterate is not finite (the iteration overflowed)"
+        raise RootConvergenceError(
+            message, best_roots=result.roots, residuals=residuals, iterations=sweeps
+        )
+    return result
 
 
 def _finish(spec: RecurrenceSpec, roots, precision: str) -> RootSet:
@@ -161,7 +175,8 @@ def tol_root(rootset: RootSet) -> float:
 def quadratic_roots(alpha, beta, precision: str = STANDARD) -> RootSet:
     """Roots of x^2 = alpha*x + beta: (alpha + sigma)/2 first, then
     (alpha - sigma)/2, where sigma = sqrt(alpha^2 + 4*beta) (imaginary
-    when the discriminant is negative)."""
+    when the discriminant is negative).  Like every solver, raises
+    RootConvergenceError when a residual exceeds tol_root."""
     ctx = arithmetic(precision).ctx
     alpha = _to_fraction(alpha, ValueError)
     beta = _to_fraction(beta, ValueError)
@@ -237,8 +252,7 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     iteration.
     Raises RootConvergenceError, carrying the best iterate, its residuals
     and the sweeps run, if no sweep settles within MAX_ITER, or if a
-    residual of the result exceeds tol_root or is not finite; the message
-    says when an iterate itself is not finite (the iteration overflowed).
+    residual of the result exceeds tol_root or is not finite (`_rootset`).
     """
     ctx, eps = arithmetic(precision)
     coeffs = spec.coeffs
@@ -263,21 +277,7 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     found = [(z, lifted(z, r)) for z, r in zip(roots, residuals)]
     found += [(z, 0.0) for z in zeros]
     found.sort(key=lambda pair: (-float(abs(pair[0])), -float(pair[0].real), -float(pair[0].imag)))
-    result = _rootset([z for z, _ in found], tuple(r for _, r in found), precision)
-    gate = tol_root(result)
-    # a residual that is not finite fails even an infinite gate
-    if not all(math.isfinite(r) and r <= gate for r in result.residuals):
-        message = f"root residuals exceed tolerance {gate:.3e}"
-        # _settled accepts a NaN iterate: every comparison with NaN is False
-        if not all(abs(z) < math.inf for z in result.roots):
-            message += "; an iterate is not finite (the iteration overflowed)"
-        raise RootConvergenceError(
-            message,
-            best_roots=result.roots,
-            residuals=result.residuals,
-            iterations=sweeps,
-        )
-    return result
+    return _rootset([z for z, _ in found], tuple(r for _, r in found), precision, sweeps)
 
 
 def _iterate(coeffs, precision: str):
@@ -425,7 +425,8 @@ def _settled(poly, deriv, moduli, z, eps):
 
 
 def solve_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
-    """Closed forms for degree <= 3, iteration beyond."""
+    """Radical closed forms for degrees 2 and 3, iteration for every other
+    degree (degree 1 too); every path is gated by tol_root (`_rootset`)."""
     c = spec.coeffs
     if spec.degree == 2:
         return quadratic_roots(c[1], c[0], precision)

@@ -17,9 +17,10 @@ The rows are one ordered table of (name, degree, row): a row applies to
 every degree or to the one given, and returns (verdict, residual,
 detail), which one loop turns into VerificationChecks.  A check that
 does not apply to the given input — repeated roots, degenerate specs,
-degrees without closed forms, roots that cannot be solved — raises
-_Skip with the reason, and its row reports status "skipped" with that
-detail, never a fake pass.
+degrees without closed forms, roots that cannot be solved — is refused
+where that is decided, with a PremiseError (or the roots' own
+RootConvergenceError), and the loop's one try reports its row as
+"skipped" with the refusal's message, never a fake pass.
 """
 
 import math
@@ -33,7 +34,7 @@ from .analysis import (
     recover_cubic_conjugates,
 )
 from .binet import _closed_form, _cubic_note, _roundtrip, _scan, solve_weights
-from .errors import DegenerateSpectrumError, RootConvergenceError, UnitRootError
+from .errors import DegenerateSpectrumError, PremiseError, RootConvergenceError
 from .genfunc import build_genfunc, series_coefficients
 from .numerics import STANDARD, arithmetic
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _scale, generate
@@ -49,11 +50,6 @@ from .trapezoid import (
 
 TOL_RECOVERY = 1e-6
 _STATUS = {True: "pass", False: "fail", None: "skipped"}
-
-
-class _Skip(Exception):
-    """A row's premise is absent; the message is the row's detail.  Not a
-    ValueError, so it passes through a row's own ValueError handler."""
 
 
 def _checked(check: FormulaCheck):
@@ -84,6 +80,7 @@ def verify_all(
     `build_genfunc`, whose series is checked and whose expansion of `rows`
     rows is the trapezoid.  When the roots cannot be solved,
     every row that needs them is skipped with "roots unavailable: ...".
+    A ValueError other than a PremiseError is a bug, and propagates.
     """
     _check_seeds(spec, seeds)
     arithmetic(precision)  # rejects an unknown precision up front
@@ -97,32 +94,25 @@ def verify_all(
     rootset = weights = None
     try:
         rootset = solve_roots(spec, precision)
-    except RootConvergenceError as exc:
-        root_note = weight_note = "roots unavailable: %s" % exc
-    else:
-        try:
-            weights = solve_weights(spec, seeds, rootset)
-        except DegenerateSpectrumError as exc:
-            weight_note = str(exc)
+        weights = solve_weights(spec, seeds, rootset)
+    except (RootConvergenceError, DegenerateSpectrumError) as exc:
+        refusal = exc  # raised again by each row that needs what is missing
     gf = build_genfunc(spec, seeds)
     trap = _expand(gf, spec, seeds, rows)
     conv = None  # the ratio report, once ratio_convergence has made one
 
     def roots():
         if rootset is None:
-            raise _Skip(root_note)
+            raise refusal
         return rootset
 
     def solved_weights():
         if weights is None:
-            raise _Skip(weight_note)
+            raise refusal
         return weights
 
     def inverse():
-        try:
-            check = golden_inverse_check(spec, roots())
-        except ValueError as exc:
-            raise _Skip("reciprocal identity skipped: %s" % exc) from None
+        check = golden_inverse_check(spec, roots())
         # a root at exactly 0 has an unbounded error, which JSON cannot hold
         residual = None if check.max_error == math.inf else check.max_error
         return check.matches, residual, check.note
@@ -140,10 +130,7 @@ def verify_all(
 
     def closed_binet(span):
         span = min(k_max, span)
-        try:
-            at, closed_roots = _closed_form(spec, seeds, precision)
-        except (DegenerateSpectrumError, UnitRootError) as exc:
-            raise _Skip(str(exc)) from None
+        at, closed_roots = _closed_form(spec, seeds, precision)
         check = _scan(at, closed_roots, terms[: span + 1], precision)
         return _checked(_cubic_note(check, span)) if spec.degree == 3 else _scanned(check)
 
@@ -153,7 +140,7 @@ def verify_all(
 
     def trapezoid_closed():
         if spec.degree not in (2, 3):
-            raise _Skip("per-entry closed forms exist only for degrees 2 and 3")
+            raise PremiseError("per-entry closed forms exist only for degrees 2 and 3")
         return _checked(check_closed_form(trap))
 
     def row_recurrence():
@@ -178,19 +165,16 @@ def verify_all(
 
     def ratios():
         nonlocal conv
-        try:
-            _check_nonzero(seeds)
-        except ValueError as exc:
-            raise _Skip(str(exc)) from None
+        _check_nonzero(seeds)
         conv = _ratio_report(terms, conv_k, roots(), lambda: weights)
-        # without the hypothesis non-convergence is expected: skipped
-        verdict = conv.converged if conv.hypothesis_met else None
-        return verdict, conv.abs_error, conv.reason or "ratios reach the dominant root"
+        if not conv.hypothesis_met:  # then non-convergence is expected
+            raise PremiseError(conv.reason, conv.abs_error)
+        return conv.converged, conv.abs_error, conv.reason or "ratios reach the dominant root"
 
     def recovery():
         if conv is None or not conv.converged:
             roots()  # missing roots are the reason, when they are missing
-            raise _Skip("needs a converged ratio limit and a solved root set")
+            raise PremiseError("needs a converged ratio limit and a solved root set")
         gamma, _, alpha = spec.coeffs
         pair = recover_cubic_conjugates(alpha, gamma, conv.final_estimate, precision)
         others = [z for j, z in enumerate(rootset.roots) if j != rootset.dominant_index]
@@ -229,8 +213,10 @@ def verify_all(
             continue
         try:
             verdict, residual, detail = row()
-        except _Skip as skip:
-            verdict, residual, detail = None, None, str(skip)
+        except RootConvergenceError as exc:
+            verdict, residual, detail = None, None, "roots unavailable: %s" % exc
+        except PremiseError as exc:
+            verdict, residual, detail = None, exc.residual, str(exc)
         checks.append(VerificationCheck(name, _STATUS[verdict], residual, detail, dict(echo)))
     return checks
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import goldenseq as gs
 from goldenseq.analysis import _ratio_report
+from goldenseq.errors import PremiseError
 
 GOLDEN = 1.618033988749895
 
@@ -119,6 +120,24 @@ def test_inverse_identity_refuses_a_zero_constant_coefficient():
     assert gs.golden_identity_check(spec, rootset).matches
     with pytest.raises(ValueError, match="divides by zero"):
         gs.golden_inverse_check(spec, rootset)
+
+
+def test_absent_premises_raise_premise_errors():
+    # an identically zero sequence and a_0 = 0 are absent premises, which
+    # verify reports as skipped rows; every PremiseError is a ValueError
+    with pytest.raises(PremiseError, match="all seeds are zero"):
+        _conv([1, 1, 1], [0, 0, 0])
+    spec = gs.make_spec([0, 1])
+    with pytest.raises(PremiseError, match="divides by zero"):
+        gs.golden_inverse_check(spec, gs.solve_roots(spec))
+    assert issubclass(PremiseError, ValueError)
+    for error in (gs.DegenerateSpectrumError, gs.UnitRootError):
+        assert issubclass(error, PremiseError)
+        assert issubclass(error, ValueError)
+    # a degree other than 2 is a misuse, not an absent premise
+    with pytest.raises(ValueError, match="degree 2") as misuse:
+        gs.golden_inverse_check(gs.make_spec([1, 1, 1]), gs.solve_roots(gs.make_spec([1, 1, 1])))
+    assert not isinstance(misuse.value, PremiseError)
 
 
 def test_inverse_identity_is_quadratic_only():

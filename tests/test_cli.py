@@ -376,7 +376,6 @@ def test_presets_file_flows_through(capsys, tmp_path):
         ("roots", "--coeffs=%d,1" % 10**400, "--seeds", "0,1"),
         ("binet", "--coeffs=%d,1" % 10**400, "--seeds", "0,1"),
         ("verify", "--coeffs=%d,1" % 10**400, "--seeds", "0,1"),
-        ("verify", "--coeffs=%d,1" % 10**700, "--seeds", "0,1", "--precision", "extended"),
         ("converge", "--coeffs=%d,1" % 10**700, "--seeds", "0,1", "--precision", "extended"),
     ],
 )
@@ -386,6 +385,32 @@ def test_domain_errors_exit_2(capsys, argv):
     assert out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+def test_extended_radical_roots_past_the_gate_exit_2(capsys):
+    # x^2 = x + 10^400: |p| at the roots, about 10^200, is past the float range
+    code, out, err = run(capsys, "roots", "--coeffs=%d,1" % 10**400, "--precision", "extended")
+    assert (code, out, err) == (2, "", "error: root residuals exceed tolerance inf\n")
+
+
+def test_verify_skips_the_rows_of_refused_radical_roots(capsys):
+    # x^2 = x + 10^700: the shared roots and the closed form's own roots are
+    # refused by the residual gate, so their rows are skipped, exit 0
+    argv = ("verify", "--coeffs=%d,1" % 10**700, "--seeds", "0,1", "--precision", "extended")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    rows = {line.split()[1]: line for line in out.splitlines()}
+    for name in (
+        "symmetric_relations",
+        "golden_identity_defining",
+        "golden_identity_inverse",
+        "binet_constant_weight",
+        "recurrence_binet_roundtrip",
+        "binet_quadratic_closed_matches",
+        "ratio_convergence",
+    ):
+        assert rows.pop(name) == "skipped %s  roots unavailable: root residuals exceed tolerance inf" % name
+    assert all(line.startswith("pass ") for line in rows.values())
 
 
 @pytest.mark.parametrize("precision", ("standard", "extended"))

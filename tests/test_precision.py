@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import goldenseq as gs
 from goldenseq.cli import main
-from goldenseq.numerics import arithmetic, horner
+from goldenseq.numerics import arithmetic, horner, to_complex
 from goldenseq.roots import _repulsion
 
 BUILTINS = ("fibonacci", "lucas", "pell", "tribonacci")
@@ -243,6 +243,22 @@ def test_extended_horner_rounds_the_exact_value_once(coeffs, z):
     value = horner(EXT, coeffs)(z)
     x, y = _exact_value(coeffs, z)
     assert _exact(value) == (_round(x), _round(y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    numerator=st.integers(-(2**400), 2**400),
+    denominator=st.integers(1, 2**200),
+)
+@example(
+    numerator=171730181914936359992969710483002515601488843196700462376220626813978115805195029622042817267872563784,
+    denominator=210730405514705869,
+)
+def test_extended_fraction_is_rounded_once(numerator, denominator):
+    # a numerator wider than 136 bits must not be rounded on its own before
+    # the division: the value is the nearest 136-bit number to the Fraction
+    value = Fraction(numerator, denominator)
+    assert _exact(to_complex(EXT, value)) == (_round(value), 0)
 
 
 def test_extended_horner_refuses_points_that_are_not_finite():

@@ -328,6 +328,17 @@ def test_refusal_of_a_finite_iterate_blames_only_the_tolerance(monkeypatch, prec
     assert str(info.value) == "root residuals exceed tolerance inf"
 
 
+@pytest.mark.parametrize("solve, coeffs", [(gs.quadratic_roots, (1, 10**400)), (gs.cubic_roots, (0, 0, 10**600))])
+def test_radical_roots_past_the_gate_are_refused(solve, coeffs):
+    # x^2 = x + 10^400 and x^3 = 10^600: |p| at the extended radical roots
+    # is past the float range, inf, which fails even an infinite gate
+    with pytest.raises(gs.RootConvergenceError) as info:
+        solve(*coeffs, precision="extended")
+    assert str(info.value) == "root residuals exceed tolerance inf"
+    assert info.value.residuals == (math.inf,) * len(coeffs)
+    assert info.value.iterations == 0
+
+
 @pytest.mark.parametrize("precision, sweeps", [(gs.STANDARD, 5), (gs.EXTENDED, 1)])
 def test_residual_gate_refusal_reports_the_sweeps_taken(monkeypatch, precision, sweeps):
     # with a zero gate the converged roots of x^4 = x^3 + x^2 + x + 1 are

@@ -108,6 +108,31 @@ def test_tied_dominance_marks_convergence_skipped():
     assert not has_failures(checks)
 
 
+def test_tied_convergence_row_keeps_its_residual():
+    # x^2 = -1: the ratios alternate +-1 against the dominant root +-i, so
+    # the skipped row still reports how far off they are, |1 - i|
+    row = by_name(verify_all(make_spec((-1, 0)), make_seeds((1, 1))))["ratio_convergence"]
+    assert row.status == "skipped"
+    assert "%.3e" % row.residual == "1.414e+00"
+
+
+def test_zero_constant_coefficient_skips_the_inverse_identity_with_its_reason():
+    row = by_name(verify_all(make_spec((0, 1)), make_seeds((1, 1))))["golden_identity_inverse"]
+    assert (row.status, row.residual) == ("skipped", None)
+    assert row.detail == "constant coefficient is 0, so 1/r = (r - a_1)/a_0 divides by zero"
+
+
+def test_a_plain_value_error_inside_a_row_propagates(monkeypatch):
+    # only a PremiseError (or unsolved roots) means an absent premise; any
+    # other ValueError from a row is a defect and must not read "skipped"
+    def broken(spec, rootset):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(verify_module, "golden_inverse_check", broken)
+    with pytest.raises(ValueError, match="boom"):
+        verify_all(make_spec((1, 1)), make_seeds((0, 1)))
+
+
 def test_inputs_are_echoed_on_every_check():
     checks = verify_all(make_spec((1, 2)), make_seeds((0, 1)), k_max=12, rows=4)
     for c in checks:
