@@ -11,7 +11,7 @@ failed when it fails, instead of just returning False.
 import math
 
 from .binet import solve_weights
-from .errors import DegenerateSpectrumError, PremiseError
+from .errors import PremiseError
 from .numerics import STANDARD, arithmetic, to_complex
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _to_fraction, generate
 from .reports import FormulaCheck, Record, compare
@@ -57,7 +57,7 @@ def ratio_convergence(
     def weights():
         try:
             return solve_weights(spec, seeds, rootset)
-        except DegenerateSpectrumError:
+        except PremiseError:
             return None
 
     return _ratio_report(terms, k_max, rootset, weights)

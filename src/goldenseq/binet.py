@@ -50,8 +50,8 @@ error is rounded.  `_scan` alone compares a floating value with a term.
 
 import math
 
-from .errors import DegenerateSpectrumError, SeedMismatchError, UnitRootError
-from .numerics import EXTENDED, STANDARD, arithmetic, coefficient, gaussian, horner, to_complex
+from .errors import DegenerateSpectrumError, PremiseError, SeedMismatchError, UnitRootError
+from .numerics import EXTENDED, FLOAT_RANGE, STANDARD, arithmetic, coefficient, gaussian, horner, to_complex
 from .recurrence import (
     RecurrenceSpec,
     SeedVector,
@@ -226,7 +226,8 @@ def binet_eval(weights: BinetWeights, rootset: RootSet, k: int):
     a term).
 
     The weights and roots are numbers of their precision's context, so
-    the sum runs in that precision."""
+    the sum runs in that precision; a standard root power r^k past the
+    float range is refused with PremiseError."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if rootset.degree != weights.degree:
@@ -234,7 +235,10 @@ def binet_eval(weights: BinetWeights, rootset: RootSet, k: int):
             "weights were solved for degree %d, root set has degree %d"
             % (weights.degree, rootset.degree)
         )
-    return _weighted_sum(weights, [z**k for z in rootset.roots])
+    try:
+        return _weighted_sum(weights, [z**k for z in rootset.roots])
+    except OverflowError:  # from complex ** int; an extended power has no range to leave
+        raise PremiseError(FLOAT_RANGE) from None
 
 
 def nearest_integer(value) -> int:

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 verification found failures, 2 usage or domain
 errors (bad rationals, mismatched seeds, unknown presets, parse errors,
-numeric breakdowns, values outside the float range).
+numeric breakdowns, values outside the float range).  A usage error is
+a ValueError, as the library's domain errors are, and main prints every
+one as "error: ..." on stderr.
 
 Output formats: text (human-readable), csv, json.  Exact integers and
 rationals are emitted as strings in JSON so arbitrarily large terms
@@ -33,10 +35,6 @@ from .recurrence import _check_seeds, generate, make_seeds, make_spec, term_at
 from .reports import PRECISIONS, STANDARD
 
 _MP_DIGITS = 30  # shown for extended-precision values
-
-
-class CLIError(Exception):
-    """Usage-level problem; prints to stderr and exits 2."""
 
 
 class Output(NamedTuple):
@@ -92,7 +90,7 @@ def _render(out: Output, fmt: str) -> None:
 
 def _at_least(value, low, flag):
     if value < low:
-        raise CLIError("%s must be >= %d" % (flag, low))
+        raise ValueError("%s must be >= %d" % (flag, low))
     return value
 
 
@@ -100,7 +98,7 @@ def _parse_list(text, what):
     try:
         return parse_rational_list(text)
     except ValueError as exc:
-        raise CLIError("bad %s: %s" % (what, exc)) from None
+        raise ValueError("bad %s: %s" % (what, exc)) from None
 
 
 def _resolve(args, need_seeds=True):
@@ -108,21 +106,21 @@ def _resolve(args, need_seeds=True):
     catalog = load_presets(args.presets_file)
     if args.preset is not None:
         if args.coeffs is not None or args.seeds is not None:
-            raise CLIError("--preset cannot be combined with --coeffs/--seeds")
+            raise ValueError("--preset cannot be combined with --coeffs/--seeds")
         if args.preset not in catalog:
             known = ", ".join(sorted(catalog))
-            raise CLIError("unknown preset %r (known: %s)" % (args.preset, known))
+            raise ValueError("unknown preset %r (known: %s)" % (args.preset, known))
         preset = catalog[args.preset]
         return make_spec(preset.coeffs), make_seeds(preset.seeds)
     if args.coeffs is None:
-        raise CLIError("give --coeffs (plus --seeds) or --preset")
+        raise ValueError("give --coeffs (plus --seeds) or --preset")
     spec = make_spec(_parse_list(args.coeffs, "--coeffs"))
     seeds = None
     if args.seeds is not None:
         seeds = make_seeds(_parse_list(args.seeds, "--seeds"))
         _check_seeds(spec, seeds)
     elif need_seeds:
-        raise CLIError("--seeds is required alongside --coeffs here")
+        raise ValueError("--seeds is required alongside --coeffs here")
     return spec, seeds
 
 
@@ -234,7 +232,7 @@ def cmd_trapezoid(args) -> Output:
     spec, seeds = _resolve(args)
     count = _at_least(args.rows, 1, "--rows")
     if args.method == "closed" and spec.degree not in (2, 3):
-        raise CLIError(
+        raise ValueError(
             "closed-form entries exist only for degrees 2 and 3; use --method expansion"
         )
     from .trapezoid import build_closed_form, build_expansion
@@ -436,7 +434,7 @@ def main(argv=None) -> int:
     try:
         out = args.handler(args)
         _render(out, args.format)
-    except (CLIError, ValueError, OverflowError, RootConvergenceError) as exc:
+    except (ValueError, OverflowError, RootConvergenceError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     finally:

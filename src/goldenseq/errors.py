@@ -12,8 +12,9 @@ class SeedMismatchError(ValueError):
 
 class PremiseError(ValueError):
     """A well-formed input lacks the premise of the quantity asked for
-    (repeated roots, a root at 1, an identically zero sequence); residual
-    is what the raiser measured before refusing, or None."""
+    (repeated roots, a root at 1, an identically zero sequence, a value
+    past standard precision's float range); residual is what the raiser
+    measured before refusing, or None."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message)

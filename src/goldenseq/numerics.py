@@ -54,9 +54,11 @@ from fractions import Fraction
 from functools import cache, partial
 from typing import NamedTuple
 
+from .errors import PremiseError
 from .reports import EXTENDED, PRECISIONS, STANDARD
 
 EXTENDED_DPS = 40
+FLOAT_RANGE = "value outside the float range of standard precision"
 
 
 class Arithmetic(NamedTuple):
@@ -221,10 +223,14 @@ def _exact_horner(ctx, coeffs):
 def to_complex(ctx, value):
     """An int, Fraction, float or number of ctx as a complex number of ctx.
 
-    complex() takes a Fraction through float(), which rounds it once.  An
+    complex() takes a Fraction through float(), which rounds it once, and
+    a value past the float range is refused there with PremiseError.  An
     mp context's mpf() refuses Fraction, so there `rounder` rounds the
     exact numerator / denominator once, however wide the numerator.
     """
     if isinstance(value, Fraction) and ctx is not _Float:
         return rounder(ctx, value.denominator)(value.numerator, 0, 0)
-    return ctx.mpc(value)
+    try:
+        return ctx.mpc(value)
+    except OverflowError:  # only complex() has a range to leave
+        raise PremiseError(FLOAT_RANGE) from None

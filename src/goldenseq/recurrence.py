@@ -83,10 +83,7 @@ class SeedVector(Record):
 
 def make_spec(coeffs) -> RecurrenceSpec:
     """Build a spec from a list of rationals (ints, Fractions, or 'p/q')."""
-    values = tuple(_to_fraction(c, InvalidSpecError) for c in coeffs)
-    if not values:
-        raise InvalidSpecError("a spec needs at least one coefficient")
-    return RecurrenceSpec(values)
+    return RecurrenceSpec(tuple(_to_fraction(c, InvalidSpecError) for c in coeffs))
 
 
 def make_seeds(values) -> SeedVector:

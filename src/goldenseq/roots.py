@@ -35,7 +35,7 @@ with numerics.split and the sum written with numerics.rounder.
 import cmath
 import math
 
-from .errors import RootConvergenceError
+from .errors import PremiseError, RootConvergenceError
 from .numerics import STANDARD, arithmetic, coefficient, gaussian, horner, rounder, split, to_complex
 from .recurrence import RecurrenceSpec, _to_fraction, make_spec
 from .reports import FormulaCheck, Record, compare
@@ -243,13 +243,14 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     iterated. Standard precision starts from a perturbed circle at the
     Cauchy radius. Extended precision starts from the standard-precision
     roots of q (the best iterate when that solve gives up), each turned
-    by 1e-15 rad, and falls back to the circle when one of them is not
-    finite. After every sweep each root is tested: it has settled when
-    its inclusion radius n|q|/|q'| (Bini & Fiorentino, Numer. Algorithms
-    23, 2000) is within RADIUS_TOL * eps * (1 + |root|), or |q(root)| is
-    at the evaluation noise floor (where clustered and multiple roots
-    stall). The first sweep that leaves every root settled ends the
-    iteration.
+    by 1e-15 rad, and falls back to the circle, with its radius computed
+    in the context, when one of them is not finite or when standard
+    precision refuses a coefficient past the float range. After every
+    sweep each root is tested: it has settled when its inclusion radius
+    n|q|/|q'| (Bini & Fiorentino, Numer. Algorithms 23, 2000) is within
+    RADIUS_TOL * eps * (1 + |root|), or |q(root)| is at the evaluation
+    noise floor (where clustered and multiple roots stall). The first
+    sweep that leaves every root settled ends the iteration.
     Raises RootConvergenceError, carrying the best iterate, its residuals
     and the sweeps run, if no sweep settles within MAX_ITER, or if a
     residual of the result exceeds tol_root or is not finite (`_rootset`).
@@ -300,7 +301,10 @@ def _iterate(coeffs, precision: str):
     moduli = horner(ctx, [abs(c) for c in coeffs_q])
     z = None
     if precision != STANDARD:
-        seed = _iterate(coeffs, STANDARD)[0]
+        try:
+            seed = _iterate(coeffs, STANDARD)[0]
+        except PremiseError:  # a coefficient past the float range: start from the circle
+            seed = [math.nan]
         if all(cmath.isfinite(w) for w in seed):
             # the turn moves real roots off the real axis and breaks
             # conjugate pairs, as the circle's offset does below; at
@@ -309,7 +313,7 @@ def _iterate(coeffs, precision: str):
             turn = ctx.expj(1e-15)
             z = [to_complex(ctx, w) * turn for w in seed]
     if z is None:
-        radius = 1 + max(float(abs(a)) for a in coeffs)
+        radius = 1 + max(abs(to_complex(ctx, a)) for a in coeffs)
         # angular offset keeps starting points off the real axis and off
         # any symmetry axis of the root constellation
         z = [radius * ctx.expj(2 * ctx.pi * (j + 0.5) / d + 0.4) for j in range(d)]

@@ -30,6 +30,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
+from .errors import PremiseError
 from .genfunc import build_genfunc
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, _scale, make_seeds, make_spec
 from .reports import FormulaCheck, Record, compare
@@ -150,10 +151,7 @@ def _closed_form(spec: RecurrenceSpec, seeds: SeedVector):
             return Fraction(lo * d + hi, s * d_pow[i + 1])
 
         return entry
-    raise ValueError(
-        "closed-form trapezoid entries exist only for degrees 2 and 3 "
-        "(got degree %d); use build_expansion" % spec.degree
-    )
+    raise PremiseError("per-entry closed forms exist only for degrees 2 and 3")
 
 
 def _one_entry(i: int, j: int, coeffs, seeds) -> Fraction:
@@ -181,7 +179,8 @@ def coeff_cubic(i: int, j: int, alpha, beta, gamma, seeds) -> Fraction:
 
 
 def build_closed_form(spec: RecurrenceSpec, seeds: SeedVector, num_rows: int) -> Trapezoid:
-    """Build rows from the per-entry closed forms (degrees 2 and 3 only)."""
+    """Build rows from the per-entry closed forms; PremiseError at a
+    degree other than 2 or 3, which has none (build_expansion does)."""
     if num_rows < 1:
         raise ValueError("num_rows must be >= 1")
     entry = _closed_form(spec, seeds)

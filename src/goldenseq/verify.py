@@ -17,14 +17,17 @@ The rows are one ordered table of (name, degree, row): a row applies to
 every degree or to the one given, and returns (verdict, residual,
 detail), which one loop turns into VerificationChecks.  A check that
 does not apply to the given input — repeated roots, degenerate specs,
-degrees without closed forms, roots that cannot be solved — is refused
-where that is decided, with a PremiseError (or the roots' own
-RootConvergenceError), and the loop's one try reports its row as
-"skipped" with the refusal's message, never a fake pass.
+degrees without closed forms, values past the float range, roots that
+cannot be solved — is refused by the module that decides it, with a
+PremiseError (or the roots' own RootConvergenceError), and the loop's
+one try, which reads only those two base types, reports its row as
+"skipped" with the refusal's message, never a fake pass.  Both ratio
+rows read one ratio report, made by whichever runs first.
 """
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from .analysis import (
     _check_nonzero,
@@ -34,7 +37,7 @@ from .analysis import (
     recover_cubic_conjugates,
 )
 from .binet import _closed_form, _cubic_note, _roundtrip, _scan, solve_weights
-from .errors import DegenerateSpectrumError, PremiseError, RootConvergenceError
+from .errors import PremiseError, RootConvergenceError
 from .genfunc import build_genfunc, series_coefficients
 from .numerics import STANDARD, arithmetic
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _scale, generate
@@ -76,11 +79,11 @@ def verify_all(
 
     Statuses: "pass", "fail", "skipped" (with the reason in detail).
     The shared inputs are one `solve_roots`, one `solve_weights`, one
-    `generate` of max(k_max, 60) + 2 terms (at least `rows`) and one
+    `generate` of max(k_max, 60) + 2 terms (at least `rows`), one
     `build_genfunc`, whose series is checked and whose expansion of `rows`
-    rows is the trapezoid.  When the roots cannot be solved,
-    every row that needs them is skipped with "roots unavailable: ...".
-    A ValueError other than a PremiseError is a bug, and propagates.
+    rows is the trapezoid, and one ratio report.  A row that needs a
+    refused input is skipped with the refusal; a ValueError other than a
+    PremiseError is a bug, and propagates.
     """
     _check_seeds(spec, seeds)
     arithmetic(precision)  # rejects an unknown precision up front
@@ -95,11 +98,10 @@ def verify_all(
     try:
         rootset = solve_roots(spec, precision)
         weights = solve_weights(spec, seeds, rootset)
-    except (RootConvergenceError, DegenerateSpectrumError) as exc:
+    except (RootConvergenceError, PremiseError) as exc:
         refusal = exc  # raised again by each row that needs what is missing
     gf = build_genfunc(spec, seeds)
     trap = _expand(gf, spec, seeds, rows)
-    conv = None  # the ratio report, once ratio_convergence has made one
 
     def roots():
         if rootset is None:
@@ -138,11 +140,6 @@ def verify_all(
         check = compare(enumerate(series_coefficients(gf, k_max + 1)), terms)
         return _scanned(check, "series of %s vs. the recurrence (exact)" % gf.display())
 
-    def trapezoid_closed():
-        if spec.degree not in (2, 3):
-            raise PremiseError("per-entry closed forms exist only for degrees 2 and 3")
-        return _checked(check_closed_form(trap))
-
     def row_recurrence():
         violations = check_row_recurrence(trap)
         if violations:
@@ -163,17 +160,20 @@ def verify_all(
         note = "diagonal sums reproduce the sequence (exact)"
         return _scanned(check, note, "diagonal", residual=False)
 
-    def ratios():
-        nonlocal conv
+    @cache
+    def report():  # the ratio report both ratio rows read
         _check_nonzero(seeds)
-        conv = _ratio_report(terms, conv_k, roots(), lambda: weights)
+        return _ratio_report(terms, conv_k, roots(), lambda: weights)
+
+    def ratios():
+        conv = report()
         if not conv.hypothesis_met:  # then non-convergence is expected
             raise PremiseError(conv.reason, conv.abs_error)
         return conv.converged, conv.abs_error, conv.reason or "ratios reach the dominant root"
 
     def recovery():
-        if conv is None or not conv.converged:
-            roots()  # missing roots are the reason, when they are missing
+        conv = report()
+        if not conv.converged:
             raise PremiseError("needs a converged ratio limit and a solved root set")
         gamma, _, alpha = spec.coeffs
         pair = recover_cubic_conjugates(alpha, gamma, conv.final_estimate, precision)
@@ -193,7 +193,7 @@ def verify_all(
         ("binet_quadratic_closed_matches", 2, lambda: closed_binet(30)),
         ("binet_cubic_closed_matches", 3, lambda: closed_binet(20)),
         ("genfunc_series_roundtrip", None, series),
-        ("trapezoid_closed_form", None, trapezoid_closed),
+        ("trapezoid_closed_form", None, lambda: _checked(check_closed_form(trap))),
         ("trapezoid_row_recurrence", None, row_recurrence),
         ("trapezoid_row_sums", None, row_sums),
         ("trapezoid_diagonal_sums", None, diagonals),

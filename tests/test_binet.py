@@ -22,6 +22,7 @@ from goldenseq.numerics import arithmetic, to_complex
 from goldenseq.reports import compare
 from goldenseq.errors import (
     DegenerateSpectrumError,
+    PremiseError,
     SeedMismatchError,
     UnitRootError,
 )
@@ -97,6 +98,21 @@ def test_binet_eval_rejects_negative_k():
     w = gs.solve_weights(spec, seeds, rs)
     with pytest.raises(ValueError):
         gs.binet_eval(w, rs, -1)
+
+
+@pytest.mark.parametrize("precision", gs.PRECISIONS)
+def test_root_power_past_the_float_range_is_refused_in_standard(precision):
+    # phi^1500 is about 1e313: complex ** int overflows, and standard
+    # precision refuses it; the extended context has no such range
+    spec, seeds, rs = _setup([1, 1], [0, 1], precision)
+    w = gs.solve_weights(spec, seeds, rs)
+    if precision == gs.EXTENDED:
+        exact = to_complex(arithmetic(precision).ctx, gs.term_at(spec, seeds, 1500))
+        assert abs(gs.binet_eval(w, rs, 1500) - exact) <= 1e-35 * abs(exact)
+        return
+    with pytest.raises(PremiseError) as info:
+        gs.binet_eval(w, rs, 1500)
+    assert str(info.value) == "value outside the float range of standard precision"
 
 
 def test_nearest_integer_guards_imaginary_part():

@@ -375,7 +375,6 @@ def test_presets_file_flows_through(capsys, tmp_path):
         # not verify's "a check failed"
         ("roots", "--coeffs=%d,1" % 10**400, "--seeds", "0,1"),
         ("binet", "--coeffs=%d,1" % 10**400, "--seeds", "0,1"),
-        ("verify", "--coeffs=%d,1" % 10**400, "--seeds", "0,1"),
         ("converge", "--coeffs=%d,1" % 10**700, "--seeds", "0,1", "--precision", "extended"),
     ],
 )
@@ -411,6 +410,32 @@ def test_verify_skips_the_rows_of_refused_radical_roots(capsys):
     ):
         assert rows.pop(name) == "skipped %s  roots unavailable: root residuals exceed tolerance inf" % name
     assert all(line.startswith("pass ") for line in rows.values())
+
+
+def test_verify_skips_the_rows_past_the_float_range(capsys):
+    # x^2 = x + 10^400 in standard: complex() refuses 10^400 where the shared
+    # roots and the closed form's own roots form it, so their rows are
+    # skipped with that refusal, exit 0
+    code, out, err = run(capsys, "verify", "--coeffs=%d,1" % 10**400, "--seeds", "0,1")
+    assert (code, err) == (0, "")
+    rows = {line.split()[1]: line for line in out.splitlines()}
+    for name in (
+        "symmetric_relations",
+        "golden_identity_defining",
+        "golden_identity_inverse",
+        "binet_constant_weight",
+        "recurrence_binet_roundtrip",
+        "binet_quadratic_closed_matches",
+        "ratio_convergence",
+    ):
+        assert rows.pop(name) == "skipped %s  value outside the float range of standard precision" % name
+    assert all(line.startswith("pass ") for line in rows.values())
+
+
+def test_standard_cubic_discriminant_past_the_float_range_exits_2(capsys):
+    # x^3 = 10^120 x + 1: the exact discriminant, about -1.1e362, has no float
+    code, out, err = run(capsys, "roots", "--coeffs=1,%d,0" % 10**120)
+    assert (code, out, err) == (2, "", "error: value outside the float range of standard precision\n")
 
 
 @pytest.mark.parametrize("precision", ("standard", "extended"))

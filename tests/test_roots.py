@@ -10,6 +10,7 @@ import pytest
 
 import goldenseq as gs
 import goldenseq.roots as roots_module
+from goldenseq.errors import PremiseError
 from goldenseq.roots import SLASH_FIRST, BACKSLASH_FIRST, tol_root
 
 GOLDEN = 1.618033988749895
@@ -314,6 +315,22 @@ def test_refusal_names_an_iterate_that_overflowed():
         "root residuals exceed tolerance 1.000e-10; an iterate is not finite (the iteration overflowed)"
     )
     assert info.value.iterations == 1
+
+
+def test_standard_cubic_discriminant_past_the_float_range_is_a_premise_error():
+    # x^3 = 10^120 x + 1: the exact discriminant A^2 - 4B^3 is about -1.1e362
+    with pytest.raises(PremiseError) as info:
+        gs.solve_roots(gs.make_spec([1, 10**120, 0]))
+    assert str(info.value) == "value outside the float range of standard precision"
+
+
+def test_extended_solve_without_a_standard_seed_is_refused():
+    # x^4 = 10^400 x^3 + x^2 + x + 1: standard precision refuses 10^400, so
+    # the extended iteration starts from its own circle of radius 1 + 10^400,
+    # and no sweep settles within MAX_ITER
+    with pytest.raises(gs.RootConvergenceError) as info:
+        gs.solve_roots(gs.make_spec([1, 1, 1, 10**400]), gs.EXTENDED)
+    assert str(info.value) == "root iteration did not converge within 200 sweeps"
 
 
 @pytest.mark.parametrize("precision", gs.PRECISIONS)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import goldenseq as gs
 from goldenseq import trapezoid as trap_mod
+from goldenseq.errors import PremiseError
 
 FIB = gs.make_spec([1, 1])
 FIB_SEEDS = gs.make_seeds([0, 1])
@@ -158,6 +159,14 @@ def test_closed_form_builder_rejects_other_degrees():
         gs.build_closed_form(spec, gs.make_seeds([0, 1, 1, 2]), 4)
     with pytest.raises(ValueError, match="degrees 2 and 3"):
         gs.build_closed_form(gs.make_spec([2]), gs.make_seeds([1]), 4)
+
+
+@pytest.mark.parametrize("coeffs, seeds", [((1, 1, 1, 1), (0, 1, 1, 2)), ((2,), (1,))])
+def test_closed_form_builder_refuses_other_degrees_with_a_premise_error(coeffs, seeds):
+    # the refusal is decided here, so verify reads it as a skipped row
+    with pytest.raises(PremiseError) as info:
+        gs.build_closed_form(gs.make_spec(coeffs), gs.make_seeds(seeds), 4)
+    assert str(info.value) == "per-entry closed forms exist only for degrees 2 and 3"
 
 
 def test_method_labels():

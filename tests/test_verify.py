@@ -8,6 +8,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import goldenseq.analysis as analysis_module
 import goldenseq.binet as binet_module
@@ -18,14 +20,17 @@ from goldenseq import (
     PRECISIONS,
     DegenerateSpectrumError,
     RootConvergenceError,
+    binet_eval,
     has_failures,
     make_seeds,
     make_spec,
+    ratio_convergence,
     solve_roots,
     solve_weights,
     verify_all,
 )
 from goldenseq.cli import main
+from goldenseq.errors import PremiseError
 
 ROOT_ROWS = {
     "symmetric_relations",
@@ -340,6 +345,7 @@ COUNTED = [
     (trapezoid_module, "_expand"),
     (verify_module, "generate"),
     (analysis_module, "generate"),
+    (verify_module, "_ratio_report"),
 ]
 
 
@@ -364,7 +370,8 @@ def test_shared_inputs_are_computed_once(monkeypatch, coeffs, seeds):
     assert calls.pop("solve_roots") == 1
     assert calls.pop("binet.generate", 0) <= calls.pop("solve_weights", 0) <= 1
     # one generating function: the series round trip and the expansion share it
-    assert calls == {"build_genfunc": 1, "_expand": 1, "generate": 1}
+    # and one ratio report, which both ratio rows read
+    assert calls == {"build_genfunc": 1, "_expand": 1, "generate": 1, "_ratio_report": 1}
 
 
 @pytest.mark.parametrize("precision", PRECISIONS)
@@ -493,3 +500,48 @@ def test_extended_quadratic_closed_form_on_terms_past_the_float_range():
     checks = verify_all(make_spec([1, 10**20]), make_seeds([0, 1]), precision="extended")
     closed = by_name(checks)["binet_quadratic_closed_matches"]
     assert closed.status == "pass" and closed.residual < 1e-39
+
+
+# a small rational, +-10^a / 10^b or +-m * 2^e: magnitudes from 2^-200 to 9 * 2^200
+_WIDE_ENTRY = st.one_of(
+    st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3))),
+    st.builds(
+        lambda sign, a, b: sign * Fraction(10**a, 10**b),
+        st.sampled_from((1, -1)), st.integers(0, 60), st.integers(0, 60),
+    ),
+    st.builds(
+        lambda m, e: m * Fraction(2) ** e,
+        st.integers(1, 9) | st.integers(-9, -1), st.integers(-200, 200),
+    ),
+)
+
+
+@st.composite
+def _wide_specs(draw):
+    n = draw(st.integers(1, 6))
+    entries = st.lists(_WIDE_ENTRY, min_size=n, max_size=n)
+    return make_spec(draw(entries)), make_seeds(draw(entries))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inputs=_wide_specs())
+def test_wide_range_specs_raise_only_documented_errors(inputs):
+    # verify_all, the Binet chain and ratio_convergence on entries far
+    # from 1 either refuse with PremiseError or RootConvergenceError, or
+    # answer; an OverflowError or any other exception is a defect
+    spec, seeds = inputs
+
+    def binet_chain(precision):
+        rootset = solve_roots(spec, precision)
+        return binet_eval(solve_weights(spec, seeds, rootset), rootset, 50)
+
+    for precision in PRECISIONS:
+        for entry in (
+            lambda: verify_all(spec, seeds, precision=precision),
+            lambda: binet_chain(precision),
+            lambda: ratio_convergence(spec, seeds, 60, precision),
+        ):
+            try:
+                entry()
+            except (PremiseError, RootConvergenceError):
+                pass
