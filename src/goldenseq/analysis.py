@@ -11,7 +11,7 @@ failed when it fails, instead of just returning False.
 import math
 
 from .binet import solve_weights
-from .errors import PremiseError
+from .errors import DegenerateSpectrumError, PremiseError
 from .numerics import STANDARD, arithmetic, to_complex
 from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _to_fraction, generate
 from .reports import FormulaCheck, Record, compare
@@ -44,7 +44,8 @@ def ratio_convergence(
 
     Ratios are formed exactly and only converted to float at the end.
     Zero terms are skipped (their ratios are undefined); k_used is the
-    largest k whose ratio was usable.
+    largest k whose ratio was usable.  PremiseError when the seeds are all
+    zero, or when the weight test needs seeds past the float range.
     """
     _check_seeds(spec, seeds)
     arithmetic(precision)  # rejects an unknown precision up front
@@ -53,14 +54,7 @@ def ratio_convergence(
     _check_nonzero(seeds)
     terms = generate(spec, seeds, k_max + 2)
     rootset = solve_roots(spec, precision)
-
-    def weights():
-        try:
-            return solve_weights(spec, seeds, rootset)
-        except PremiseError:
-            return None
-
-    return _ratio_report(terms, k_max, rootset, weights)
+    return _ratio_report(terms, k_max, rootset, lambda: solve_weights(spec, seeds, rootset))
 
 
 def _check_nonzero(seeds) -> None:
@@ -71,8 +65,9 @@ def _check_nonzero(seeds) -> None:
 def _ratio_report(terms, k_max: int, rootset: RootSet, weights) -> ConvergenceReport:
     """The body of ratio_convergence, on exact terms x_0 .. x_{k_max+1}
     and a root set the caller already has.  weights() returns the seeds'
-    BinetWeights in the root set's precision, or None when they cannot
-    be solved; it is called only once the other premises hold."""
+    BinetWeights in the root set's precision, None when they are
+    unknown, or raises their refusal; it is called only once the other
+    premises hold."""
     ctx = arithmetic(rootset.precision).ctx
     # x_{k+1}/x_k = (n1 d0) / (d1 n0), one int true division: correctly
     # rounded, so the float of the Fraction quotient, without its gcd
@@ -103,7 +98,7 @@ def _ratio_report(terms, k_max: int, rootset: RootSet, weights) -> ConvergenceRe
     elif estimate is None:
         hypothesis_met = False
         reason = "no nonzero term produced a usable ratio"
-    elif _dominant_weight_vanishes(weights(), rootset):
+    elif _dominant_weight_vanishes(weights, rootset):
         hypothesis_met = False
         reason = (
             "the seeds give (numerically) zero weight to the dominant "
@@ -122,10 +117,17 @@ def _ratio_report(terms, k_max: int, rootset: RootSet, weights) -> ConvergenceRe
 
 
 def _dominant_weight_vanishes(weights, rootset) -> bool:
-    if weights is None:
+    """Whether weights() gives the dominant root (numerically) zero weight;
+    False when they are None or absent (repeated roots: DegenerateSpectrumError).
+    Any other refusal, such as the float range, propagates."""
+    try:
+        w = weights()
+    except DegenerateSpectrumError:
+        w = None
+    if w is None:
         return False
-    scale = max(1.0, max(float(abs(w)) for w in weights.weights))
-    return float(abs(weights.weights[rootset.dominant_index])) <= 1e-9 * scale
+    scale = max(1.0, max(float(abs(v)) for v in w.weights))
+    return float(abs(w.weights[rootset.dominant_index])) <= 1e-9 * scale
 
 
 def _identity_check(spec: RecurrenceSpec, rootset: RootSet, side, note: str) -> FormulaCheck:

@@ -303,15 +303,15 @@ def _iterate(coeffs, precision: str):
     if precision != STANDARD:
         try:
             seed = _iterate(coeffs, STANDARD)[0]
+            if all(cmath.isfinite(w) for w in seed):
+                # the turn moves real roots off the real axis and breaks
+                # conjugate pairs, as the circle's offset does below; at
+                # 1e-15 rad it is about the standard roots' own error, so
+                # a well-conditioned root still settles in one sweep
+                turn = ctx.expj(1e-15)
+                z = [to_complex(ctx, w) * turn for w in seed]
         except PremiseError:  # a coefficient past the float range: start from the circle
-            seed = [math.nan]
-        if all(cmath.isfinite(w) for w in seed):
-            # the turn moves real roots off the real axis and breaks
-            # conjugate pairs, as the circle's offset does below; at
-            # 1e-15 rad it is about the standard roots' own error, so a
-            # well-conditioned root still settles in one sweep
-            turn = ctx.expj(1e-15)
-            z = [to_complex(ctx, w) * turn for w in seed]
+            pass
     if z is None:
         radius = 1 + max(abs(to_complex(ctx, a)) for a in coeffs)
         # angular offset keeps starting points off the real axis and off

@@ -100,6 +100,8 @@ def _closed_form(spec: RecurrenceSpec, seeds: SeedVector):
     once; returns its evaluation (i, j) -> entry for 0 <= j < row_length.
     Its monomials have degree i (lo) or i + 1 (hi) in the coefficients."""
     _check_seeds(spec, seeds)
+    if spec.degree not in (2, 3):
+        raise PremiseError("per-entry closed forms exist only for degrees 2 and 3")
     coeffs, d = _scale(spec.coeffs)
     xs, s = _scale(seeds.values)
     bases = coeffs + [d]
@@ -127,31 +129,29 @@ def _closed_form(spec: RecurrenceSpec, seeds: SeedVector):
             return Fraction(lo * d + hi, s * d_pow[i + 1])
 
         return entry
-    if spec.degree == 3:
-        g, b, a, d_pow = powers
-        x0, x1, x2 = xs
+    g, b, a, d_pow = powers
+    x0, x1, x2 = xs
 
-        def entry(i, j):
-            grow(i)
-            lo = hi = 0
-            for k in range(j // 2 + 1):
-                b1 = _binom(j - k - 2, k) * _binom(i, j - k - 2)
-                if b1:
-                    lo += b1 * a[i - j + k + 2] * b[j - 2 - 2 * k] * g[k] * x2
-                    hi -= b1 * a[i - j + k + 3] * b[j - 2 - 2 * k] * g[k] * x1
-                b2 = _binom(j - k - 1, k) * _binom(i, j - k - 1)
-                if b2:
-                    lo += b2 * a[i - j + k + 1] * b[j - 1 - 2 * k] * g[k] * x1
-                b3 = _binom(j - k, k) * _binom(i, j - k)
-                if b3:
-                    lo += b3 * a[i - j + k] * b[j - 2 * k] * g[k] * x0
-                b4 = _binom(i - k + 1, j - 2 * k - 1) * _binom(i, i - k)
-                if b4:
-                    hi -= b4 * a[i - j + k + 2] * b[j - 1 - 2 * k] * g[k] * x0
-            return Fraction(lo * d + hi, s * d_pow[i + 1])
+    def entry(i, j):
+        grow(i)
+        lo = hi = 0
+        for k in range(j // 2 + 1):
+            b1 = _binom(j - k - 2, k) * _binom(i, j - k - 2)
+            if b1:
+                lo += b1 * a[i - j + k + 2] * b[j - 2 - 2 * k] * g[k] * x2
+                hi -= b1 * a[i - j + k + 3] * b[j - 2 - 2 * k] * g[k] * x1
+            b2 = _binom(j - k - 1, k) * _binom(i, j - k - 1)
+            if b2:
+                lo += b2 * a[i - j + k + 1] * b[j - 1 - 2 * k] * g[k] * x1
+            b3 = _binom(j - k, k) * _binom(i, j - k)
+            if b3:
+                lo += b3 * a[i - j + k] * b[j - 2 * k] * g[k] * x0
+            b4 = _binom(i - k + 1, j - 2 * k - 1) * _binom(i, i - k)
+            if b4:
+                hi -= b4 * a[i - j + k + 2] * b[j - 1 - 2 * k] * g[k] * x0
+        return Fraction(lo * d + hi, s * d_pow[i + 1])
 
-        return entry
-    raise PremiseError("per-entry closed forms exist only for degrees 2 and 3")
+    return entry
 
 
 def _one_entry(i: int, j: int, coeffs, seeds) -> Fraction:

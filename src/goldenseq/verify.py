@@ -163,7 +163,7 @@ def verify_all(
     @cache
     def report():  # the ratio report both ratio rows read
         _check_nonzero(seeds)
-        return _ratio_report(terms, conv_k, roots(), lambda: weights)
+        return _ratio_report(terms, conv_k, roots(), solved_weights)
 
     def ratios():
         conv = report()

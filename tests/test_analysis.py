@@ -62,6 +62,19 @@ def test_ratios_converge_where_the_weights_are_refused(precision):
     assert report.final_estimate == 2.0
 
 
+def test_weights_past_the_float_range_are_refused_not_taken_as_met():
+    # x^2 = 3x - 2 has roots 2 and 1, and equal seeds give a constant
+    # sequence: the dominant weight is exactly 0 and every ratio is 1.
+    # Standard precision cannot hold the seeds 10^400, so the weight test
+    # refuses rather than assume its premise; extended reads the zero
+    spec, seeds = [-2, 3], [10**400, 10**400]
+    with pytest.raises(PremiseError, match="^value outside the float range of standard precision$"):
+        _conv(spec, seeds)
+    report = _conv(spec, seeds, precision="extended")
+    assert (report.converged, report.hypothesis_met) == (False, False)
+    assert "zero weight" in report.reason
+
+
 def test_all_zero_seeds_rejected():
     with pytest.raises(ValueError):
         _conv([1, 1], [0, 0])

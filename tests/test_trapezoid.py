@@ -162,8 +162,10 @@ def test_closed_form_builder_rejects_other_degrees():
 
 
 @pytest.mark.parametrize("coeffs, seeds", [((1, 1, 1, 1), (0, 1, 1, 2)), ((2,), (1,))])
-def test_closed_form_builder_refuses_other_degrees_with_a_premise_error(coeffs, seeds):
-    # the refusal is decided here, so verify reads it as a skipped row
+def test_closed_form_builder_refuses_other_degrees_with_a_premise_error(monkeypatch, coeffs, seeds):
+    # the refusal is decided here, so verify reads it as a skipped row; it
+    # comes before any scaling, so asking every degree builds nothing
+    monkeypatch.setattr(trap_mod, "_scale", lambda values: pytest.fail("scaled before refusing"))
     with pytest.raises(PremiseError) as info:
         gs.build_closed_form(gs.make_spec(coeffs), gs.make_seeds(seeds), 4)
     assert str(info.value) == "per-entry closed forms exist only for degrees 2 and 3"

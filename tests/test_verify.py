@@ -502,6 +502,33 @@ def test_extended_quadratic_closed_form_on_terms_past_the_float_range():
     assert closed.status == "pass" and closed.residual < 1e-39
 
 
+def test_weights_past_the_float_range_skip_the_ratio_row():
+    # x^2 = 3x - 2 with equal seeds: a constant sequence, whose dominant
+    # weight is exactly 0.  Standard precision cannot hold the seeds
+    # 10^400: the row is skipped with that refusal, where reading the
+    # weights as unknown made it fail; extended reads the zero weight
+    spec, seeds = make_spec([-2, 3]), make_seeds([10**400, 10**400])
+    standard = by_name(verify_all(spec, seeds))["ratio_convergence"]
+    assert (standard.status, standard.detail) == (
+        "skipped", "value outside the float range of standard precision"
+    )
+    extended = by_name(verify_all(spec, seeds, precision="extended"))["ratio_convergence"]
+    assert extended.status == "skipped" and "zero weight" in extended.detail
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 15: one term past the float range refuses a whole standard scan",
+)
+def test_standard_scans_compare_what_fits_a_float():
+    # x^2 = 10^20 x + 1, seeds 0, 1: x_0 .. x_16 and the root powers up
+    # to r^15 fit a float; the rows could compare that span and say where
+    # it stops instead of skipping every term
+    named = by_name(verify_all(make_spec([1, 10**20]), make_seeds([0, 1])))
+    assert named["recurrence_binet_roundtrip"].status == "pass"
+    assert named["binet_quadratic_closed_matches"].status == "pass"
+
+
 # a small rational, +-10^a / 10^b or +-m * 2^e: magnitudes from 2^-200 to 9 * 2^200
 _WIDE_ENTRY = st.one_of(
     st.builds(Fraction, st.integers(-4, 4), st.sampled_from((1, 2, 3))),
