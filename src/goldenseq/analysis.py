@@ -117,16 +117,18 @@ def _ratio_report(terms, k_max: int, rootset: RootSet, weights) -> ConvergenceRe
 
 
 def _dominant_weight_vanishes(weights, rootset) -> bool:
-    """Whether weights() gives the dominant root (numerically) zero weight;
-    False when they are None or absent (repeated roots: DegenerateSpectrumError).
-    Any other refusal, such as the float range, propagates."""
+    """Whether weights() gives the dominant root (numerically) zero weight:
+    at most 1e-9 times the largest |w_i| of the roots' weights (the probe
+    is not one).  False when they are None or absent (repeated roots:
+    DegenerateSpectrumError).  Any other refusal, such as the float range,
+    propagates."""
     try:
         w = weights()
     except DegenerateSpectrumError:
         w = None
     if w is None:
         return False
-    scale = max(1.0, max(float(abs(v)) for v in w.weights))
+    scale = max(float(abs(v)) for v in w.weights[:-1])
     return float(abs(w.weights[rootset.dominant_index])) <= 1e-9 * scale
 
 

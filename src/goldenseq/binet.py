@@ -16,7 +16,11 @@ That residual is a number of the precision, so its T is computed in the
 precision's arithmetic.  The equation the weights were not fitted
 to, k = n, is the consistency probe w_{n+1} = x_n - sum of w_i r_i^n:
 it must come out (numerically) zero, and solve_weights refuses the
-weights when it does not.
+weights when it does not.  Standard precision forms the residuals and
+the probe in floats.  In extended precision each is exact until one
+rounding per part (`_exact_misfits`): the sums of w_i r_i^k run on
+Gaussian-integer running products (`_power_sums`), the one kernel that
+verify's extended round trip uses as well.
 
 Degree-2 and degree-3 also get direct closed forms written entirely in
 terms of the roots and seeds.  `_closed_form` builds either from (spec,
@@ -40,18 +44,25 @@ in extended precision z**k is an exact big-integer power of the 136-bit
 mantissas, rounded once, and costs far more.  The running product
 rounds about k times instead of about log2(k) times, so a scan's
 residual differs in the low digits from the single-k calls (binet_eval,
-binet_*_closed), which evaluate z**k.  verify's round trip in extended
-precision (`_roundtrip`) is exact instead: the running products
-w_i r_i^k are integer products on the weights and roots split by
-numerics.gaussian (numerics.split is the one reader of mpmath's raw
-format, numerics.rounder the one writer), and only each k's relative
-error is rounded.  `_scan` alone compares a floating value with a term.
+binet_*_closed), which evaluate z**k.  A standard scan compares only
+the k where x_k and every r_i^k are finite floats and the value does
+not overflow, and says after which k it stopped.  verify's round trip
+in extended precision (`_roundtrip`) is exact instead: the running
+products w_i r_i^k of `_power_sums` are integer products on the weights
+and roots split by numerics.gaussian (numerics.split is the one reader
+of mpmath's raw format, numerics.rounder the one writer), and only each
+k's relative error is rounded.  `_scan` alone compares a floating value
+with a term.
 """
 
+import cmath
 import math
+from itertools import islice
 
 from .errors import DegenerateSpectrumError, PremiseError, SeedMismatchError, UnitRootError
-from .numerics import EXTENDED, FLOAT_RANGE, STANDARD, arithmetic, coefficient, gaussian, horner, to_complex
+from .numerics import (
+    EXTENDED, FLOAT_RANGE, STANDARD, arithmetic, coefficient, gaussian, horner, rounder, to_complex,
+)
 from .recurrence import (
     RecurrenceSpec,
     SeedVector,
@@ -146,17 +157,21 @@ def solve_weights(
 
     terms = generate(spec, seeds, n + 1)
     rhs = [to_complex(ctx, t) for t in terms]
-    *rows, last = _power_rows(roots, n + 1)
+    if rootset.precision == STANDARD:
+        rows = list(_power_rows(roots, n + 1))
+
+        def misfits(w, ks):  # x_k - sum of w_i r_i^k in floats, for k in the range ks
+            return [rhs[k] - _weighted_sum(w, rows[k]) for k in ks]
+
+    else:
+        misfits = _exact_misfits(ctx, roots, terms)
     # T of the seeds is exact in extended precision
     w = residues(poly[::-1], [coefficient(ctx, t) for t in terms])
     # one step of iterative refinement on the n fitted equations; the
     # residuals are numbers of ctx, so q is rounded to ctx for them
-    fix = residues(
-        [to_complex(ctx, c) for c in poly[::-1]],
-        [x - _weighted_sum(w, row) for x, row in zip(rhs, rows)],
-    )
+    fix = residues([to_complex(ctx, c) for c in poly[::-1]], misfits(w, range(n)))
     w = [u + c for u, c in zip(w, fix)]
-    probe = rhs[n] - _weighted_sum(w, last)
+    (probe,) = misfits(w, range(n, n + 1))
 
     scale = max(1.0, max(float(abs(v)) for v in rhs))
     if float(abs(probe)) > TOL_W * scale:
@@ -178,27 +193,47 @@ def _power_rows(roots, count: int):
         yield row
 
 
+def _power_sums(weights, roots):
+    """Yield (re, im, s) with sum of w_i r_i^k = (re + i im) / 2^s exactly,
+    for k = 0, 1, ...: the weights and roots are split into Gaussian
+    integers over one power of two each, and w_i r_i^k advances by one
+    integer product per root per step."""
+    points, g = gaussian(roots)
+    products, s = gaussian(weights)
+    while True:
+        yield sum(x for x, _ in products), sum(y for _, y in products), s
+        products = [(x * a - y * b, x * b + y * a) for (x, y), (a, b) in zip(products, points)]
+        s += g
+
+
+def _exact_misfits(ctx, roots, terms):
+    """The function (w, ks) -> [x_k - sum of w_i r_i^k for k in the range
+    ks], for extended weights w: each sum is exact (`_power_sums`), and
+    each part of each difference is rounded once into ctx."""
+    den = math.lcm(*(t.denominator for t in terms))
+    nums = [t.numerator * (den // t.denominator) for t in terms]
+    rounded = rounder(ctx, den)
+
+    def misfits(w, ks):
+        # (x_k - (re + i im) / 2^s) = ((num_k 2^s - den re) - i den im) / (den 2^s)
+        sums = islice(_power_sums(w, roots), ks.start, ks.stop)
+        return [rounded((nums[k] << s) - den * re, -den * im, -s) for k, (re, im, s) in zip(ks, sums)]
+
+    return misfits
+
+
 def _roundtrip(weights: BinetWeights, roots, terms, precision: str) -> FormulaCheck:
     """sum of w_i r_i^k checked against terms[k], every k, as `_scan` does.
 
     Standard precision scans the power rows.  In extended precision the
-    weights and roots are split into Gaussian integers over one power of
-    two each, w_i r_i^k advances by one exact integer product per root
-    per step, and the error of the exact sum is rounded once: it is the
+    sums are exact (`_power_sums`, the kernel of solve_weights'
+    refinement too), and the error of each is rounded once: it is the
     true error of the rounded weights and roots.
     """
     if precision == STANDARD:
         return _scan(lambda powers: _weighted_sum(weights, powers), roots, terms, precision)
-    points, g = gaussian(roots)
-    scaled, h = gaussian(weights.weights[:-1])
-
-    def sums(products):  # (re, im, s) with sum of w_i r_i^k = (re + i im) / 2^s
-        for k in range(len(terms)):
-            if k:
-                products = [(x * a - y * b, x * b + y * a) for (x, y), (a, b) in zip(products, points)]
-            yield sum(x for x, _ in products), sum(y for _, y in products), h + k * g
-
-    return compare(enumerate(sums(scaled)), terms, _exact_error, TOL_BINET)
+    sums = islice(_power_sums(weights.weights[:-1], roots), len(terms))
+    return compare(enumerate(sums), terms, _exact_error, TOL_BINET)
 
 
 def _exact_error(value, exact) -> float:
@@ -266,12 +301,17 @@ def nearest_integer(value) -> int:
 
 def _scan(at, roots, terms, precision: str) -> FormulaCheck:
     """Check at(row) over the power rows of roots against the exact
-    terms[k], every k; the note is left for the caller to write.
+    terms[k], every k that the precision can compare; the note is left for
+    the caller to write, unless the scan stops early.
 
     The error at k is |at(row_k) - x_k| / max(1, |x_k|) in the precision's
     context, and the first k past TOL_BINET is the mismatch.  Every product
     rounds in that arithmetic, so the errors include the roundoff;
     verify's extended round trip is exact instead (`_roundtrip`).
+    Standard precision compares while x_k and every r_i^k are finite
+    floats and the value does not overflow (`_float_values`), and the note
+    then says after which k the scan stopped; when not even k = 0 fits, it
+    refuses with PremiseError.
     """
     ctx = arithmetic(precision).ctx
 
@@ -282,8 +322,37 @@ def _scan(at, roots, terms, precision: str) -> FormulaCheck:
             return float(abs(value - ref) / abs(ref))
         return float(abs(value - ref)) / max(1.0, size)
 
-    values = map(at, _power_rows(roots, len(terms)))
-    return compare(enumerate(values), terms, relative_error, TOL_BINET)
+    rows = _power_rows(roots, len(terms))
+    if precision != STANDARD:
+        return compare(enumerate(map(at, rows)), terms, relative_error, TOL_BINET)
+    values = list(_float_values(ctx, at, rows, terms))
+    if not values:
+        raise PremiseError(FLOAT_RANGE)
+    check = compare(enumerate(values), terms, relative_error, TOL_BINET)
+    if len(values) == len(terms):
+        return check
+    return check.replace(note="the float range of standard precision ends the scan after k = %d" % (len(values) - 1))
+
+
+def _float_values(ctx, at, rows, terms):
+    """Yield at(row_k) for k = 0, 1, ... while x_k and every r_i^k are
+    finite floats and the value does not overflow.  at is linear in the
+    row, so a value that is not finite where at of the row scaled down to
+    modulus at most 1 is finite has overflowed; a value not finite for
+    any other reason is yielded, and compares as a mismatch."""
+    for row, term in zip(rows, terms):
+        try:
+            to_complex(ctx, term)
+        except PremiseError:
+            return
+        if not all(map(cmath.isfinite, row)):
+            return
+        value = at(row)
+        if not cmath.isfinite(value):
+            big = max(map(abs, row))
+            if big > 1 and cmath.isfinite(at([z / big for z in row])):
+                return
+        yield value
 
 
 def _closed_form(spec: RecurrenceSpec, seeds: SeedVector, precision: str):
@@ -388,7 +457,7 @@ def _cubic_note(check: FormulaCheck, k_max: int) -> FormulaCheck:
             "%.3e); falling back to the generic weights path"
             % (check.first_mismatch, check.max_error)
         )
-    return check.replace(note=note)
+    return check.replace(note="; ".join(filter(None, (note, check.note))))
 
 
 def check_cubic_closed_form(

@@ -7,14 +7,16 @@ roots out first: m leading zero coefficients give m roots that are
 exactly 0, and only the rest of the polynomial is iterated. The
 iteration starts from a circle at the Cauchy radius in standard
 precision; extended precision starts from the standard-precision roots
-and only refines them. The sweeps stop after the first one that leaves
-every root settled: |p| at its noise floor or the inclusion radius
-n|p|/|p'| at the precision's eps. The |p| of that test is the residual
-the RootSet reports. Both paths land in a RootSet carrying residuals
-and dominance metadata, which downstream Binet and convergence code
-relies on, through `_rootset`, which refuses a residual past tol_root;
-imaginary parts below the precision's noise floor are dropped on every
-path.
+and only refines them. That seed is the memoised standard iteration of
+the same polynomial (`_standard_iterate`), so a spec solved in standard
+and then in extended precision runs the standard sweeps once. The sweeps
+stop after the first one that leaves every root settled: |p| at its
+noise floor or the inclusion radius n|p|/|p'| at the precision's eps.
+The |p| of that test is the residual the RootSet reports. Both paths
+land in a RootSet carrying residuals and dominance metadata, which
+downstream Binet and convergence code relies on, through `_rootset`,
+which refuses a residual past tol_root; imaginary parts below the
+precision's noise floor are dropped on every path.
 
 p, p' and the noise floor are evaluated through numerics.horner on the
 spec's own coefficients. Standard precision runs Horner's rule in
@@ -34,6 +36,7 @@ with numerics.split and the sum written with numerics.rounder.
 
 import cmath
 import math
+from functools import lru_cache
 
 from .errors import PremiseError, RootConvergenceError
 from .numerics import STANDARD, arithmetic, coefficient, gaussian, horner, rounder, split, to_complex
@@ -245,7 +248,10 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     roots of q (the best iterate when that solve gives up), each turned
     by 1e-15 rad, and falls back to the circle, with its radius computed
     in the context, when one of them is not finite or when standard
-    precision refuses a coefficient past the float range. After every
+    precision refuses a coefficient past the float range. Both precisions
+    read the standard iteration of q from a one-entry memo
+    (`_standard_iterate`), so a standard solve of the spec just before an
+    extended one leaves the seed ready, bit for bit the same. After every
     sweep each root is tested: it has settled when its inclusion radius
     n|q|/|q'| (Bini & Fiorentino, Numer. Algorithms 23, 2000) is within
     RADIUS_TOL * eps * (1 + |root|), or |q(root)| is at the evaluation
@@ -258,8 +264,11 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     ctx, eps = arithmetic(precision)
     coeffs = spec.coeffs
     m = next((j for j, a in enumerate(coeffs) if a != 0), len(coeffs))
-    zeros = [ctx.mpc(0)] * m
-    roots, residuals, sweeps = _iterate(coeffs[m:], precision)
+    zeros = (ctx.mpc(0),) * m
+    if precision == STANDARD:
+        roots, residuals, sweeps = _standard_iterate(coeffs[m:])
+    else:
+        roots, residuals, sweeps = _iterate(coeffs[m:], precision)
     if residuals is None:
         raise RootConvergenceError(
             f"root iteration did not converge within {MAX_ITER} sweeps",
@@ -281,19 +290,27 @@ def general_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:
     return _rootset([z for z, _ in found], tuple(r for _, r in found), precision, sweeps)
 
 
+@lru_cache(maxsize=1)
+def _standard_iterate(coeffs: tuple):
+    """_iterate(coeffs, STANDARD) for the exact coefficient tuple, kept for
+    the last q asked: general_roots in standard precision and the extended
+    seed both read it.  A refusal raises through and is not kept."""
+    return _iterate(coeffs, STANDARD)
+
+
 def _iterate(coeffs, precision: str):
     """Roots of q(x) = x^d - sum coeffs[j] x^j, q(0) != 0, by Aberth sweeps.
 
     Each sweep moves every root in turn by N / (1 - N S), N = q/q' and S
     its repulsion from the others (`_repulsion`), on the roots as moved
-    so far.  Returns (roots, |q(root)| as ctx reals, sweeps), with the
-    residuals None when no sweep settled within MAX_ITER (the roots are
-    then the last iterate).
+    so far.  Returns (roots, |q(root)| as ctx reals, sweeps), tuples, with
+    the residuals None when no sweep settled within MAX_ITER (the roots
+    are then the last iterate).
     """
     ctx, eps = arithmetic(precision)
     d = len(coeffs)
     if d <= 1:
-        return [to_complex(ctx, a) for a in coeffs], [ctx.mpf(0)] * d, 0
+        return tuple(to_complex(ctx, a) for a in coeffs), (ctx.mpf(0),) * d, 0
 
     coeffs_q = _monic_poly(coeffs, ctx)
     poly = horner(ctx, coeffs_q)
@@ -302,7 +319,7 @@ def _iterate(coeffs, precision: str):
     z = None
     if precision != STANDARD:
         try:
-            seed = _iterate(coeffs, STANDARD)[0]
+            seed = _standard_iterate(coeffs)[0]
             if all(cmath.isfinite(w) for w in seed):
                 # the turn moves real roots off the real axis and breaks
                 # conjugate pairs, as the circle's offset does below; at
@@ -335,8 +352,8 @@ def _iterate(coeffs, precision: str):
         settled = _drop_dust(z, ctx, eps)
         residuals = _settled(poly, deriv, moduli, settled, eps)
         if residuals is not None:
-            return settled, residuals, sweeps
-    return z, None, MAX_ITER
+            return tuple(settled), residuals, sweeps
+    return tuple(z), None, MAX_ITER
 
 
 def _repulsion(z, precision: str):
@@ -425,7 +442,7 @@ def _settled(poly, deriv, moduli, z, eps):
         ):
             return None
         values.append(pv)
-    return values
+    return tuple(values)
 
 
 def solve_roots(spec: RecurrenceSpec, precision: str = STANDARD) -> RootSet:

@@ -62,9 +62,10 @@ def _checked(check: FormulaCheck):
 
 def _scanned(check: FormulaCheck, note="", at="k =", residual=True):
     """(verdict, residual, detail) of a scan: the note while it matches,
-    else where it first diverged."""
+    else where it first diverged, then the scan's own note, if any."""
     if not check.matches:
         note = "first divergence at %s %d" % (at, check.first_mismatch)
+    note = "; ".join(filter(None, (note, check.note)))
     return check.matches, check.max_error if residual else None, note
 
 

@@ -7,6 +7,9 @@ test log shows the acceptance status at a glance.
 
 Every test also checks that the global mpmath precision is the same
 after it as before: the package must never change it as a side effect.
+And every test starts with an empty memo of standard root iterations, so
+a test that patches RADIUS_TOL, MAX_ITER or the iteration itself never
+reads a solve made before the patch.
 
 `fresh_python` runs a script in a new interpreter with src/ on its path,
 for tests that need a process where neither mpmath nor goldenseq has
@@ -35,6 +38,13 @@ def global_mpmath_precision_unchanged():
     assert mpmath.mp.prec == before, (
         "global mpmath precision changed from %d to %d bits" % (before, mpmath.mp.prec)
     )
+
+
+@pytest.fixture(autouse=True)
+def cold_root_memo():
+    from goldenseq import roots
+
+    roots._standard_iterate.cache_clear()
 
 
 @pytest.fixture

@@ -75,6 +75,14 @@ def test_weights_past_the_float_range_are_refused_not_taken_as_met():
     assert "zero weight" in report.reason
 
 
+@pytest.mark.parametrize("precision", gs.PRECISIONS)
+def test_dominant_weight_is_small_only_against_the_other_weights(precision):
+    # x^2 = 10^20 x + 1, seeds 0, 1: both weights are about 1e-20, so an
+    # absolute floor of 1e-9 would read the dominant one as zero
+    report = gs.ratio_convergence(gs.make_spec([1, 10**20]), gs.make_seeds([0, 1]), 60, precision)
+    assert (report.converged, report.hypothesis_met, report.reason) == (True, True, None)
+
+
 def test_all_zero_seeds_rejected():
     with pytest.raises(ValueError):
         _conv([1, 1], [0, 0])

@@ -368,6 +368,14 @@ def test_nan_evaluation_is_a_mismatch(precision):
     assert math.isnan(check.max_error)
 
 
+def test_standard_scan_stops_where_the_value_overflows():
+    # 1e300 * 10^k - 1e300 * 10^k + 1 is 1 until the products overflow at
+    # k = 9, where the row is still finite: the float range ends the scan
+    check = _scan(lambda row: 1e300 * row[0] - 1e300 * row[1] + row[2], [10.0, 10.0, 1.0], [1] * 12, gs.STANDARD)
+    assert (check.matches, check.max_error) == (True, 0.0)
+    assert check.note == "the float range of standard precision ends the scan after k = 8"
+
+
 def test_nan_max_error_is_not_overwritten_by_later_errors():
     check = compare(enumerate([1.0, float("nan"), 5.0]), [1.0, 2.0, 3.0], lambda a, b: abs(a - b))
     assert (check.matches, check.first_mismatch) == (False, 1)

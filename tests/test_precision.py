@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import goldenseq as gs
+import goldenseq.binet as binet_module
 from goldenseq.cli import main
 from goldenseq.numerics import arithmetic, horner, to_complex
 from goldenseq.roots import _repulsion
@@ -439,3 +440,52 @@ def test_extended_roundtrip_error_is_the_exact_error_rounded(case):
         powers = [(p * a - q * b, p * b + q * a) for (p, q), (a, b) in zip(powers, roots)]
     ulps = 2 * math.ulp(residual)
     assert Fraction(max(residual - ulps, 0)) ** 2 <= worst <= Fraction(residual + ulps) ** 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_roundtrip_specs())
+@example(case=([Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]))
+def test_extended_refinement_residuals_and_probe_are_rounded_once(case):
+    # solve_weights' residuals x_k - sum of w_i r_i^k (k < n, at the residue
+    # weights) and its probe (k = n, at the refined weights), in Fractions
+    # at the rounded weights and roots: each part is rounded once
+    coeffs, seed_values = case
+    spec, seeds = gs.make_spec(coeffs), gs.make_seeds(seed_values)
+    try:
+        rootset = gs.solve_roots(spec, gs.EXTENDED)
+    except gs.RootConvergenceError:
+        assume(False)
+    calls = []
+    exact_misfits = binet_module._exact_misfits
+
+    def spy(ctx, roots, terms):
+        misfits = exact_misfits(ctx, roots, terms)
+
+        def recorded(w, ks):
+            values = misfits(w, ks)
+            calls.append((list(w), ks, values))
+            return values
+
+        return recorded
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(binet_module, "_exact_misfits", spy)
+        try:
+            weights = gs.solve_weights(spec, seeds, rootset)
+        except gs.DegenerateSpectrumError:
+            assume(False)
+    n = spec.degree
+    terms = gs.generate(spec, seeds, n + 1)
+    roots = [_exact(z) for z in rootset.roots]
+    assert [ks for _, ks, _ in calls] == [range(n), range(n, n + 1)]
+    for w, ks, values in calls:
+        powers = [_exact(v) for v in w]  # w_i r_i^k, from k = 0
+        expected = []
+        for k, x in enumerate(terms):
+            if k in ks:
+                re, im = x - sum(p for p, _ in powers), -sum(q for _, q in powers)
+                expected.append((_round(re), _round(im)))
+            powers = [(p * a - q * b, p * b + q * a) for (p, q), (a, b) in zip(powers, roots)]
+        assert [_exact(v) for v in values] == expected
+    assert calls[1][0] == list(weights.weights[:-1])
+    assert calls[1][2] == [weights.weights[-1]]

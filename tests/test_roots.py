@@ -443,16 +443,15 @@ def test_well_separated_extended_roots_settle_in_one_sweep(monkeypatch, coeffs):
     assert info.value.iterations == 1
 
 
-@pytest.mark.parametrize("precision", gs.PRECISIONS)
 @pytest.mark.parametrize("coeffs", [
     [1, 1, 1, 1],
     [0, -1, -1, 0, -1],  # x (x + 1)^2 (x^2 - x + 1): the double root stops on the noise floor
     [1, 0, 0, 0, 0, 0, 0, 1],
 ])
-def test_settle_test_is_the_only_stop_rule(monkeypatch, precision, coeffs):
+def test_settle_test_is_the_only_stop_rule(monkeypatch, coeffs):
     # every sweep asks _settled once, and the iteration stops on the
-    # first sweep it accepts; the extended solve's standard seed is a
-    # call of its own
+    # first sweep it accepts; the extended solve's seed is the standard
+    # iteration of the same polynomial, run once and then remembered
     iterate, settled = roots_module._iterate, roots_module._settled
     running, finished = [], []
 
@@ -472,8 +471,32 @@ def test_settle_test_is_the_only_stop_rule(monkeypatch, precision, coeffs):
 
     monkeypatch.setattr(roots_module, "_iterate", spy_iterate)
     monkeypatch.setattr(roots_module, "_settled", spy_settled)
-    gs.general_roots(gs.make_spec(coeffs), precision)
-    assert finished == ([gs.STANDARD] if precision == gs.STANDARD else [gs.STANDARD, gs.EXTENDED])
+    spec = gs.make_spec(coeffs)
+    gs.general_roots(spec, gs.EXTENDED)  # a cold memo: the standard sweeps, then its own
+    assert finished == [gs.STANDARD, gs.EXTENDED]
+    roots_module._standard_iterate.cache_clear()
+    del finished[:]
+    gs.general_roots(spec, gs.STANDARD)
+    gs.general_roots(spec, gs.EXTENDED)  # right after a standard solve: only its own
+    assert finished == [gs.STANDARD, gs.EXTENDED]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1, 1, 1, 1],
+    [2, -1, 3, 1, -2],
+    [0, -1, -1, 0, -1],
+    [Fraction(1, 2), Fraction(-2, 3), 0, 1, Fraction(3, 4), 1],
+    [1] * 16,
+])
+def test_warm_seed_memo_leaves_extended_roots_unchanged(coeffs):
+    spec = gs.make_spec(coeffs)
+    cold = gs.solve_roots(spec, gs.EXTENDED)
+    roots_module._standard_iterate.cache_clear()
+    gs.solve_roots(spec, gs.STANDARD)
+    warm = gs.solve_roots(spec, gs.EXTENDED)
+    assert roots_module._standard_iterate.cache_info().hits == 1
+    assert list(map(repr, warm.roots)) == list(map(repr, cold.roots))
+    assert warm.residuals == cold.residuals
 
 
 def test_tiny_root_settles_on_its_inclusion_radius(monkeypatch):
@@ -486,6 +509,7 @@ def test_tiny_root_settles_on_its_inclusion_radius(monkeypatch):
     sweeps = []
     for radius_tol in (roots_module.RADIUS_TOL, 0):
         monkeypatch.setattr(roots_module, "RADIUS_TOL", radius_tol)
+        roots_module._standard_iterate.cache_clear()  # a solve made under the old tolerance
         with pytest.raises(gs.RootConvergenceError, match="exceed tolerance") as info:
             gs.general_roots(spec)
         # within RADIUS_TOL * eps of s, as the radius rule promises

@@ -516,17 +516,32 @@ def test_weights_past_the_float_range_skip_the_ratio_row():
     assert extended.status == "skipped" and "zero weight" in extended.detail
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 15: one term past the float range refuses a whole standard scan",
-)
 def test_standard_scans_compare_what_fits_a_float():
     # x^2 = 10^20 x + 1, seeds 0, 1: x_0 .. x_16 and the root powers up
-    # to r^15 fit a float; the rows could compare that span and say where
-    # it stops instead of skipping every term
+    # to r^15 fit a float; the rows compare that span and say where it
+    # stops instead of skipping every term
     named = by_name(verify_all(make_spec([1, 10**20]), make_seeds([0, 1])))
+    stop = "the float range of standard precision ends the scan after k = 15"
     assert named["recurrence_binet_roundtrip"].status == "pass"
+    assert named["recurrence_binet_roundtrip"].detail.endswith("; " + stop)
     assert named["binet_quadratic_closed_matches"].status == "pass"
+    assert named["binet_quadratic_closed_matches"].detail == stop
+
+
+def test_standard_scan_with_nothing_to_compare_keeps_the_float_range_refusal():
+    # x_0 = 10^400 has no float, so not even k = 0 can be compared
+    named = by_name(verify_all(make_spec([1, 1]), make_seeds([10**400, 10**400])))
+    for row in ("recurrence_binet_roundtrip", "binet_quadratic_closed_matches"):
+        assert named[row].status == "skipped"
+        assert named[row].detail == "value outside the float range of standard precision"
+
+
+@pytest.mark.parametrize("precision", PRECISIONS)
+def test_small_weights_of_a_wide_spec_are_not_read_as_zero(precision):
+    # x^2 = 10^20 x + 1, seeds 0, 1: both weights are about 1e-20, and the
+    # dominant one is not small against the other
+    named = by_name(verify_all(make_spec([1, 10**20]), make_seeds([0, 1]), precision=precision))
+    assert named["ratio_convergence"].status == "pass"
 
 
 # a small rational, +-10^a / 10^b or +-m * 2^e: magnitudes from 2^-200 to 9 * 2^200
