@@ -21,10 +21,12 @@ lcm of the coefficient denominators), _numerator (T over 1 - R),
 _poly_mul and _reduce (a fold by R's lags); roots and binet evaluate
 through numerics.horner, which imports nothing from here.  generate keeps
 z_k = S*D^k*x_k (seeds over S), _power_form y^k mod q(y) for y = D*x.
-Values leave as Fractions in lowest terms: term_at and symbolic_term
-through Fraction's constructor, generate and genfunc.series_coefficients
-through _lowest_terms, which holds a window of ints and, once the running
-denominator is long, reduces each term by gcds with the short S*D.
+Values leave as Fractions in lowest terms, each built once by _fraction
+(one gcd, none over a denominator of 1) or, once reduced, by _coprime:
+term_at and symbolic_term directly, generate and
+genfunc.series_coefficients through _lowest_terms, which holds a window
+of ints and, once the running denominator is long, reduces each term by
+gcds with the short S*D.
 """
 
 import math
@@ -144,21 +146,36 @@ def _numerator(q, v):
     return [v[d] + sum(q[j + 1] * v[d - 1 - j] for j in range(d)) for d in range(len(q) - 1)]
 
 
-_GCD_BITS = 1024  # below this many bits of running denominator, Fraction's gcd is the cheaper reduction
+_GCD_BITS = 1024  # below this many bits of running denominator, one gcd per term (_fraction) is the cheaper reduction
 
-if hasattr(Fraction, "_from_coprime_ints"):  # 3.12+
-    _coprime = Fraction._from_coprime_ints
-else:  # 3.10-3.11
 
-    def _coprime(num, den):
-        return Fraction(num, den, _normalize=False)
+def _new_coprime(num, den):
+    """num / den for coprime ints, den > 0, built as 3.12's
+    Fraction._from_coprime_ints builds it: no checks, no normalisation."""
+    obj = object.__new__(Fraction)
+    obj._numerator = num
+    obj._denominator = den
+    return obj
+
+
+_coprime = getattr(Fraction, "_from_coprime_ints", _new_coprime)  # 3.12+ has it
+
+
+def _fraction(num, den):
+    """num / den in lowest terms for ints, den > 0: one gcd, none when
+    den is 1, and no re-normalisation.  Every exact value the exact
+    layers build leaves through here, or through _coprime once reduced."""
+    if den == 1:
+        return _coprime(num, 1)
+    g = math.gcd(num, den)
+    return _coprime(num // g, den // g) if g > 1 else _coprime(num, den)
 
 
 def _unscale(ints, den, d):
-    """ints[k] / (den * d^k) as Fractions, in place, so that the ints and
-    the Fractions are never held as two whole lists at once."""
+    """ints[k] / (den * d^k) as Fractions (_fraction), in place, so that
+    the ints and the Fractions are never held as two whole lists at once."""
     for k, v in enumerate(ints):
-        ints[k] = Fraction(v, den)
+        ints[k] = _fraction(v, den)
         den *= d
     return ints
 
@@ -169,7 +186,8 @@ def _lowest_terms(head, weights, s, d, count):
     (i, w) in weights.
 
     While the running denominator is below _GCD_BITS bits, where the gcd
-    is cheap, the terms go through Fraction's constructor (_unscale).
+    is cheap, each term is reduced by one gcd with it (_unscale), and an
+    integer spec's terms (s = d = 1) by none.
     Past that, only a window of the last max(i) ints is kept, and each
     term y is reduced by gcds with the short r = s * d instead of one
     with its long denominator.  Every prime of the running denominator
@@ -269,7 +287,7 @@ def symbolic_term(spec: RecurrenceSpec, k: int) -> SymbolicTerm:
     """
     form, d = _power_form(spec, k)
     den = d**k
-    return SymbolicTerm(k, tuple(Fraction(b * d**j, den) for j, b in enumerate(form)))
+    return SymbolicTerm(k, tuple(_fraction(b * d**j, den) for j, b in enumerate(form)))
 
 
 def term_at(spec: RecurrenceSpec, seeds: SeedVector, k: int) -> Fraction:
@@ -282,4 +300,4 @@ def term_at(spec: RecurrenceSpec, seeds: SeedVector, k: int) -> Fraction:
     form, d = _power_form(spec, k)
     xs, den = _scale(seeds.values)
     total = sum(b * d**j * x for j, (b, x) in enumerate(zip(form, xs)) if b)
-    return Fraction(total, den * d**k)
+    return _fraction(total, den * d**k)

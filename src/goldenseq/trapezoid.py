@@ -23,7 +23,8 @@ The expansion, the closed forms and the row check run on ints over
 common denominators (recurrence._scale): expansion row i is over E*D^i
 (T over E, R over D), closed-form entry (i, j) over S*D^(i+1) (seeds
 over S), and the row check cross-multiplies rows scaled by their own
-lcm.  Entries still leave as Fractions.
+lcm.  Each entry leaves as a Fraction built once, in lowest terms, by
+recurrence._fraction (one gcd, none over a denominator of 1).
 """
 
 import math
@@ -32,7 +33,7 @@ from operator import mul
 
 from .errors import PremiseError
 from .genfunc import build_genfunc
-from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _poly_mul, _scale, make_seeds, make_spec
+from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _fraction, _poly_mul, _scale, make_seeds, make_spec
 from .reports import FormulaCheck, Record, compare
 
 
@@ -88,7 +89,7 @@ def _expand(gf, spec: RecurrenceSpec, seeds: SeedVector, num_rows: int) -> Trape
     cur = t_poly  # T*R^i over den = E*D^i, i + p coefficients long
     for i in range(num_rows):
         p = row_length(i, n)
-        rows.append(tuple(Fraction(v, den) for v in cur[i : i + p]))
+        rows.append(tuple(_fraction(v, den) for v in cur[i : i + p]))
         if i + 1 < num_rows:
             cur = _poly_mul(cur, r_poly)
             den *= r_den
@@ -126,7 +127,7 @@ def _closed_form(spec: RecurrenceSpec, seeds: SeedVector):
             if c:
                 hi -= c * a[i - j + 2] * b[j - 1] * x0
                 lo += c * a[i - j + 1] * b[j - 1] * x1
-            return Fraction(lo * d + hi, s * d_pow[i + 1])
+            return _fraction(lo * d + hi, s * d_pow[i + 1])
 
         return entry
     g, b, a, d_pow = powers
@@ -149,7 +150,7 @@ def _closed_form(spec: RecurrenceSpec, seeds: SeedVector):
             b4 = _binom(i - k + 1, j - 2 * k - 1) * _binom(i, i - k)
             if b4:
                 hi -= b4 * a[i - j + k + 2] * b[j - 1 - 2 * k] * g[k] * x0
-        return Fraction(lo * d + hi, s * d_pow[i + 1])
+        return _fraction(lo * d + hi, s * d_pow[i + 1])
 
     return entry
 
@@ -231,7 +232,7 @@ def check_row_recurrence(trapezoid: Trapezoid) -> list:
             expected = sum(map(mul, coeffs, low[t : t + n]))
             if high[t] * expected_den != expected * high_den:
                 actual = rows[i + 1][t - 1] if 0 < t <= len(rows[i + 1]) else Fraction(0)
-                violations.append((i, t - n, Fraction(expected, expected_den), actual))
+                violations.append((i, t - n, _fraction(expected, expected_den), actual))
     return violations
 
 

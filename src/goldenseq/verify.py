@@ -26,7 +26,6 @@ rows read one ratio report, made by whichever runs first.
 """
 
 import math
-from fractions import Fraction
 from functools import cache
 
 from .analysis import (
@@ -40,7 +39,7 @@ from .binet import _closed_form, _cubic_note, _roundtrip, _scan, solve_weights
 from .errors import PremiseError, RootConvergenceError
 from .genfunc import build_genfunc, series_coefficients
 from .numerics import STANDARD, arithmetic
-from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _scale, generate
+from .recurrence import RecurrenceSpec, SeedVector, _check_seeds, _fraction, _scale, generate
 from .reports import FormulaCheck, VerificationCheck, compare
 from .roots import solve_roots, verify_symmetric_relations
 from .trapezoid import (
@@ -151,7 +150,7 @@ def verify_all(
     def row_sums():
         check = compare(
             enumerate(map(_row_sum_form(gf), range(rows))),
-            (Fraction(sum(ints), den) for ints, den in map(_scale, trap.rows)),
+            (_fraction(sum(ints), den) for ints, den in map(_scale, trap.rows)),
         )
         note = "closed-form row sums vs. direct sums (exact)"
         return _scanned(check, note, "row", residual=False)

@@ -312,11 +312,13 @@ def test_long_prefixes_peak_near_their_result():
 
 @pytest.mark.parametrize("kind", ["generate", "series_coefficients"])
 def test_window_division_keeps_the_kernels_gcds_short(monkeypatch, kind):
-    # Every term of coeffs 1/3,2/3 with seeds 1,1 is 1.  Past the switch
-    # the first gcd takes the window's content out of S*D^k; from then on
-    # dividing the window's common content out at every term keeps the
-    # running denominator at 3 or 9, so every later gcd sees short ints.
-    # Without that division the ints would grow as 3^k.
+    # Every term of coeffs 1/3,2/3 with seeds 1,1 is 1.  Below the switch
+    # each term 3^k / 3^k takes one gcd of at most _GCD_BITS bits; the
+    # switch's gcd, the first one past them, takes the window's content
+    # out of S*D^k; from then on dividing the window's common content out
+    # at every term keeps the running denominator at 3 or 9, so every
+    # later gcd sees short ints.  Without that division the ints would
+    # grow as 3^k.
     seen = []
 
     def gcd(*ns):
@@ -328,8 +330,9 @@ def test_window_division_keeps_the_kernels_gcds_short(monkeypatch, kind):
     monkeypatch.setattr(recurrence, "math", types.SimpleNamespace(**{**vars(math), "gcd": gcd}))
     terms = gs.generate(spec, vec, 1500) if kind == "generate" else gs.series_coefficients(gf, 1500)
     assert [(t.numerator, t.denominator) for t in terms] == [(1, 1)] * 1500
-    assert seen[0] > recurrence._GCD_BITS - 8 and len(seen) > 800
-    assert max(seen[1:]) < 8
+    switch = next(i for i, bits in enumerate(seen) if bits > recurrence._GCD_BITS)
+    assert len(seen) - switch > 800
+    assert max(seen[switch + 1 :]) < 8
 
 
 @pytest.mark.parametrize(
@@ -346,3 +349,46 @@ def test_gcd_free_fraction_is_the_constructors(num, den):
     again = pickle.loads(pickle.dumps(got))
     assert type(again) is Fraction and (again.numerator, again.denominator) == (num, den)
     assert got + Fraction(1, 3) == expected + Fraction(1, 3)
+
+
+def _assert_is_fraction(got, expected):
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+    assert got == expected and hash(got) == hash(expected) and repr(got) == repr(expected)
+    again = pickle.loads(pickle.dumps(got))
+    assert type(again) is Fraction and (again.numerator, again.denominator) == (got.numerator, got.denominator)
+    assert got + Fraction(1, 3) == expected + Fraction(1, 3)
+
+
+# _coprime is Fraction._from_coprime_ints on 3.12+ and _new_coprime, which
+# sets Fraction's slots itself, before; both are run on every version
+COPRIME_BUILDERS = pytest.mark.parametrize("coprime", [_coprime, recurrence._new_coprime], ids=["coprime", "slots"])
+
+
+@COPRIME_BUILDERS
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        (0, 1), (0, 9), (0, 2**600), (1, 1), (-5, 1), (2**600 + 1, 1), (-(3**400), 1),
+        (6, 4), (-6, 4), (-3, 7), (2**600, 2**600), (-(2**601), 3 * 2**600),
+        (10 * 3**500, 9 * 2**600 * 5**9), (-11 * 7**300, 11 * MERSENNE_61**20),
+    ],
+)
+def test_lowest_terms_constructor_is_fractions(monkeypatch, coprime, num, den):
+    # shared factors, zero, den 1, negative numerators and 600-bit ints
+    monkeypatch.setattr(recurrence, "_coprime", coprime)
+    _assert_is_fraction(recurrence._fraction(num, den), Fraction(num, den))
+
+
+@COPRIME_BUILDERS
+@settings(max_examples=200, deadline=None)
+@given(
+    num=st.integers(-(2**700), 2**700),
+    den=st.integers(1, 2**700),
+    common=st.sampled_from([1, 2, 6, 3**40, MERSENNE_61]) | st.integers(1, 2**90),
+)
+def test_lowest_terms_constructor_on_random_ints(coprime, num, den, common):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recurrence, "_coprime", coprime)
+        got = recurrence._fraction(num * common, den * common)
+    _assert_is_fraction(got, Fraction(num * common, den * common))
