@@ -149,16 +149,13 @@ def _numerator(q, v):
 _GCD_BITS = 1024  # below this many bits of running denominator, one gcd per term (_fraction) is the cheaper reduction
 
 
-def _new_coprime(num, den):
+def _coprime(num, den):
     """num / den for coprime ints, den > 0, built as 3.12's
     Fraction._from_coprime_ints builds it: no checks, no normalisation."""
     obj = object.__new__(Fraction)
     obj._numerator = num
     obj._denominator = den
     return obj
-
-
-_coprime = getattr(Fraction, "_from_coprime_ints", _new_coprime)  # 3.12+ has it
 
 
 def _fraction(num, den):
