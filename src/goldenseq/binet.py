@@ -16,11 +16,11 @@ That residual is a number of the precision, so its T is computed in the
 precision's arithmetic.  The equation the weights were not fitted
 to, k = n, is the consistency probe w_{n+1} = x_n - sum of w_i r_i^n:
 it must come out (numerically) zero, and solve_weights refuses the
-weights when it does not.  Standard precision forms the residuals and
-the probe in floats.  In extended precision each is exact until one
-rounding per part (`_exact_misfits`): the sums of w_i r_i^k run on
+weights when it does not.  In both precisions each residual and the
+probe is exact until one rounding per part (`_exact_misfits`): floats
+and extended numbers are dyadic, so the sums of w_i r_i^k run on
 Gaussian-integer running products (`_power_sums`), the one kernel that
-verify's extended round trip uses as well.
+verify's round trip uses as well.
 
 Degree-2 and degree-3 also get direct closed forms written entirely in
 terms of the roots and seeds.  `_closed_form` builds either from (spec,
@@ -37,22 +37,21 @@ against the exact recurrence and reports a formula mismatch instead of
 silently trusting it (on most inputs it disagrees from k = 0, so the
 generic weights path stays authoritative).
 
-A scan over k = 0 .. K (verify's closed-form rows,
-check_cubic_closed_form, and verify's round trip in standard precision)
-takes its root powers from `_power_rows`, one product per root per step;
-in extended precision z**k is an exact big-integer power of the 136-bit
-mantissas, rounded once, and costs far more.  The running product
-rounds about k times instead of about log2(k) times, so a scan's
-residual differs in the low digits from the single-k calls (binet_eval,
-binet_*_closed), which evaluate z**k.  A standard scan compares only
-the k where x_k and every r_i^k are finite floats and the value does
-not overflow, and says after which k it stopped.  verify's round trip
-in extended precision (`_roundtrip`) is exact instead: the running
-products w_i r_i^k of `_power_sums` are integer products on the weights
-and roots split by numerics.gaussian (numerics.split is the one reader
-of mpmath's raw format, numerics.rounder the one writer), and only each
-k's relative error is rounded.  `_scan` alone compares a floating value
-with a term.
+The closed forms are built from numbers of the precision, so their scan
+over k = 0 .. K (`_scan`: verify's closed-form rows and
+check_cubic_closed_form) takes its root powers from `_power_rows`, one
+product per root per step; in extended precision z**k is an exact
+big-integer power of the 136-bit mantissas, rounded once, and costs far
+more.  The running product rounds about k times instead of about
+log2(k) times, so a scan's residual differs in the low digits from the
+single-k calls (binet_eval, binet_*_closed), which evaluate z**k.  A
+standard scan compares only the k where x_k and every r_i^k are finite
+floats and the value does not overflow, and says after which k it
+stopped.  verify's round trip (`_roundtrip`) is exact in both
+precisions: `_power_sums` runs on the weights and roots split by
+numerics.gaussian (numerics.split is the one reader of number formats,
+numerics.rounder the one writer), and only each k's relative error is
+rounded.  `_scan` alone compares a floating value with a term.
 """
 
 import cmath
@@ -131,7 +130,8 @@ def solve_weights(
     """The weights w_i = N(r_i)/p'(r_i) of x_k = sum of w_i r_i^k, with
     one refinement step, and the probe x_n - sum of w_i r_i^n.
 
-    The weights are in the precision of the root set.  Raises
+    The weights are in the precision of the root set, and the residuals
+    and the probe are exact sums rounded once (`_exact_misfits`).  Raises
     DegenerateSpectrumError for (near-)repeated roots, where p'(r) is
     (nearly) zero, and when the probe exceeds TOL_W times the largest
     |x_k|, k <= n: then the roots do not reproduce the seeds' next term.
@@ -156,16 +156,8 @@ def solve_weights(
         return [n_at(z) / s for z, s in zip(roots, slopes)]
 
     terms = generate(spec, seeds, n + 1)
-    rhs = [to_complex(ctx, t) for t in terms]
-    if rootset.precision == STANDARD:
-        rows = list(_power_rows(roots, n + 1))
-
-        def misfits(w, ks):  # x_k - sum of w_i r_i^k in floats, for k in the range ks
-            return [rhs[k] - _weighted_sum(w, rows[k]) for k in ks]
-
-    else:
-        misfits = _exact_misfits(ctx, roots, terms)
-    # T of the seeds is exact in extended precision
+    misfits = _exact_misfits(ctx, roots, terms)
+    # T of the seeds: exact in extended precision, refused past the float range in standard
     w = residues(poly[::-1], [coefficient(ctx, t) for t in terms])
     # one step of iterative refinement on the n fitted equations; the
     # residuals are numbers of ctx, so q is rounded to ctx for them
@@ -173,7 +165,7 @@ def solve_weights(
     w = [u + c for u, c in zip(w, fix)]
     (probe,) = misfits(w, range(n, n + 1))
 
-    scale = max(1.0, max(float(abs(v)) for v in rhs))
+    scale = max(1.0, max(float(abs(to_complex(ctx, t))) for t in terms))
     if float(abs(probe)) > TOL_W * scale:
         raise DegenerateSpectrumError(
             "probe |x_n - sum of w_i r_i^n| = %.3e exceeds %.1e * %.3g; the "
@@ -208,8 +200,8 @@ def _power_sums(weights, roots):
 
 def _exact_misfits(ctx, roots, terms):
     """The function (w, ks) -> [x_k - sum of w_i r_i^k for k in the range
-    ks], for extended weights w: each sum is exact (`_power_sums`), and
-    each part of each difference is rounded once into ctx."""
+    ks], for weights w of ctx: each sum is exact (`_power_sums`), and each
+    part of each difference is rounded once into ctx."""
     den = math.lcm(*(t.denominator for t in terms))
     nums = [t.numerator * (den // t.denominator) for t in terms]
     rounded = rounder(ctx, den)
@@ -222,16 +214,13 @@ def _exact_misfits(ctx, roots, terms):
     return misfits
 
 
-def _roundtrip(weights: BinetWeights, roots, terms, precision: str) -> FormulaCheck:
-    """sum of w_i r_i^k checked against terms[k], every k, as `_scan` does.
-
-    Standard precision scans the power rows.  In extended precision the
-    sums are exact (`_power_sums`, the kernel of solve_weights'
-    refinement too), and the error of each is rounded once: it is the
-    true error of the rounded weights and roots.
+def _roundtrip(weights: BinetWeights, roots, terms) -> FormulaCheck:
+    """sum of w_i r_i^k checked against terms[k], every k, in either
+    precision: the sums are exact (`_power_sums`, the kernel of
+    solve_weights' refinement too), and the relative error of each is
+    rounded once, so it is the true error of the rounded weights and
+    roots, however large the terms.
     """
-    if precision == STANDARD:
-        return _scan(lambda powers: _weighted_sum(weights, powers), roots, terms, precision)
     sums = islice(_power_sums(weights.weights[:-1], roots), len(terms))
     return compare(enumerate(sums), terms, _exact_error, TOL_BINET)
 
@@ -306,12 +295,11 @@ def _scan(at, roots, terms, precision: str) -> FormulaCheck:
 
     The error at k is |at(row_k) - x_k| / max(1, |x_k|) in the precision's
     context, and the first k past TOL_BINET is the mismatch.  Every product
-    rounds in that arithmetic, so the errors include the roundoff;
-    verify's extended round trip is exact instead (`_roundtrip`).
-    Standard precision compares while x_k and every r_i^k are finite
-    floats and the value does not overflow (`_float_values`), and the note
-    then says after which k the scan stopped; when not even k = 0 fits, it
-    refuses with PremiseError.
+    rounds in that arithmetic, so the errors include the roundoff; it
+    serves the closed forms, while verify's round trip is exact
+    (`_roundtrip`).  Standard precision compares while x_k and every r_i^k
+    are finite floats and the value does not overflow (`_float_values`),
+    and the note then says after which k the scan stopped.
     """
     ctx = arithmetic(precision).ctx
 
@@ -326,8 +314,6 @@ def _scan(at, roots, terms, precision: str) -> FormulaCheck:
     if precision != STANDARD:
         return compare(enumerate(map(at, rows)), terms, relative_error, TOL_BINET)
     values = list(_float_values(ctx, at, rows, terms))
-    if not values:
-        raise PremiseError(FLOAT_RANGE)
     check = compare(enumerate(values), terms, relative_error, TOL_BINET)
     if len(values) == len(terms):
         return check
@@ -378,46 +364,42 @@ def _closed_form(spec: RecurrenceSpec, seeds: SeedVector, precision: str):
             return lead * (phi_k - varphi_k) + varphi_k * x0
 
         return at, roots
-    if spec.degree == 3:
-        g, b, a = spec.coeffs
-        rootset = cubic_roots(a, b, g, precision)
-        check_separation(rootset)
-        if sum(spec.coeffs) == 1:  # p(1) = 1 - sum of a_j, exactly
-            raise UnitRootError(
-                "1 is a characteristic root; the closed form divides by "
-                "(root - 1) and is undefined here"
-            )
-        # a computed root this close to 1 leaves (root - 1) to rounding alone
-        near = 8 * eps * _separation_scale(rootset)
-        if any(abs(z - 1) < near for z in rootset.roots):
-            raise UnitRootError(
-                "a characteristic root lies within %.1e of 1, which %s precision "
-                "cannot tell from 1; the closed form divides by (root - 1)" % (near, precision)
-            )
-        phi, varphi, psi = rootset.roots
-        x0, x1, x2, ac, bc, gc = (to_complex(ctx, v) for v in (*seeds, a, b, g))
+    g, b, a = spec.coeffs  # degree 3, the only other degree callers pass
+    rootset = cubic_roots(a, b, g, precision)
+    check_separation(rootset)
+    if sum(spec.coeffs) == 1:  # p(1) = 1 - sum of a_j, exactly
+        raise UnitRootError(
+            "1 is a characteristic root; the closed form divides by "
+            "(root - 1) and is undefined here"
+        )
+    # a computed root this close to 1 leaves (root - 1) to rounding alone
+    near = 8 * eps * _separation_scale(rootset)
+    if any(abs(z - 1) < near for z in rootset.roots):
+        raise UnitRootError(
+            "a characteristic root lies within %.1e of 1, which %s precision "
+            "cannot tell from 1; the closed form divides by (root - 1)" % (near, precision)
+        )
+    phi, varphi, psi = rootset.roots
+    x0, x1, x2, ac, bc, gc = (to_complex(ctx, v) for v in (*seeds, a, b, g))
 
-        pref = (
-            (ac - varphi - psi - 1) * x2
-            + (bc + varphi * psi + varphi + psi) * x1
-            + (gc - varphi * psi) * x0
-        ) / ((phi - varphi) * (varphi - psi) * (phi - psi))
-        comb_phi = (psi - varphi) / (phi - 1)
-        comb_varphi = (psi - phi) / (varphi - 1)
-        comb_psi = (varphi - phi) / (psi - 1)
-        tail_psi = (x2 - (varphi + 1) * x1 + varphi * x0) / ((psi - 1) * (psi - varphi))
-        tail_varphi = (x2 - (psi + 1) * x1 + psi * x0) / ((varphi - 1) * (psi - varphi))
+    pref = (
+        (ac - varphi - psi - 1) * x2
+        + (bc + varphi * psi + varphi + psi) * x1
+        + (gc - varphi * psi) * x0
+    ) / ((phi - varphi) * (varphi - psi) * (phi - psi))
+    comb_phi = (psi - varphi) / (phi - 1)
+    comb_varphi = (psi - phi) / (varphi - 1)
+    comb_psi = (varphi - phi) / (psi - 1)
+    tail_psi = (x2 - (varphi + 1) * x1 + varphi * x0) / ((psi - 1) * (psi - varphi))
+    tail_varphi = (x2 - (psi + 1) * x1 + psi * x0) / ((varphi - 1) * (psi - varphi))
 
-        def at(powers):
-            phi_k, varphi_k, psi_k = powers
-            comb = comb_phi * phi_k - comb_varphi * varphi_k + comb_psi * psi_k
-            tail = tail_psi * psi_k - tail_varphi * varphi_k
-            return pref * comb + tail
+    def at(powers):
+        phi_k, varphi_k, psi_k = powers
+        comb = comb_phi * phi_k - comb_varphi * varphi_k + comb_psi * psi_k
+        tail = tail_psi * psi_k - tail_varphi * varphi_k
+        return pref * comb + tail
 
-        return at, rootset.roots
-    raise ValueError(
-        "closed Binet forms exist only for degrees 2 and 3 (got degree %d)" % spec.degree
-    )
+    return at, rootset.roots
 
 
 def _at_k(coeffs, seeds, k: int, precision: str):

@@ -42,10 +42,10 @@ them, and there the two precisions differ:
   values at degree 16, and the residual |p(r)| it gives is the true
   one at the rounded root, not the roundoff of evaluating it.
 
-Only this module reads or writes mpmath's raw number format.  `split`,
-the one reader, gives an extended number as a Gaussian integer over a
+Only this module reads or writes number formats.  `split`, the one
+reader, gives a float or extended number as a Gaussian integer over a
 power of two (`gaussian` splits a list over a shared one); `rounder`,
-the one writer, rounds an exact (x + iy) 2^e / den into the context.
+the one writer, rounds an exact (x + iy) 2^e / den into either context.
 """
 
 import cmath
@@ -135,7 +135,13 @@ def horner(ctx, coeffs):
 
 def split(z):
     """(a, b, g), ints with g >= 0 and z = (a + ib) / 2^g exactly, for a
-    finite number z of the extended context (ValueError otherwise)."""
+    finite float, complex or extended number z (ValueError otherwise)."""
+    if isinstance(z, (float, complex)):
+        if not cmath.isfinite(z):
+            raise ValueError("cannot compute exactly with a value that is not finite")
+        (a, da), (b, db) = z.real.as_integer_ratio(), z.imag.as_integer_ratio()
+        den = max(da, db)  # both are powers of two
+        return a * (den // da), b * (den // db), den.bit_length() - 1
     (sa, a, fa, ca), (sb, b, fb, cb) = getattr(z, "_mpc_", None) or (z._mpf_, (0, 0, 0, 0))
     if ca < 0 or cb < 0:  # the bit count of inf, -inf and nan
         raise ValueError("cannot compute exactly with a value that is not finite")
@@ -165,8 +171,18 @@ def gaussian(values):
 
 def rounder(ctx, den=1):
     """The function (x, y, e) -> (x + iy) 2^e / den as a number of ctx, for
-    ints x, y, e and den > 0, each part rounded once; make one per
-    evaluator.  den's power of two goes into the exponent."""
+    ints x, y, e and den > 0, each part rounded once (by an int true
+    division in standard precision, which refuses a part past the float
+    range with PremiseError); make one per evaluator."""
+    if ctx is _Float:
+        def rounded(x, y, e):
+            scale, div = (1 << e, den) if e >= 0 else (1, den << -e)
+            try:
+                return complex(x * scale / div, y * scale / div)
+            except OverflowError:
+                raise PremiseError(FLOAT_RANGE) from None
+
+        return rounded
     from mpmath.libmp import from_int, from_man_exp, mpf_div, round_nearest
 
     prec, rnd = ctx.prec, round_nearest

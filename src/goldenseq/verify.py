@@ -127,7 +127,7 @@ def verify_all(
         return True, probe, "constant probe weight w_{n+1} must vanish"
 
     def roundtrip():
-        trip = _roundtrip(solved_weights(), rootset.roots, terms[: k_max + 1], precision)
+        trip = _roundtrip(solved_weights(), rootset.roots, terms[: k_max + 1])
         return _scanned(trip, "exact terms vs. root-power evaluation for k <= %d" % k_max)
 
     def closed_binet(span):

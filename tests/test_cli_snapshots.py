@@ -12,8 +12,12 @@ to evaluate p, p' and N exactly at the root (numerics.horner); those were
 regenerated then, after a comparison with the previous code confirmed
 that every other root was unchanged, and the extended `verify` cases
 whose recurrence_binet_roundtrip residual moved when that round trip
-became exact (binet._roundtrip); only that line changed in them.  Any
-change to what the CLI prints shows up here as a diff.
+became exact (binet._roundtrip); only that line changed in them.  The
+standard `binet` and `verify` cases whose probe, weights, rounded value
+or round-trip residual moved when standard precision began to refine its
+weights and run its round trip on the same exact sums were regenerated
+too; no extended case changed then.  Any change to what the CLI prints
+shows up here as a diff.
 
 After an intended output change, rewrite the file with
 `PYTHONPATH=src python tests/test_cli_snapshots.py` and review the diff.

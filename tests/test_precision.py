@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 import goldenseq as gs
 import goldenseq.binet as binet_module
 from goldenseq.cli import main
-from goldenseq.numerics import arithmetic, horner, to_complex
+from goldenseq.errors import PremiseError
+from goldenseq.numerics import arithmetic, horner, rounder, split, to_complex
 from goldenseq.roots import _repulsion
 
 BUILTINS = ("fibonacci", "lucas", "pell", "tribonacci")
@@ -173,8 +174,9 @@ EXT = arithmetic(gs.EXTENDED).ctx
 
 
 def _exact(value):
-    """An int, Fraction or extended number as a (real, imaginary) pair of
-    Fractions; extended numbers are dyadic, so this is exact."""
+    """An int, Fraction, float, complex or extended number as a (real,
+    imaginary) pair of Fractions; floats and extended numbers are dyadic,
+    so this is exact."""
     if isinstance(value, (int, Fraction)):
         return Fraction(value), Fraction(0)
     value = EXT.mpc(value)
@@ -273,6 +275,41 @@ def test_extended_horner_refuses_coefficients_that_are_not_finite():
     for c in (EXT.mpc(EXT.inf, 0), EXT.mpc(1, EXT.nan), EXT.mpf(EXT.ninf)):
         with pytest.raises(ValueError, match="not finite"):
             horner(EXT, [1, c, Fraction(1, 3)])(EXT.mpc(1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=st.floats(allow_nan=False, allow_infinity=False) | st.complex_numbers(allow_nan=False, allow_infinity=False))
+def test_split_reads_a_float_or_complex_exactly(z):
+    a, b, g = split(z)
+    assert g >= 0
+    assert (Fraction(a, 2**g), Fraction(b, 2**g)) == (Fraction(z.real), Fraction(z.imag))
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(1, math.inf), complex(math.nan, 0)])
+def test_split_refuses_floats_that_are_not_finite(z):
+    with pytest.raises(ValueError, match="not finite"):
+        split(z)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    x=st.integers(-(2**200), 2**200),
+    y=st.integers(-(2**200), 2**200),
+    e=st.integers(-300, 300),
+    den=st.integers(1, 2**60),
+)
+def test_standard_rounder_rounds_each_part_once(x, y, e, den):
+    value = rounder(arithmetic(gs.STANDARD).ctx, den)(x, y, e)
+    scale = Fraction(2) ** e / den
+    assert (Fraction(value.real), Fraction(value.imag)) == (_round(x * scale, 53), _round(y * scale, 53))
+
+
+@pytest.mark.parametrize("x, y, e", [(10**400, 0, 0), (0, -1, 1100), (3, 5, 1023)])
+def test_standard_rounder_refuses_parts_past_the_float_range(x, y, e):
+    # a PremiseError, which verify reads as a skipped row, not the
+    # OverflowError of the int true division
+    with pytest.raises(PremiseError, match="float range of standard precision"):
+        rounder(arithmetic(gs.STANDARD).ctx)(x, y, e)
 
 
 def _sqrt_rounds_to(r, square):
@@ -442,17 +479,20 @@ def test_extended_roundtrip_error_is_the_exact_error_rounded(case):
     assert Fraction(max(residual - ulps, 0)) ** 2 <= worst <= Fraction(residual + ulps) ** 2
 
 
+@pytest.mark.parametrize("precision", gs.PRECISIONS)
 @settings(max_examples=60, deadline=None)
 @given(case=_roundtrip_specs())
 @example(case=([Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]))
-def test_extended_refinement_residuals_and_probe_are_rounded_once(case):
+def test_refinement_residuals_and_probe_are_rounded_once(precision, case):
     # solve_weights' residuals x_k - sum of w_i r_i^k (k < n, at the residue
     # weights) and its probe (k = n, at the refined weights), in Fractions
-    # at the rounded weights and roots: each part is rounded once
+    # at the rounded weights and roots: each part is rounded once, to the
+    # nearest double in standard precision
+    bits = 53 if precision == gs.STANDARD else EXT.prec
     coeffs, seed_values = case
     spec, seeds = gs.make_spec(coeffs), gs.make_seeds(seed_values)
     try:
-        rootset = gs.solve_roots(spec, gs.EXTENDED)
+        rootset = gs.solve_roots(spec, precision)
     except gs.RootConvergenceError:
         assume(False)
     calls = []
@@ -484,7 +524,7 @@ def test_extended_refinement_residuals_and_probe_are_rounded_once(case):
         for k, x in enumerate(terms):
             if k in ks:
                 re, im = x - sum(p for p, _ in powers), -sum(q for _, q in powers)
-                expected.append((_round(re), _round(im)))
+                expected.append((_round(re, bits), _round(im, bits)))
             powers = [(p * a - q * b, p * b + q * a) for (p, q), (a, b) in zip(powers, roots)]
         assert [_exact(v) for v in values] == expected
     assert calls[1][0] == list(weights.weights[:-1])

@@ -269,7 +269,7 @@ def test_verify_command_reports_unsolved_roots_and_exits_0(roots_unavailable, ar
 def test_probe_refusal_skips_both_binet_rows():
     spec = make_spec((0, -1, -1, 0, -1))
     seeds = make_seeds((1, Fraction(2, 3), -1, Fraction(2, 3), 2))
-    with pytest.raises(DegenerateSpectrumError, match="1.380e-01 exceeds") as refusal:
+    with pytest.raises(DegenerateSpectrumError, match="1.293e-01 exceeds") as refusal:
         solve_weights(spec, seeds, solve_roots(spec))
     named = by_name(verify_all(spec, seeds))
     for name in ("binet_constant_weight", "recurrence_binet_roundtrip"):
@@ -455,14 +455,15 @@ def test_scans_take_power_rows_not_binet_eval(monkeypatch, name, precision):
 @pytest.mark.parametrize(
     "name, residual",
     [
-        ("fibonacci", "1.0192894870430463e-15"),
-        ("lucas", "1.0536640024277679e-15"),
-        ("pell", "1.459725929829569e-15"),
-        ("tribonacci", "3.3849023988221248e-15"),
+        ("fibonacci", "1.317003021503098e-15"),
+        ("lucas", "1.3428927306723396e-15"),
+        ("pell", "2.008867785143954e-15"),
+        ("tribonacci", "3.5372011123825833e-15"),
     ],
 )
 def test_standard_roundtrip_residuals_are_pinned(name, residual):
-    # standard precision scans the running power rows in floats, bit for bit
+    # standard precision sums the float weights and roots exactly, as
+    # extended does, and rounds each error once, bit for bit
     preset = BUILTIN_PRESETS[name]
     checks = verify_all(make_spec(preset.coeffs), make_seeds(preset.seeds))
     assert repr(by_name(checks)["recurrence_binet_roundtrip"].residual) == residual
@@ -518,12 +519,13 @@ def test_weights_past_the_float_range_skip_the_ratio_row():
 
 def test_standard_scans_compare_what_fits_a_float():
     # x^2 = 10^20 x + 1, seeds 0, 1: x_0 .. x_16 and the root powers up
-    # to r^15 fit a float; the rows compare that span and say where it
-    # stops instead of skipping every term
+    # to r^15 fit a float; the closed-form row compares that span and says
+    # where it stops instead of skipping every term, while the round trip's
+    # exact sums compare every k <= 40
     named = by_name(verify_all(make_spec([1, 10**20]), make_seeds([0, 1])))
     stop = "the float range of standard precision ends the scan after k = 15"
     assert named["recurrence_binet_roundtrip"].status == "pass"
-    assert named["recurrence_binet_roundtrip"].detail.endswith("; " + stop)
+    assert named["recurrence_binet_roundtrip"].detail == "exact terms vs. root-power evaluation for k <= 40"
     assert named["binet_quadratic_closed_matches"].status == "pass"
     assert named["binet_quadratic_closed_matches"].detail == stop
 
