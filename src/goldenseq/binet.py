@@ -20,16 +20,22 @@ weights when it does not.  In both precisions each residual and the
 probe is exact until one rounding per part (`_exact_misfits`): floats
 and extended numbers are dyadic, so the sums of w_i r_i^k run on
 Gaussian-integer running products (`_power_sums`), the one kernel that
-verify's round trip uses as well.
+every Binet-form check (`_roundtrip`) uses as well.
 
 Degree-2 and degree-3 also get direct closed forms written entirely in
 terms of the roots and seeds.  `_closed_form` builds either from (spec,
 seeds) once: one seed check, one degree dispatch, the premises, the
 radical roots and the factors that do not depend on k, in the
-precision's context; a check over many k evaluates it at rows of root
-powers.  The cubic's premises are three separated roots (a float test),
-no root at 1 (the exact test sum(a_j) == 1) and no computed root within
-8 eps of 1, which the precision cannot tell from 1.
+precision's context.  It returns the form as a list of (weight, root)
+terms, one per product of the published formula (a root may appear in
+two), so a closed form is a weighted power sum like the generic one.
+The terms are not collected per root: one weight per root would round
+away what the formula keeps apart (the quadratic's x0 - lead loses x0
+when |lead| >> |x0|, and its sum at k = 0 is then no longer x0).  The
+cubic's premises are three separated roots (a float test), no root at 1
+(the exact test sum(a_j) == 1) and no computed root within 8 eps of 1,
+which the precision cannot tell from 1; standard precision refuses a
+weight past the float range.
 
 The quadratic closed form is reliable.  The cubic one reproduces a
 published formula verbatim; `check_cubic_closed_form` compares it
@@ -37,21 +43,17 @@ against the exact recurrence and reports a formula mismatch instead of
 silently trusting it (on most inputs it disagrees from k = 0, so the
 generic weights path stays authoritative).
 
-The closed forms are built from numbers of the precision, so their scan
-over k = 0 .. K (`_scan`: verify's closed-form rows and
-check_cubic_closed_form) takes its root powers from `_power_rows`, one
-product per root per step; in extended precision z**k is an exact
-big-integer power of the 136-bit mantissas, rounded once, and costs far
-more.  The running product rounds about k times instead of about
-log2(k) times, so a scan's residual differs in the low digits from the
-single-k calls (binet_eval, binet_*_closed), which evaluate z**k.  A
-standard scan compares only the k where x_k and every r_i^k are finite
-floats and the value does not overflow, and says after which k it
-stopped.  verify's round trip (`_roundtrip`) is exact in both
-precisions: `_power_sums` runs on the weights and roots split by
-numerics.gaussian (numerics.split is the one reader of number formats,
-numerics.rounder the one writer), and only each k's relative error is
-rounded.  `_scan` alone compares a floating value with a term.
+Every check of a power sum against the exact terms, over k = 0 .. K, is
+`_roundtrip`: verify's round trip on the solved weights, verify's
+closed-form rows and check_cubic_closed_form on the closed forms' terms.
+It is exact in both precisions: `_power_sums` runs on the weights and
+roots split by numerics.gaussian (numerics.split is the one reader of
+number formats, numerics.rounder the one writer), and only each k's
+relative error is rounded (Higham, ch. 4), so it compares every k,
+however far past the float range the terms go.  The single-k calls
+(binet_eval, binet_*_closed) evaluate the same sum in the precision
+(`_evaluate`), with z**k, and refuse a standard power past the float
+range.
 """
 
 import cmath
@@ -175,16 +177,6 @@ def solve_weights(
     return BinetWeights((*w, probe), n, rootset.precision)
 
 
-def _power_rows(roots, count: int):
-    """Yield [z**k for z in roots] for k = 0 .. count - 1, each row the
-    previous one times the roots (one product per root per step)."""
-    row = [z**0 for z in roots]
-    for k in range(count):
-        if k:
-            row = [p * z for p, z in zip(row, roots)]
-        yield row
-
-
 def _power_sums(weights, roots):
     """Yield (re, im, s) with sum of w_i r_i^k = (re + i im) / 2^s exactly,
     for k = 0, 1, ...: the weights and roots are split into Gaussian
@@ -214,14 +206,16 @@ def _exact_misfits(ctx, roots, terms):
     return misfits
 
 
-def _roundtrip(weights: BinetWeights, roots, terms) -> FormulaCheck:
+def _roundtrip(weights, roots, terms) -> FormulaCheck:
     """sum of w_i r_i^k checked against terms[k], every k, in either
     precision: the sums are exact (`_power_sums`, the kernel of
     solve_weights' refinement too), and the relative error of each is
     rounded once, so it is the true error of the rounded weights and
-    roots, however large the terms.
+    roots, however large the terms.  verify's round trip passes the
+    solved weights without the probe, and every check of a closed form
+    passes the (weight, root) terms of `_closed_form`.
     """
-    sums = islice(_power_sums(weights.weights[:-1], roots), len(terms))
+    sums = islice(_power_sums(weights, roots), len(terms))
     return compare(enumerate(sums), terms, _exact_error, TOL_BINET)
 
 
@@ -239,10 +233,14 @@ def _exact_error(value, exact) -> float:
         return math.inf
 
 
-def _weighted_sum(weights, powers):
-    """sum of w_j * powers[j], in that order; zip stops at the last root,
-    so a BinetWeights's probe weights[-1] is not a term."""
-    return sum(w * p for w, p in zip(weights, powers))
+def _evaluate(form, k: int):
+    """sum of w r^k over the (w, r) terms of form at one k, in the numbers'
+    own precision; a standard power past the float range is refused with
+    PremiseError."""
+    try:
+        return sum(w * z**k for w, z in form)
+    except OverflowError:  # from complex ** int; an extended power has no range to leave
+        raise PremiseError(FLOAT_RANGE) from None
 
 
 def binet_eval(weights: BinetWeights, rootset: RootSet, k: int):
@@ -259,10 +257,7 @@ def binet_eval(weights: BinetWeights, rootset: RootSet, k: int):
             "weights were solved for degree %d, root set has degree %d"
             % (weights.degree, rootset.degree)
         )
-    try:
-        return _weighted_sum(weights, [z**k for z in rootset.roots])
-    except OverflowError:  # from complex ** int; an extended power has no range to leave
-        raise PremiseError(FLOAT_RANGE) from None
+    return _evaluate(zip(weights.weights, rootset.roots), k)  # zip leaves the probe out
 
 
 def nearest_integer(value) -> int:
@@ -288,62 +283,12 @@ def nearest_integer(value) -> int:
     return round(real)
 
 
-def _scan(at, roots, terms, precision: str) -> FormulaCheck:
-    """Check at(row) over the power rows of roots against the exact
-    terms[k], every k that the precision can compare; the note is left for
-    the caller to write, unless the scan stops early.
-
-    The error at k is |at(row_k) - x_k| / max(1, |x_k|) in the precision's
-    context, and the first k past TOL_BINET is the mismatch.  Every product
-    rounds in that arithmetic, so the errors include the roundoff; it
-    serves the closed forms, while verify's round trip is exact
-    (`_roundtrip`).  Standard precision compares while x_k and every r_i^k
-    are finite floats and the value does not overflow (`_float_values`),
-    and the note then says after which k the scan stopped.
-    """
-    ctx = arithmetic(precision).ctx
-
-    def relative_error(value, exact):
-        ref = to_complex(ctx, exact)
-        size = float(abs(ref))
-        if size == math.inf:  # an extended x_k past the float range: divide first
-            return float(abs(value - ref) / abs(ref))
-        return float(abs(value - ref)) / max(1.0, size)
-
-    rows = _power_rows(roots, len(terms))
-    if precision != STANDARD:
-        return compare(enumerate(map(at, rows)), terms, relative_error, TOL_BINET)
-    values = list(_float_values(ctx, at, rows, terms))
-    check = compare(enumerate(values), terms, relative_error, TOL_BINET)
-    if len(values) == len(terms):
-        return check
-    return check.replace(note="the float range of standard precision ends the scan after k = %d" % (len(values) - 1))
-
-
-def _float_values(ctx, at, rows, terms):
-    """Yield at(row_k) for k = 0, 1, ... while x_k and every r_i^k are
-    finite floats and the value does not overflow.  at is linear in the
-    row, so a value that is not finite where at of the row scaled down to
-    modulus at most 1 is finite has overflowed; a value not finite for
-    any other reason is yielded, and compares as a mismatch."""
-    for row, term in zip(rows, terms):
-        try:
-            to_complex(ctx, term)
-        except PremiseError:
-            return
-        if not all(map(cmath.isfinite, row)):
-            return
-        value = at(row)
-        if not cmath.isfinite(value):
-            big = max(map(abs, row))
-            if big > 1 and cmath.isfinite(at([z / big for z in row])):
-                return
-        yield value
-
-
 def _closed_form(spec: RecurrenceSpec, seeds: SeedVector, precision: str):
-    """Build the degree-2 or degree-3 closed form once; returns (at, roots),
-    where at([z**k for z in roots]) is the form's value at k."""
+    """Build the degree-2 or degree-3 closed form once, as the list of its
+    (weight, root) terms: the form's value at k is the sum of weight *
+    root**k, one term per product of the published formula, so a root may
+    appear twice.  Standard precision refuses a weight that is not finite
+    with PremiseError."""
     _check_seeds(spec, seeds)
     ctx, eps = arithmetic(precision)
     if spec.degree == 2:
@@ -353,61 +298,59 @@ def _closed_form(spec: RecurrenceSpec, seeds: SeedVector, precision: str):
             raise DegenerateSpectrumError(
                 "discriminant a^2 + 4b is zero: repeated root, closed form undefined"
             )
-        roots = quadratic_roots(a, b, precision).roots
+        phi, varphi = quadratic_roots(a, b, precision).roots
         sigma = ctx.sqrt(to_complex(ctx, disc))
         x0, x1, ac = (to_complex(ctx, v) for v in (*seeds, a))
-        phi = roots[0]
         lead = ((phi - ac) * x0 + x1) / sigma
+        form = [(lead, phi), (-lead, varphi), (x0, varphi)]
+    else:  # degree 3, the only other degree callers pass
+        g, b, a = spec.coeffs
+        rootset = cubic_roots(a, b, g, precision)
+        check_separation(rootset)
+        if sum(spec.coeffs) == 1:  # p(1) = 1 - sum of a_j, exactly
+            raise UnitRootError(
+                "1 is a characteristic root; the closed form divides by "
+                "(root - 1) and is undefined here"
+            )
+        # a computed root this close to 1 leaves (root - 1) to rounding alone
+        near = 8 * eps * _separation_scale(rootset)
+        if any(abs(z - 1) < near for z in rootset.roots):
+            raise UnitRootError(
+                "a characteristic root lies within %.1e of 1, which %s precision "
+                "cannot tell from 1; the closed form divides by (root - 1)" % (near, precision)
+            )
+        phi, varphi, psi = rootset.roots
+        x0, x1, x2, ac, bc, gc = (to_complex(ctx, v) for v in (*seeds, a, b, g))
 
-        def at(powers):
-            phi_k, varphi_k = powers
-            return lead * (phi_k - varphi_k) + varphi_k * x0
-
-        return at, roots
-    g, b, a = spec.coeffs  # degree 3, the only other degree callers pass
-    rootset = cubic_roots(a, b, g, precision)
-    check_separation(rootset)
-    if sum(spec.coeffs) == 1:  # p(1) = 1 - sum of a_j, exactly
-        raise UnitRootError(
-            "1 is a characteristic root; the closed form divides by "
-            "(root - 1) and is undefined here"
-        )
-    # a computed root this close to 1 leaves (root - 1) to rounding alone
-    near = 8 * eps * _separation_scale(rootset)
-    if any(abs(z - 1) < near for z in rootset.roots):
-        raise UnitRootError(
-            "a characteristic root lies within %.1e of 1, which %s precision "
-            "cannot tell from 1; the closed form divides by (root - 1)" % (near, precision)
-        )
-    phi, varphi, psi = rootset.roots
-    x0, x1, x2, ac, bc, gc = (to_complex(ctx, v) for v in (*seeds, a, b, g))
-
-    pref = (
-        (ac - varphi - psi - 1) * x2
-        + (bc + varphi * psi + varphi + psi) * x1
-        + (gc - varphi * psi) * x0
-    ) / ((phi - varphi) * (varphi - psi) * (phi - psi))
-    comb_phi = (psi - varphi) / (phi - 1)
-    comb_varphi = (psi - phi) / (varphi - 1)
-    comb_psi = (varphi - phi) / (psi - 1)
-    tail_psi = (x2 - (varphi + 1) * x1 + varphi * x0) / ((psi - 1) * (psi - varphi))
-    tail_varphi = (x2 - (psi + 1) * x1 + psi * x0) / ((varphi - 1) * (psi - varphi))
-
-    def at(powers):
-        phi_k, varphi_k, psi_k = powers
-        comb = comb_phi * phi_k - comb_varphi * varphi_k + comb_psi * psi_k
-        tail = tail_psi * psi_k - tail_varphi * varphi_k
-        return pref * comb + tail
-
-    return at, rootset.roots
+        pref = (
+            (ac - varphi - psi - 1) * x2
+            + (bc + varphi * psi + varphi + psi) * x1
+            + (gc - varphi * psi) * x0
+        ) / ((phi - varphi) * (varphi - psi) * (phi - psi))
+        comb_phi = (psi - varphi) / (phi - 1)
+        comb_varphi = (psi - phi) / (varphi - 1)
+        comb_psi = (varphi - phi) / (psi - 1)
+        tail_psi = (x2 - (varphi + 1) * x1 + varphi * x0) / ((psi - 1) * (psi - varphi))
+        tail_varphi = (x2 - (psi + 1) * x1 + psi * x0) / ((varphi - 1) * (psi - varphi))
+        # pref * (comb_phi phi^k - comb_varphi varphi^k + comb_psi psi^k)
+        # + tail_psi psi^k - tail_varphi varphi^k
+        form = [
+            (pref * comb_phi, phi),
+            (-pref * comb_varphi, varphi),
+            (pref * comb_psi, psi),
+            (tail_psi, psi),
+            (-tail_varphi, varphi),
+        ]
+    if precision == STANDARD and not all(cmath.isfinite(w) for w, _ in form):
+        raise PremiseError(FLOAT_RANGE)
+    return form
 
 
 def _at_k(coeffs, seeds, k: int, precision: str):
     """One closed-form value: checks k, builds once, evaluates z**k."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    at, roots = _closed_form(make_spec(coeffs), make_seeds(seeds), precision)
-    return at([z**k for z in roots])
+    return _evaluate(_closed_form(make_spec(coeffs), make_seeds(seeds), precision), k)
 
 
 def binet_quadratic_closed(alpha, beta, seeds, k: int, precision: str = STANDARD):
@@ -439,7 +382,7 @@ def _cubic_note(check: FormulaCheck, k_max: int) -> FormulaCheck:
             "%.3e); falling back to the generic weights path"
             % (check.first_mismatch, check.max_error)
         )
-    return check.replace(note="; ".join(filter(None, (note, check.note))))
+    return check.replace(note=note)
 
 
 def check_cubic_closed_form(
@@ -460,6 +403,6 @@ def check_cubic_closed_form(
         raise ValueError("k_max must be >= 0")
     spec = make_spec([gamma, beta, alpha])
     seed_vec = make_seeds(seeds)
-    at, roots = _closed_form(spec, seed_vec, precision)
+    weights, roots = zip(*_closed_form(spec, seed_vec, precision))
     terms = generate(spec, seed_vec, k_max + 1)
-    return _cubic_note(_scan(at, roots, terms, precision), k_max)
+    return _cubic_note(_roundtrip(weights, roots, terms), k_max)

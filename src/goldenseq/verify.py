@@ -12,6 +12,10 @@ terms, per-entry closed forms (built once per check) vs. the expansion,
 its diagonal sums vs. exact terms, and exact term ratios vs. the
 dominant root.  The row sums T(1)*R(1)^i share gf's T and R with the
 expansion, so they check its products; series and diagonals check T.
+The round trip and both Binet-form rows share one exact evaluator,
+binet._roundtrip: it is checker code, like `compare`, and what each row
+tests is what it passes in, the solved weights and roots or the closed
+form's (weight, root) terms.
 
 The rows are one ordered table of (name, degree, row): a row applies to
 every degree or to the one given, and returns (verdict, residual,
@@ -35,7 +39,7 @@ from .analysis import (
     golden_inverse_check,
     recover_cubic_conjugates,
 )
-from .binet import _closed_form, _cubic_note, _roundtrip, _scan, solve_weights
+from .binet import _closed_form, _cubic_note, _roundtrip, solve_weights
 from .errors import PremiseError, RootConvergenceError
 from .genfunc import build_genfunc, series_coefficients
 from .numerics import STANDARD, arithmetic
@@ -59,12 +63,11 @@ def _checked(check: FormulaCheck):
     return check.matches, check.max_error, check.note
 
 
-def _scanned(check: FormulaCheck, note="", at="k =", residual=True):
-    """(verdict, residual, detail) of a scan: the note while it matches,
-    else where it first diverged, then the scan's own note, if any."""
+def _compared(check: FormulaCheck, note="", at="k =", residual=True):
+    """(verdict, residual, detail) of a `compare` result: the note while
+    it matches, else where it first diverged."""
     if not check.matches:
         note = "first divergence at %s %d" % (at, check.first_mismatch)
-    note = "; ".join(filter(None, (note, check.note)))
     return check.matches, check.max_error if residual else None, note
 
 
@@ -127,18 +130,18 @@ def verify_all(
         return True, probe, "constant probe weight w_{n+1} must vanish"
 
     def roundtrip():
-        trip = _roundtrip(solved_weights(), rootset.roots, terms[: k_max + 1])
-        return _scanned(trip, "exact terms vs. root-power evaluation for k <= %d" % k_max)
+        trip = _roundtrip(solved_weights().weights[:-1], rootset.roots, terms[: k_max + 1])
+        return _compared(trip, "exact terms vs. root-power evaluation for k <= %d" % k_max)
 
     def closed_binet(span):
         span = min(k_max, span)
-        at, closed_roots = _closed_form(spec, seeds, precision)
-        check = _scan(at, closed_roots, terms[: span + 1], precision)
-        return _checked(_cubic_note(check, span)) if spec.degree == 3 else _scanned(check)
+        closed_weights, closed_roots = zip(*_closed_form(spec, seeds, precision))
+        check = _roundtrip(closed_weights, closed_roots, terms[: span + 1])
+        return _checked(_cubic_note(check, span)) if spec.degree == 3 else _compared(check)
 
     def series():
         check = compare(enumerate(series_coefficients(gf, k_max + 1)), terms)
-        return _scanned(check, "series of %s vs. the recurrence (exact)" % gf.display())
+        return _compared(check, "series of %s vs. the recurrence (exact)" % gf.display())
 
     def row_recurrence():
         violations = check_row_recurrence(trap)
@@ -153,12 +156,12 @@ def verify_all(
             (_fraction(sum(ints), den) for ints, den in map(_scale, trap.rows)),
         )
         note = "closed-form row sums vs. direct sums (exact)"
-        return _scanned(check, note, "row", residual=False)
+        return _compared(check, note, "row", residual=False)
 
     def diagonals():
         check = compare(((i, diagonal_sum(trap, i)) for i in range(rows)), terms)
         note = "diagonal sums reproduce the sequence (exact)"
-        return _scanned(check, note, "diagonal", residual=False)
+        return _compared(check, note, "diagonal", residual=False)
 
     @cache
     def report():  # the ratio report both ratio rows read

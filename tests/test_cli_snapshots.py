@@ -16,8 +16,11 @@ became exact (binet._roundtrip); only that line changed in them.  The
 standard `binet` and `verify` cases whose probe, weights, rounded value
 or round-trip residual moved when standard precision began to refine its
 weights and run its round trip on the same exact sums were regenerated
-too; no extended case changed then.  Any change to what the CLI prints
-shows up here as a diff.
+too; no extended case changed then.  The `verify` cases of the five
+quadratic presets, in both precisions, were regenerated when the closed
+forms became (weight, root) terms summed exactly like the round trip;
+only their binet_quadratic_closed_matches residual changed.  Any change
+to what the CLI prints shows up here as a diff.
 
 After an intended output change, rewrite the file with
 `PYTHONPATH=src python tests/test_cli_snapshots.py` and review the diff.

@@ -529,3 +529,43 @@ def test_refinement_residuals_and_probe_are_rounded_once(precision, case):
         assert [_exact(v) for v in values] == expected
     assert calls[1][0] == list(weights.weights[:-1])
     assert calls[1][2] == [weights.weights[-1]]
+
+
+# ------------------------------------------ the exact closed-form rows
+
+
+CLOSED_SPECS = {
+    "pell": ([1, 2], [0, 1]),
+    "halves": ([Fraction(1, 2), Fraction(1, 3)], [1, Fraction(1, 2)]),  # x^2 = x/3 + 1/2
+    "tribonacci": ([1, 1, 1], [0, 1, 1]),
+}
+CLOSED_ROW_RESIDUALS = {
+    ("pell", gs.STANDARD): "1.6465705630821882e-15",
+    ("pell", gs.EXTENDED): "4.002488032085733e-40",
+    ("halves", gs.STANDARD): "1.505086749537653e-16",
+    ("halves", gs.EXTENDED): "8.717799182967263e-42",
+    ("tribonacci", gs.STANDARD): "2.315533519038114",
+    ("tribonacci", gs.EXTENDED): "2.3155335190381146",
+}
+
+
+@pytest.mark.parametrize("name, precision", CLOSED_ROW_RESIDUALS)
+def test_closed_rows_are_the_exact_error_of_their_terms_rounded_once(name, precision):
+    # max over the row's k of |sum of w r^k - x_k| / max(1, |x_k|) over the
+    # (weight, root) terms of _closed_form, in Fractions: the row rounds
+    # each part of each error once and takes their hypot, bit for bit
+    coeffs, seed_values = CLOSED_SPECS[name]
+    spec, seeds = gs.make_spec(coeffs), gs.make_seeds(seed_values)
+    row, span = {2: ("binet_quadratic_closed_matches", 30), 3: ("binet_cubic_closed_matches", 20)}[spec.degree]
+    residual = next(r for r in gs.verify_all(spec, seeds, precision=precision) if r.check == row).residual
+    form = binet_module._closed_form(spec, seeds, precision)
+    roots = [_exact(z) for _, z in form]
+    powers = [_exact(w) for w, _ in form]  # w r^k, from k = 0
+    worst = 0.0
+    for x in gs.generate(spec, seeds, span + 1):
+        scale = max(1, abs(x))
+        re, im = (sum(p for p, _ in powers) - x) / scale, sum(q for _, q in powers) / scale
+        worst = max(worst, math.hypot(float(re), float(im)))
+        powers = [(p * a - q * b, p * b + q * a) for (p, q), (a, b) in zip(powers, roots)]
+    assert residual == worst
+    assert repr(residual) == CLOSED_ROW_RESIDUALS[name, precision]

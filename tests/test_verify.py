@@ -518,16 +518,28 @@ def test_weights_past_the_float_range_skip_the_ratio_row():
 
 
 def test_standard_scans_compare_what_fits_a_float():
-    # x^2 = 10^20 x + 1, seeds 0, 1: x_0 .. x_16 and the root powers up
-    # to r^15 fit a float; the closed-form row compares that span and says
-    # where it stops instead of skipping every term, while the round trip's
-    # exact sums compare every k <= 40
+    # x^2 = 10^20 x + 1, seeds 0, 1: the terms pass the float range from
+    # k = 16, and both Binet rows sum their terms exactly, so they compare
+    # every k (the closed form's 30, the round trip's 40) with no stop note
     named = by_name(verify_all(make_spec([1, 10**20]), make_seeds([0, 1])))
-    stop = "the float range of standard precision ends the scan after k = 15"
-    assert named["recurrence_binet_roundtrip"].status == "pass"
-    assert named["recurrence_binet_roundtrip"].detail == "exact terms vs. root-power evaluation for k <= 40"
-    assert named["binet_quadratic_closed_matches"].status == "pass"
-    assert named["binet_quadratic_closed_matches"].detail == stop
+    trip, closed = named["recurrence_binet_roundtrip"], named["binet_quadratic_closed_matches"]
+    assert (trip.status, trip.detail) == ("pass", "exact terms vs. root-power evaluation for k <= 40")
+    assert (closed.status, closed.detail) == ("pass", "")
+    assert closed.residual < 1e-16
+
+
+def test_closed_form_constant_past_the_float_range_is_skipped():
+    # x^2 = 2x - (1 - 10^-20), seeds 0, 10^300: the roots are 1 +- 10^-10,
+    # so the form's constant x_1 / sigma is about 5e309.  Standard precision
+    # refuses it, so the row is skipped with no residual (a NaN one is not
+    # JSON); extended holds it
+    spec, seeds = make_spec([Fraction(-(10**20 - 1), 10**20), 2]), make_seeds([0, 10**300])
+    standard = by_name(verify_all(spec, seeds))["binet_quadratic_closed_matches"]
+    assert (standard.status, standard.residual, standard.detail) == (
+        "skipped", None, "value outside the float range of standard precision"
+    )
+    extended = by_name(verify_all(spec, seeds, precision="extended"))["binet_quadratic_closed_matches"]
+    assert extended.status == "pass"
 
 
 def test_standard_scan_with_nothing_to_compare_keeps_the_float_range_refusal():
